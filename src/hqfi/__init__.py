@@ -8,13 +8,10 @@ verify` sweeps the whole construction over parameter grids.
 """
 from .bounds import (
     BoundReport,
-    HolderPair,
     ParamPoint,
     Theorem,
     Variant,
-    bound_t22,
-    bound_t23,
-    bound_t24,
+    bound,
     evaluate_bound,
     identity_lhs,
     identity_rhs,
@@ -33,7 +30,7 @@ from .harmonic import (
     validate_corpus,
 )
 from .harness import TOOL_VERSION, CampaignReport, SweepConfig, run_checkfn, run_constants, run_verify
-from .kernels import c1, c2, c3, c3_as_stated, kernel_oracle
+from .kernels import c1, c2, c3, kernel_oracle
 from .quad import QuadratureError, QuadSpec, SingularWeight, integrate, integrate_singular
 from .specialfn import HypParams, beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
 
@@ -71,19 +68,15 @@ __all__ = [
     "c1",
     "c2",
     "c3",
-    "c3_as_stated",
     "kernel_oracle",
     # identity and bounds
     "ParamPoint",
-    "HolderPair",
     "Theorem",
     "Variant",
     "BoundReport",
     "identity_lhs",
     "identity_rhs",
-    "bound_t22",
-    "bound_t23",
-    "bound_t24",
+    "bound",
     "evaluate_bound",
     "specialize",
     "ostrowski_bound",

@@ -12,18 +12,27 @@ with wa = ((x-a)/(ax))^alpha, wb = ((b-x)/(bx))^alpha and inv(t) = 1/t.
 kernel-integral form, and the pair is the residual check the harness sweeps.
 
 When |f'|^q is harmonically quasi-convex on [a, b], |I| is bounded by three
-families (T22: power-mean, T23: its q=1 reduction shape, T24: Holder).  Each
-family carries two variants: `symmetric_corrected` is the proof-faithful form
-(denominators x^2, b^2; second sup over {|f'(x)|, |f'(b)|}); `as_stated`
-reproduces the source text verbatim (denominators x^{2q}, b^{2q} and the
-asymmetric second sup in T22), which is refutable and kept for counterexample
-hunting.
+families (T22: power-mean, T23: its q=1 reduction shape, T24: Holder).  All
+three have the shape c1^power * {C2 brace + C3 brace} at a kernel-moment
+exponent kq, so one table (`_FAMILIES`) holds what tells them apart and one
+function, `bound`, assembles any of them:
+
+  family  kq         c1 power  as_stated denominators  as_stated second sup
+  T22     q          1 - 1/q   x^{2q}, b^{2q}          {|f'(x)|, |f'(a)|}
+  T23     1          0         x^{2q}, b^{2q}          {|f'(x)|, |f'(b)|}
+  T24     q/(q-1)    1/q       x^{2kq}, b^{2kq}        {|f'(x)|, |f'(b)|}
+
+Each family carries two variants: `symmetric_corrected` is the proof-faithful
+form (denominators x^2, b^2; second sup over {|f'(x)|, |f'(b)|}); `as_stated`
+reproduces the source text verbatim, which is refutable and kept for
+counterexample hunting.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from .fracint import rl_left, rl_right
 from .harmonic import IntervalDomain, ScalarFunction
@@ -35,13 +44,10 @@ __all__ = [
     "Theorem",
     "Variant",
     "ParamPoint",
-    "HolderPair",
     "BoundReport",
     "identity_lhs",
     "identity_rhs",
-    "bound_t22",
-    "bound_t23",
-    "bound_t24",
+    "bound",
     "evaluate_bound",
     "specialize",
     "ostrowski_bound",
@@ -92,26 +98,6 @@ class ParamPoint:
     def h_point(self) -> float:
         """Harmonic mean 2ab/(a+b) of the interval endpoints."""
         return 2.0 * self.a * self.b / (self.a + self.b)
-
-
-@dataclass(frozen=True)
-class HolderPair:
-    """Conjugate exponents with 1/p + 1/q = 1, both > 1."""
-
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p > 1.0 and math.isfinite(self.q) and self.q > 1.0):
-            raise ValueError(f"require p, q > 1, got p={self.p}, q={self.q}")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
-            raise ValueError(f"require 1/p + 1/q = 1, got p={self.p}, q={self.q}")
-
-    @classmethod
-    def from_q(cls, q: float) -> "HolderPair":
-        if not (math.isfinite(q) and q > 1.0):
-            raise ValueError(f"conjugate exponent needs q > 1, got {q}")
-        return cls(q / (q - 1.0), q)
 
 
 @dataclass(frozen=True)
@@ -193,87 +179,62 @@ def identity_rhs(
     return total
 
 
-def _brace_terms(
-    f: ScalarFunction, p: ParamPoint, kq: float, variant: Variant, far_is_b: bool
-) -> float:
-    """Shared bound assembly: kernel moments at exponent kq, sup factors, denominators.
+class _Family(NamedTuple):
+    """One row of the theorem table; every entry is a function of the point's q."""
 
-    (sup{A^q, B^q})^{1/q} = max(A, B) for A, B >= 0, so the sup factor is the
-    plain max of derivative magnitudes regardless of q.  far_is_b picks the
-    companion point of the second sup: b for the symmetric forms, a for the
-    one as-stated family that repeats f'(a) there.
+    moment: Callable[[float], float]  # kernel-moment exponent kq of the C2/C3 braces
+    c1_power: Callable[[float], float]
+    stated_den: Callable[[float], float]  # as_stated denominators x^e, b^e
+    stated_far_is_b: bool  # as_stated second sup over {f'(x), f'(b)}, else {f'(x), f'(a)}
+
+
+def _conjugate(q: float) -> float:
+    return q / (q - 1.0)
+
+
+_FAMILIES = {
+    Theorem.T22: _Family(lambda q: q, lambda q: 1.0 - 1.0 / q, lambda q: 2.0 * q, False),
+    Theorem.T23: _Family(lambda q: 1.0, lambda q: 0.0, lambda q: 2.0 * q, True),
+    Theorem.T24: _Family(_conjugate, lambda q: 1.0 / q, lambda q: 2.0 * _conjugate(q), True),
+}
+
+
+def bound(
+    f: ScalarFunction,
+    p: ParamPoint,
+    theorem: Theorem,
+    variant: Variant = Variant.SYMMETRIC_CORRECTED,
+) -> float:
+    """c1^power times the C2 and C3 braces at the family's kernel-moment exponent kq.
+
+    (sup{A^q, B^q})^{1/q} = max(A, B) for A, B >= 0, so each sup factor is the
+    plain max of derivative magnitudes regardless of q.  The corrected variant
+    divides by x^2, b^2 and takes the second sup over {|f'(x)|, |f'(b)|}; the
+    as_stated variant takes the family's printed exponent and far point.
     """
+    if theorem is Theorem.T24 and p.q <= 1.0:
+        raise ValueError(f"Holder bound needs q > 1, got q={p.q}")
+    fam = _FAMILIES[theorem]
     a, b, x, lam, alpha = p.a, p.b, p.x, p.lam, p.alpha
     corrected = variant is Variant.SYMMETRIC_CORRECTED
+    kq = fam.moment(p.q)
     inv_kq = 1.0 / kq
+    den_exp = fam.stated_den(p.q)
+    far = b if corrected or fam.stated_far_is_b else a
     total = 0.0
     if x > a:
-        den = x * x if corrected else x ** (2.0 * kq)
+        den = x * x if corrected else x**den_exp
         sup = max(abs(f.df(x)), abs(f.df(a)))
         total += (x - a) ** (alpha + 1.0) / ((a * x) ** (alpha - 1.0) * den) * sup * c2(
             alpha, lam, kq, a / x
         ) ** inv_kq
     if x < b:
-        den = b * b if corrected else b ** (2.0 * kq)
-        sup = max(abs(f.df(x)), abs(f.df(b if far_is_b else a)))
+        den = b * b if corrected else b**den_exp
+        sup = max(abs(f.df(x)), abs(f.df(far)))
         total += (b - x) ** (alpha + 1.0) / ((b * x) ** (alpha - 1.0) * den) * sup * c3(
             alpha, lam, kq, x / b
         ) ** inv_kq
-    return total
-
-
-def bound_t22(
-    f: ScalarFunction, p: ParamPoint, variant: Variant = Variant.SYMMETRIC_CORRECTED
-) -> float:
-    """Power-mean bound: c1^{1-1/q} times the kernel-moment braces at exponent q.
-
-    The as-stated form of this family repeats f'(a) in the second sup; the
-    corrected variant uses f'(b) there, matching the first-moment family.
-    """
-    far_is_b = variant is Variant.SYMMETRIC_CORRECTED
-    return c1(p.alpha, p.lam) ** (1.0 - 1.0 / p.q) * _brace_terms(f, p, p.q, variant, far_is_b)
-
-
-def bound_t23(
-    f: ScalarFunction, p: ParamPoint, variant: Variant = Variant.SYMMETRIC_CORRECTED
-) -> float:
-    """First-moment bound: braces at exponent 1, no c1 prefactor.
-
-    Coincides with bound_t22 at q = 1 by construction.  The as_stated variant
-    keeps the raw x^{2q}, b^{2q} denominators with the sweep's q; its second
-    sup is over {|f'(x)|, |f'(b)|} in both variants.
-    """
-    a, b, x, lam, alpha, q = p.a, p.b, p.x, p.lam, p.alpha, p.q
-    corrected = variant is Variant.SYMMETRIC_CORRECTED
-    total = 0.0
-    if x > a:
-        den = x * x if corrected else x ** (2.0 * q)
-        sup = max(abs(f.df(x)), abs(f.df(a)))
-        total += (x - a) ** (alpha + 1.0) / ((a * x) ** (alpha - 1.0) * den) * sup * c2(alpha, lam, 1.0, a / x)
-    if x < b:
-        den = b * b if corrected else b ** (2.0 * q)
-        sup = max(abs(f.df(x)), abs(f.df(b)))
-        total += (b - x) ** (alpha + 1.0) / ((b * x) ** (alpha - 1.0) * den) * sup * c3(alpha, lam, 1.0, x / b)
-    return total
-
-
-def bound_t24(
-    f: ScalarFunction,
-    p: ParamPoint,
-    h: HolderPair | None = None,
-    variant: Variant = Variant.SYMMETRIC_CORRECTED,
-) -> float:
-    """Holder bound: c1^{1/q} times the braces at the conjugate exponent p = q/(q-1)."""
-    if p.q <= 1.0:
-        raise ValueError(f"Holder bound needs q > 1, got q={p.q}")
-    if h is None:
-        h = HolderPair.from_q(p.q)
-    elif abs(h.q - p.q) > 1e-12:
-        raise ValueError(f"HolderPair q={h.q} inconsistent with point q={p.q}")
-    # the as_stated denominators for this family are x^{2p}, b^{2p}; both
-    # variants keep f'(b) in the second sup
-    shadow = replace(p, q=h.p)
-    return c1(p.alpha, p.lam) ** (1.0 / p.q) * _brace_terms(f, shadow, h.p, variant, True)
+    return c1(alpha, lam) ** fam.c1_power(p.q) * total
 
 
 def evaluate_bound(
@@ -289,14 +250,9 @@ def evaluate_bound(
 ) -> BoundReport:
     """|identity_lhs| against the requested bound; holds when slack >= -slack_tol."""
     lhs_abs = abs(identity_lhs(f, p, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth))
-    if theorem is Theorem.T22:
-        bound = bound_t22(f, p, variant)
-    elif theorem is Theorem.T23:
-        bound = bound_t23(f, p, variant)
-    else:
-        bound = bound_t24(f, p, variant=variant)
-    slack = bound - lhs_abs
-    return BoundReport(theorem, variant, lhs_abs, bound, slack, slack >= -slack_tol)
+    value = bound(f, p, theorem, variant)
+    slack = value - lhs_abs
+    return BoundReport(theorem, variant, lhs_abs, value, slack, slack >= -slack_tol)
 
 
 def specialize(kind: str, base: ParamPoint) -> ParamPoint:
@@ -330,8 +286,4 @@ def ostrowski_bound(
     linear = ScalarFunction(
         "ostrowski_linear", IntervalDomain(p.a, p.b), lambda u: M * u, lambda u: M
     )
-    if theorem is Theorem.T22:
-        return bound_t22(linear, p, variant)
-    if theorem is Theorem.T23:
-        return bound_t23(linear, p, variant)
-    return bound_t24(linear, p, variant=variant)
+    return bound(linear, p, theorem, variant)

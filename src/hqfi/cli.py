@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     constants.add_argument("--q", type=float, required=True)
     constants.add_argument("--r", type=float, required=True)
     constants.add_argument("--which", choices=("c1", "c2", "c3", "all"), default="all")
-    constants.add_argument("--seed", type=int, default=0, help="accepted for interface symmetry; unused")
 
     checkfn = sub.add_parser("checkfn", help="convexity checker over a corpus name or expression")
     checkfn.add_argument("--fn", required=True, help="corpus label or expression in x (e.g. 'x*ln(x)')")

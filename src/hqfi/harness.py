@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Callable
 
-from .bounds import ParamPoint, Theorem, Variant, bound_t22, bound_t23, bound_t24, identity_lhs, identity_rhs
+from .bounds import ParamPoint, Theorem, Variant, bound, identity_lhs, identity_rhs
 from .harmonic import (
     IntervalDomain,
     ScalarFunction,
@@ -338,17 +338,12 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
                                 bound_skips += 1
                                 continue
                             pt = ParamPoint(a, b, x, lam, alpha, q)
-                            for theorem in (Theorem.T22, Theorem.T23, Theorem.T24):
+                            for theorem in Theorem:
                                 if theorem is Theorem.T24 and q <= 1.0:
                                     continue
                                 for variant in variants:
-                                    if theorem is Theorem.T22:
-                                        bound = bound_t22(f, pt, variant)
-                                    elif theorem is Theorem.T23:
-                                        bound = bound_t23(f, pt, variant)
-                                    else:
-                                        bound = bound_t24(f, pt, variant=variant)
-                                    slack = bound - lhs_abs
+                                    value = bound(f, pt, theorem, variant)
+                                    slack = value - lhs_abs
                                     holds = slack >= -slack_tol
                                     if not holds:
                                         violations.append(len(records))
@@ -364,7 +359,7 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
                                             "theorem": theorem.value,
                                             "variant": variant.value,
                                             "lhs_abs": lhs_abs,
-                                            "bound": bound,
+                                            "bound": value,
                                             "slack": slack,
                                             "holds": holds,
                                             "identity_residual": ident["residual_scaled"],

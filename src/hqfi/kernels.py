@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .quad import QuadSpec, integrate
 from .specialfn import HypParams, hyp2f1
 
-__all__ = ["KernelArgs", "c1", "c2", "c3", "c3_as_stated", "kernel_oracle"]
+__all__ = ["KernelArgs", "c1", "c2", "c3", "kernel_oracle"]
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,9 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
     The interior-lam correction rescales the denominator to the kink point:
     with m = lam^(1/alpha) and s = r + m(1-r), the correction is
     2 lam^(1+1/alpha) s^{-2q} [2F1(2q,1;2;z3) - 2F1(2q,1;alpha+2;z3)/(alpha+1)],
-    z3 = m(1-r)/s.  See c3_as_stated for the form without the rescaling.
+    z3 = m(1-r)/s.  The source text prints the correction without the
+    rescaling; tests/test_kernels.py keeps that form (`c3_as_stated`) and
+    shows it diverging from kernel_oracle for 0 < lam < 1.
     """
     KernelArgs(alpha, lam, q, r)
     z1 = 1.0 - r
@@ -88,26 +90,6 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
     corr = 2.0 * lam ** (1.0 + 1.0 / alpha) * s ** (-2.0 * q) * (
         hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z3))
         - hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z3)) / (alpha + 1.0)
-    )
-    return main + corr
-
-
-def c3_as_stated(alpha: float, lam: float, q: float, r: float) -> float:
-    """Right-brace moment with the unrescaled correction term.
-
-    Diverges from kernel_oracle for 0 < lam < 1 (e.g. alpha=1, lam=1/2, q=1,
-    r=1/2: 0.38629 here vs 0.52887 from the integral); agrees at lam in {0,1}.
-    Kept for comparison runs only; c3 is the form the bounds use.
-    """
-    KernelArgs(alpha, lam, q, r)
-    z1 = 1.0 - r
-    main = hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z1)) / (alpha + 1.0)
-    if lam == 0.0:
-        return main
-    main -= lam * hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z1))
-    corr = 2.0 * lam ** (1.0 + 1.0 / alpha) * (
-        hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z1))
-        - hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z1)) / (alpha + 1.0)
     )
     return main + corr
 

@@ -18,9 +18,7 @@ from hqfi import (
     ScalarFunction,
     SweepConfig,
     Theorem,
-    bound_t22,
-    bound_t23,
-    bound_t24,
+    bound,
     c1,
     c2,
     c3,
@@ -171,10 +169,10 @@ def test_criterion_5_corollary_consistency():
             pq = q / (q - 1.0)
             pairs = (
                 (c1(alpha, lam) ** (1.0 - 1.0 / q) * _corollary_transcription(f, a, b, lam, alpha, q),
-                 bound_t22(f, pt)),
-                (_corollary_transcription(f, a, b, lam, alpha, 1.0), bound_t23(f, pt)),
+                 bound(f, pt, Theorem.T22)),
+                (_corollary_transcription(f, a, b, lam, alpha, 1.0), bound(f, pt, Theorem.T23)),
                 (c1(alpha, lam) ** (1.0 / q) * _corollary_transcription(f, a, b, lam, alpha, pq),
-                 bound_t24(f, pt)),
+                 bound(f, pt, Theorem.T24)),
             )
             for transcribed, general in pairs:
                 worst = max(worst, abs(transcribed - scale * general) / abs(transcribed))

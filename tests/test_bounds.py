@@ -13,13 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqfi.bounds import (
-    HolderPair,
     ParamPoint,
     Theorem,
     Variant,
-    bound_t22,
-    bound_t23,
-    bound_t24,
+    bound,
     evaluate_bound,
     identity_lhs,
     identity_rhs,
@@ -54,16 +51,6 @@ def test_h_point_between_endpoints():
     pt = ParamPoint(1.0, 2.0, 1.5, 0.0, 1.0)
     assert pt.h_point == pytest.approx(4.0 / 3.0, rel=1e-15)
     assert pt.a < pt.h_point < pt.b
-
-
-def test_holder_pair():
-    h = HolderPair.from_q(2.0)
-    assert h.p == 2.0
-    assert HolderPair.from_q(3.0).p == pytest.approx(1.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        HolderPair(2.0, 3.0)
-    with pytest.raises(ValueError):
-        HolderPair.from_q(1.0)
 
 
 # --- identity ---
@@ -178,16 +165,14 @@ def test_t22_equals_t23_at_q_one():
             pt = ParamPoint(
                 1.0, 2.0, rng.uniform(1.0, 2.0), rng.uniform(0.0, 1.0), rng.uniform(0.3, 2.5), 1.0
             )
-            t22 = bound_t22(f, pt)
-            t23 = bound_t23(f, pt)
+            t22 = bound(f, pt, Theorem.T22)
+            t23 = bound(f, pt, Theorem.T23)
             assert abs(t22 - t23) <= 1e-12 * max(1.0, abs(t22))
 
 
 def test_t24_requires_q_above_one():
     with pytest.raises(ValueError):
-        bound_t24(FNS["identity"], WORKED)
-    with pytest.raises(ValueError):
-        bound_t24(FNS["identity"], replace(WORKED, q=2.0), h=HolderPair.from_q(3.0))
+        bound(FNS["identity"], WORKED, Theorem.T24)
 
 
 def test_as_stated_variant_counterexample():
@@ -202,6 +187,46 @@ def test_as_stated_variant_counterexample():
         assert not rep.holds, theorem
         corrected = evaluate_bound(f, pt, theorem)
         assert corrected.holds, theorem
+
+
+def _hand_bound(f, pt, theorem, variant):
+    """Independent assembly of every theorem x variant row from the kernel moments."""
+    a, b, x, lam, alpha, q = pt.a, pt.b, pt.x, pt.lam, pt.alpha, pt.q
+    if theorem is Theorem.T22:
+        kq, pre, far = q, c1(alpha, lam) ** (1.0 - 1.0 / q), a
+    elif theorem is Theorem.T23:
+        kq, pre, far = 1.0, 1.0, b
+    else:
+        kq, pre, far = q / (q - 1.0), c1(alpha, lam) ** (1.0 / q), b
+    if variant is Variant.SYMMETRIC_CORRECTED:
+        den_left, den_right, far = x**2, b**2, b
+    else:
+        # the printed denominators: x^{2q}, b^{2q}, with the conjugate exponent for T24
+        e = 2.0 * (kq if theorem is Theorem.T24 else q)
+        den_left, den_right = x**e, b**e
+    left = (x - a) ** (alpha + 1.0) / ((a * x) ** (alpha - 1.0) * den_left) * max(
+        abs(f.df(x)), abs(f.df(a))
+    ) * c2(alpha, lam, kq, a / x) ** (1.0 / kq)
+    right = (b - x) ** (alpha + 1.0) / ((b * x) ** (alpha - 1.0) * den_right) * max(
+        abs(f.df(x)), abs(f.df(far))
+    ) * c3(alpha, lam, kq, x / b) ** (1.0 / kq)
+    return pre * (left + right)
+
+
+def test_every_theorem_variant_row_matches_hand_assembly():
+    # f(u)=u^2 has f'(a) != f'(b), so the far point of each second sup shows
+    f = FNS["square"]
+    assert f.df(1.0) != f.df(2.0)
+    for x in (1.3, 1.7):
+        for lam in (0.0, 0.4):
+            for q in (1.5, 3.0):
+                pt = ParamPoint(1.0, 2.0, x, lam, 0.8, q)
+                for theorem in Theorem:
+                    for variant in Variant:
+                        got = bound(f, pt, theorem, variant)
+                        assert got == pytest.approx(_hand_bound(f, pt, theorem, variant), rel=1e-12), (
+                            x, lam, q, theorem, variant
+                        )
 
 
 def test_corrected_t23_is_sharp_at_linear_endpoint_case():
@@ -283,9 +308,9 @@ def test_corollaries_match_scaled_theorems():
         for kind, lam in _KIND_LAMBDA.items():
             pt = specialize(kind, replace(base, lam=lam))
             for theorem, general in (
-                (Theorem.T22, bound_t22(fn, pt)),
-                (Theorem.T23, bound_t23(fn, pt)),
-                (Theorem.T24, bound_t24(fn, pt)),
+                (Theorem.T22, bound(fn, pt, Theorem.T22)),
+                (Theorem.T23, bound(fn, pt, Theorem.T23)),
+                (Theorem.T24, bound(fn, pt, Theorem.T24)),
             ):
                 transcribed = _corollary_bound(fn, a, b, lam, alpha, q, theorem)
                 assert transcribed == pytest.approx(scale * general, rel=1e-12), (kind, theorem)
@@ -304,7 +329,7 @@ def test_trapezoid_t24_alpha_one_prefactor():
         c3(1.0, 1.0, 2.0, h / b)
     )
     assert c1(1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
-    assert bound_t24(f, pt) == pytest.approx(0.5 ** (1.0 / q) * braces, rel=1e-12)
+    assert bound(f, pt, Theorem.T24) == pytest.approx(0.5 ** (1.0 / q) * braces, rel=1e-12)
 
 
 # --- Ostrowski form ---

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqfi.kernels import KernelArgs, c1, c2, c3, c3_as_stated, kernel_oracle
+from hqfi.kernels import KernelArgs, c1, c2, c3, kernel_oracle
+from hqfi.specialfn import HypParams, hyp2f1
 
 
 def test_c1_closed_forms():
@@ -74,6 +75,26 @@ def test_oracle_split_vs_unsplit():
     split = kernel_oracle(1.3, 0.4, 2.0, 0.6, 1.0)
     unsplit = kernel_oracle(1.3, 0.4, 2.0, 0.6, 1.0, split_at_kink=False)
     assert split == pytest.approx(unsplit, rel=1e-9)
+
+
+def c3_as_stated(alpha: float, lam: float, q: float, r: float) -> float:
+    """Right-brace moment as the source text prints it: the correction term unrescaled.
+
+    Diverges from kernel_oracle for 0 < lam < 1 (e.g. alpha=1, lam=1/2, q=1,
+    r=1/2: 0.38629 here vs 0.52887 from the integral); agrees at lam in {0,1}.
+    Kept here as a record of the erratum; kernels.c3 is the form the bounds use.
+    """
+    KernelArgs(alpha, lam, q, r)
+    z1 = 1.0 - r
+    main = hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z1)) / (alpha + 1.0)
+    if lam == 0.0:
+        return main
+    main -= lam * hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z1))
+    corr = 2.0 * lam ** (1.0 + 1.0 / alpha) * (
+        hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z1))
+        - hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z1)) / (alpha + 1.0)
+    )
+    return main + corr
 
 
 def test_unrescaled_c3_variant_diverges_for_interior_lam():
