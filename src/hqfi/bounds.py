@@ -36,8 +36,7 @@ from typing import Callable, NamedTuple
 
 from .fracint import rl_left, rl_right
 from .harmonic import IntervalDomain, ScalarFunction
-from .kernels import c1, c2, c3
-from .quad import QuadSpec, integrate
+from .kernels import c1, c2, c3, integrate_kinked
 from .specialfn import gamma
 
 __all__ = [
@@ -150,12 +149,7 @@ def _kernel_integral(
         A = t * end + (1.0 - t) * x
         return (t**alpha - lam) / (A * A) * df(end * x / A)
 
-    kink = lam ** (1.0 / alpha) if 0.0 < lam < 1.0 else None
-    if kink is not None and 0.0 < kink < 1.0:
-        return integrate(g, QuadSpec(0.0, kink, **spec_args)) + integrate(
-            g, QuadSpec(kink, 1.0, **spec_args)
-        )
-    return integrate(g, QuadSpec(0.0, 1.0, **spec_args))
+    return integrate_kinked(g, alpha, lam, spec_args)
 
 
 def identity_rhs(

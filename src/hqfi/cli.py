@@ -25,6 +25,11 @@ from .quad import QuadratureError
 __all__ = ["build_parser", "main"]
 
 _VARIANT_FLAG = {"corrected": "symmetric_corrected", "verbatim": "as_stated", "both": "both"}
+# verify flags whose argparse dest is the SweepConfig key they override
+_SAME_NAME_FLAGS = (
+    "x_mode", "x_count", "x_values", "lambdas", "alphas", "qs", "seed",
+    "tol_identity", "tol_slack", "tol_quad_abs", "tol_quad_rel", "checker_n",
+)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -83,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     checkfn = sub.add_parser("checkfn", help="convexity checker over a corpus name or expression")
     checkfn.add_argument("--fn", required=True, help="corpus label or expression in x (e.g. 'x*ln(x)')")
     checkfn.add_argument("--domain", type=_interval, required=True, metavar="LO:HI")
-    checkfn.add_argument("--n", type=int, default=20, help="grid resolution (default 20)")
+    checkfn.add_argument("--n", type=int, default=20, help="equispaced grid count in 1/u (default 20)")
     checkfn.add_argument("--mode", choices=("quasi", "convex"), default="quasi")
     checkfn.add_argument("--seed", type=int, default=0)
 
@@ -118,21 +123,8 @@ def _verify_config(args: argparse.Namespace) -> SweepConfig:
         merged["functions"] = "all" if args.functions == "all" else tuple(
             tok.strip() for tok in args.functions.split(",") if tok.strip()
         )
-    for flag, key in (
-        ("x_mode", "x_mode"),
-        ("x_count", "x_count"),
-        ("x_values", "x_values"),
-        ("lambdas", "lambdas"),
-        ("alphas", "alphas"),
-        ("qs", "qs"),
-        ("seed", "seed"),
-        ("tol_identity", "tol_identity"),
-        ("tol_slack", "tol_slack"),
-        ("tol_quad_abs", "tol_quad_abs"),
-        ("tol_quad_rel", "tol_quad_rel"),
-        ("checker_n", "checker_n"),
-    ):
-        val = getattr(args, flag)
+    for key in _SAME_NAME_FLAGS:
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
     merged["tol_scale"] = merged["tol_scale"] * _env_tol_scale()

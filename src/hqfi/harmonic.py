@@ -3,8 +3,11 @@
 A function f on a positive interval is harmonically convex when
 f(xy/(lx + (1-l)y)) <= l*f(y) + (1-l)*f(x) for all x, y in the interval and
 l in [0,1]; replacing the right side with max(f(x), f(y)) gives the weaker
-quasi-convex property.  The checkers refute by sampling: a returned violation
-is a certificate, a clean pass is only grid evidence.
+quasi-convex property.  With g(s) = f(1/s) the harmonic mix is the ordinary
+mix of 1/x and 1/y, so f is harmonically (quasi-)convex on [lo, hi] exactly
+when g is (quasi-)convex on [1/hi, 1/lo] (Iscan 2014).  The checkers sample g
+once and cover every triple of samples in one pass.  They refute by sampling:
+a returned violation is a certificate, a clean pass is only sample evidence.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ VIOLATED = "violated"
 
 _VIOLATION_MARGIN = 1e-12
 _CBRT_EPS = 6.0554544523933395e-06  # cube root of 2^-52, central-difference step scale
-_RANDOM_FACTOR = 10  # random triples per grid row: 10*n
+_RANDOM_FACTOR = 10  # seeded uniform samples per grid point: 10*n
 
 
 @dataclass(frozen=True)
@@ -93,58 +96,62 @@ class ConvexityVerdict:
         return self.status == VIOLATED
 
 
-def _harmonic_mix(x: float, y: float, lam: float) -> float:
-    return x * y / (lam * x + (1.0 - lam) * y)
-
-
-def _scan(
-    f: ScalarFunction,
-    d: IntervalDomain,
-    n: int,
-    seed: int,
-    rhs: Callable[[float, float, float], float],
-) -> ConvexityVerdict:
+def _samples(f: ScalarFunction, d: IntervalDomain, n: int, seed: int) -> tuple[list, list, list]:
+    """Sorted s in [1/hi, 1/lo] (n equispaced, _RANDOM_FACTOR*n seeded uniform), u = 1/s in d, g = f(u)."""
     if n < 2:
         raise ValueError(f"checker grid needs n >= 2, got {n}")
     if not f.domain.encloses(d):
         raise ValueError(f"check domain [{d.lo}, {d.hi}] escapes {f.label} domain")
-    step = (d.hi - d.lo) / (n - 1)
-    grid = [d.lo + i * step for i in range(n)]
-    lams = [i / (n - 1.0) for i in range(n)]
-    checked = 0
-    for x in grid:
-        fx = f(x)
-        for y in grid:
-            fy = f(y)
-            for lam in lams:
-                checked += 1
-                lhs = f(_harmonic_mix(x, y, lam))
-                if lhs > rhs(fx, fy, lam) + _VIOLATION_MARGIN:
-                    return ConvexityVerdict(VIOLATED, (x, y, lam), checked)
+    s_lo, s_hi = 1.0 / d.hi, 1.0 / d.lo
+    step = (s_hi - s_lo) / (n - 1)
     rng = random.Random(seed)
-    for _ in range(_RANDOM_FACTOR * n):
-        x = rng.uniform(d.lo, d.hi)
-        y = rng.uniform(d.lo, d.hi)
-        lam = rng.random()
-        checked += 1
-        lhs = f(_harmonic_mix(x, y, lam))
-        if lhs > rhs(f(x), f(y), lam) + _VIOLATION_MARGIN:
-            return ConvexityVerdict(VIOLATED, (x, y, lam), checked)
+    s = sorted([s_lo + i * step for i in range(n)] + [rng.uniform(s_lo, s_hi) for _ in range(_RANDOM_FACTOR * n)])
+    u = [min(d.hi, max(d.lo, 1.0 / v)) for v in s]
+    return s, u, [f(v) for v in u]
+
+
+def _scan(f: ScalarFunction, d: IntervalDomain, n: int, seed: int, convex: bool) -> ConvexityVerdict:
+    # quasi: g_j against the smallest g on each side; convex: g_j against its
+    # neighbours' chord (non-decreasing consecutive slopes bound every wider chord)
+    s, u, g = _samples(f, d, n, seed)
+    m = len(s)
+    # right_min[j]: index of the smallest g among samples j+1 .. m-1
+    right_min = [m - 1] * m
+    for j in range(m - 3, -1, -1):
+        k = right_min[j + 1]
+        right_min[j] = j + 1 if g[j + 1] <= g[k] else k
+    left_min = 0
+    checked = 0
+    for j in range(1, m - 1):
+        checked += j * (m - 1 - j)  # the triples i < j < k with middle sample j
+        if convex:
+            i, k = j - 1, j + 1
+            lam = (s[j] - s[i]) / (s[k] - s[i])
+            rhs = lam * g[k] + (1.0 - lam) * g[i]
+            margin = _VIOLATION_MARGIN * max(1.0, abs(g[i]), abs(g[j]), abs(g[k]))
+        else:
+            i, k = left_min, right_min[j]
+            rhs, margin = max(g[i], g[k]), _VIOLATION_MARGIN
+            if g[j] < g[left_min]:
+                left_min = j
+        if g[j] > rhs + margin:
+            lam = (s[j] - s[i]) / (s[k] - s[i])
+            return ConvexityVerdict(VIOLATED, (u[i], u[k], lam), checked)
     return ConvexityVerdict(NO_VIOLATION, None, checked)
 
 
 def check_harmonically_convex(
     f: ScalarFunction, d: IntervalDomain | None = None, n: int = 20, seed: int = 0
 ) -> ConvexityVerdict:
-    """Grid-plus-random refutation of f(mix) <= l*f(y) + (1-l)*f(x)."""
-    return _scan(f, d or f.domain, n, seed, lambda fx, fy, lam: lam * fy + (1.0 - lam) * fx)
+    """Refutation of f(mix) <= l*f(y) + (1-l)*f(x): every sampled g(s) against its neighbours' chord."""
+    return _scan(f, d or f.domain, n, seed, convex=True)
 
 
 def check_harmonically_quasiconvex(
     f: ScalarFunction, d: IntervalDomain | None = None, n: int = 20, seed: int = 0
 ) -> ConvexityVerdict:
-    """Grid-plus-random refutation of f(mix) <= max(f(x), f(y))."""
-    return _scan(f, d or f.domain, n, seed, lambda fx, fy, lam: max(fx, fy))
+    """Refutation of f(mix) <= max(f(x), f(y)): every sampled g(s) against the smallest g on each side."""
+    return _scan(f, d or f.domain, n, seed, convex=False)
 
 
 def abs_derivative_power(f: ScalarFunction, q: float) -> ScalarFunction:

@@ -32,8 +32,8 @@ from .harmonic import (
     check_harmonically_quasiconvex,
     validate_corpus,
 )
-from .kernels import c1, c2, c3, kernel_oracle
-from .quad import QuadSpec, QuadratureError, integrate
+from .kernels import c1, c2, c3, integrate_kinked, kernel_oracle
+from .quad import QuadratureError
 
 __all__ = [
     "TOOL_VERSION",
@@ -231,21 +231,10 @@ class CampaignReport:
         return "\n".join(lines) + "\n"
 
 
-_CORPUS_CACHE: list[ScalarFunction] | None = None
-
-
-def _validated_corpus() -> list[ScalarFunction]:
-    # validate_corpus re-proves every quasi tag; do that once per process
-    global _CORPUS_CACHE
-    if _CORPUS_CACHE is None:
-        _CORPUS_CACHE = validate_corpus()
-    return _CORPUS_CACHE
-
-
 def _select_functions(cfg: SweepConfig) -> list[ScalarFunction]:
-    fns = _validated_corpus()
+    fns = validate_corpus()
     if cfg.functions == "all":
-        return list(fns)
+        return fns
     by_label = {f.label: f for f in fns}
     missing = [name for name in cfg.functions if name not in by_label]
     if missing:
@@ -397,13 +386,7 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
 
 
 def _c1_oracle(alpha: float, lam: float, spec_args: dict) -> float:
-    def f(t: float) -> float:
-        return abs(t**alpha - lam)
-
-    kink = lam ** (1.0 / alpha) if 0.0 < lam < 1.0 else None
-    if kink is not None and 0.0 < kink < 1.0:
-        return integrate(f, QuadSpec(0.0, kink, **spec_args)) + integrate(f, QuadSpec(kink, 1.0, **spec_args))
-    return integrate(f, QuadSpec(0.0, 1.0, **spec_args))
+    return integrate_kinked(lambda t: abs(t**alpha - lam), alpha, lam, spec_args)
 
 
 def _delta_block(closed: float, oracle: float) -> dict:
@@ -556,7 +539,7 @@ def _bin_unary(fn, inner):
 
 
 def _resolve_function(name_or_expr: str, domain: IntervalDomain) -> ScalarFunction:
-    for f in _validated_corpus():
+    for f in validate_corpus():
         if f.label == name_or_expr:
             return f
     compiled = _ExprParser(name_or_expr).parse()

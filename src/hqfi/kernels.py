@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .quad import QuadSpec, integrate
 from .specialfn import HypParams, hyp2f1
@@ -119,9 +120,15 @@ def kernel_oracle(
     def f(t: float) -> float:
         return abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** (2.0 * q)
 
-    kink = lam ** (1.0 / alpha) if 0.0 < lam < 1.0 else None
-    if split_at_kink and kink is not None and 0.0 < kink < 1.0:
-        left = integrate(f, QuadSpec(0.0, kink, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth))
-        right = integrate(f, QuadSpec(kink, 1.0, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth))
-        return left + right
-    return integrate(f, QuadSpec(0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth))
+    spec_args = {"abs_tol": abs_tol, "rel_tol": rel_tol, "max_depth": max_depth}
+    return integrate_kinked(f, alpha, lam, spec_args, split=split_at_kink)
+
+
+def integrate_kinked(
+    f: Callable[[float], float], alpha: float, lam: float, spec_args: dict, *, split: bool = True
+) -> float:
+    """int_0^1 f dt, split as [0, kink] + [kink, 1] at the kernel kink t = lam^(1/alpha) when it is interior."""
+    kink = lam ** (1.0 / alpha) if 0.0 < lam < 1.0 else 0.0
+    if split and 0.0 < kink < 1.0:
+        return integrate(f, QuadSpec(0.0, kink, **spec_args)) + integrate(f, QuadSpec(kink, 1.0, **spec_args))
+    return integrate(f, QuadSpec(0.0, 1.0, **spec_args))
