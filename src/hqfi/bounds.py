@@ -26,10 +26,15 @@ Each family carries two variants: `symmetric_corrected` is the proof-faithful
 form (denominators x^2, b^2; second sup over {|f'(x)|, |f'(b)|}); `as_stated`
 reproduces the source text verbatim, which is refutable and kept for
 counterexample hunting.
+
+The brace moments c2(...)^(1/kq) and c3(...)^(1/kq) do not depend on f, so
+`bound` memoizes them per (alpha, lam, kq, r) for the process lifetime, in a
+cache of fixed size (`_BRACE_CACHE_SIZE`).
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -192,6 +197,17 @@ _FAMILIES = {
     Theorem.T24: _Family(_conjugate, lambda q: 1.0 / q, lambda q: 2.0 * _conjugate(q), True),
 }
 
+# Each entry is a distinct brace moment backing at least one bound record the
+# caller already holds; the 9-function dense sweep needs 960.  The fixed size
+# keeps a long-lived library process from growing without limit.
+_BRACE_CACHE_SIZE = 2**16
+
+
+@functools.lru_cache(maxsize=_BRACE_CACHE_SIZE)
+def _brace_moment(right: bool, alpha: float, lam: float, kq: float, r: float) -> float:
+    """c3(alpha, lam, kq, r)^(1/kq) for the right brace, else the same for c2."""
+    return (c3 if right else c2)(alpha, lam, kq, r) ** (1.0 / kq)
+
 
 def bound(
     f: ScalarFunction,
@@ -212,22 +228,22 @@ def bound(
     a, b, x, lam, alpha = p.a, p.b, p.x, p.lam, p.alpha
     corrected = variant is Variant.SYMMETRIC_CORRECTED
     kq = fam.moment(p.q)
-    inv_kq = 1.0 / kq
     den_exp = fam.stated_den(p.q)
     far = b if corrected or fam.stated_far_is_b else a
+    dfx = abs(f.df(x))
     total = 0.0
     if x > a:
         den = x * x if corrected else x**den_exp
-        sup = max(abs(f.df(x)), abs(f.df(a)))
-        total += (x - a) ** (alpha + 1.0) / ((a * x) ** (alpha - 1.0) * den) * sup * c2(
-            alpha, lam, kq, a / x
-        ) ** inv_kq
+        sup = max(dfx, abs(f.df(a)))
+        total += (x - a) ** (alpha + 1.0) / ((a * x) ** (alpha - 1.0) * den) * sup * _brace_moment(
+            False, alpha, lam, kq, a / x
+        )
     if x < b:
         den = b * b if corrected else b**den_exp
-        sup = max(abs(f.df(x)), abs(f.df(far)))
-        total += (b - x) ** (alpha + 1.0) / ((b * x) ** (alpha - 1.0) * den) * sup * c3(
-            alpha, lam, kq, x / b
-        ) ** inv_kq
+        sup = max(dfx, abs(f.df(far)))
+        total += (b - x) ** (alpha + 1.0) / ((b * x) ** (alpha - 1.0) * den) * sup * _brace_moment(
+            True, alpha, lam, kq, x / b
+        )
     return c1(alpha, lam) ** fam.c1_power(p.q) * total
 
 

@@ -4,14 +4,18 @@ The corollary expressions below are written out independently of bounds.py
 (straight from the specialized formulas, using only the kernel moments), so a
 transcription slip in either place breaks the 1e-12 agreement checks.
 """
+import inspect
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hqfi.bounds
+import hqfi.kernels
 from hqfi.bounds import (
     ParamPoint,
     Theorem,
@@ -24,6 +28,7 @@ from hqfi.bounds import (
     specialize,
 )
 from hqfi.harmonic import IntervalDomain, ScalarFunction, corpus
+from hqfi.harness import SweepConfig, run_verify
 from hqfi.kernels import c1, c2, c3
 from hqfi.quad import QuadSpec, integrate
 
@@ -171,8 +176,12 @@ def test_t22_equals_t23_at_q_one():
 
 
 def test_t24_requires_q_above_one():
-    with pytest.raises(ValueError):
+    # the guard fires before any brace moment is looked up or cached
+    hqfi.bounds._brace_moment.cache_clear()
+    with pytest.raises(ValueError, match="q > 1"):
         bound(FNS["identity"], WORKED, Theorem.T24)
+    info = hqfi.bounds._brace_moment.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def test_as_stated_variant_counterexample():
@@ -227,6 +236,46 @@ def test_every_theorem_variant_row_matches_hand_assembly():
                         assert got == pytest.approx(_hand_bound(f, pt, theorem, variant), rel=1e-12), (
                             x, lam, q, theorem, variant
                         )
+
+
+def test_brace_moments_computed_once_per_argument(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[(name, *args)] += 1
+            return fn(*args)
+
+        return wrapped
+
+    hqfi.bounds._brace_moment.cache_clear()
+    monkeypatch.setattr(hqfi.bounds, "c2", counting("c2", c2))
+    monkeypatch.setattr(hqfi.bounds, "c3", counting("c3", c3))
+    cfg = SweepConfig.from_dict(
+        {
+            "lambdas": [0.0, 0.5],
+            "alphas": [0.5, 1.0],
+            "qs": [1.0, 2.0],
+            "functions": ["identity", "square", "reciprocal"],
+            "variant": "both",
+        }
+    )
+    rep = run_verify(cfg)
+    assert len({r["function"] for r in rep.records}) >= 2
+    # every function, theorem and variant shares the same braces, yet each
+    # distinct (alpha, lam, kq, r) reaches the closed forms exactly once
+    assert calls and set(calls.values()) == {1}
+    assert sum(calls.values()) < len(rep.records)
+    for r in rep.records:
+        pt = ParamPoint(r["a"], r["b"], r["x"], r["lam"], r["alpha"], r["q"])
+        want = _hand_bound(FNS[r["function"]], pt, Theorem(r["theorem"]), Variant(r["variant"]))
+        assert r["bound"] == pytest.approx(want, rel=1e-12), r
+
+
+def test_public_kernel_moments_stay_plain_functions():
+    # a cached public moment would hide its calls from per-function tracing
+    for name in ("c1", "c2", "c3", "kernel_oracle"):
+        assert inspect.isfunction(getattr(hqfi.kernels, name)), name
 
 
 def test_corrected_t23_is_sharp_at_linear_endpoint_case():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hqfi.bounds import _brace_moment
 from hqfi.cli import build_parser, main
 from hqfi.harness import (
     CampaignReport,
@@ -80,8 +81,14 @@ def test_variants_for():
 
 def test_verify_deterministic_modulo_timestamp():
     cfg = SweepConfig.from_dict(SMALL)
+    # p1 fills the brace-moment memo from cold, p2 reads every moment from it
+    _brace_moment.cache_clear()
     p1 = run_verify(cfg).to_payload()
+    cold = _brace_moment.cache_info()
+    assert cold.misses > 0
     p2 = run_verify(cfg).to_payload()
+    warm = _brace_moment.cache_info()
+    assert warm.misses == cold.misses and warm.hits > cold.hits
     p1.pop("generated_at"), p2.pop("generated_at")
     assert p1 == p2
 
