@@ -10,8 +10,14 @@ interval, q), and failing combinations contribute identity records only
 `run_constants` puts the closed-form kernel moments next to their quadrature
 oracles; `run_checkfn` exposes the convexity checkers over corpus names or a
 tiny expression grammar.  All three return plain dicts/records so the CLI can
-serialize them; JSON output is canonical (sorted keys) and runs are
-deterministic given the config, apart from the generated_at timestamp.
+serialize them; runs are deterministic given the config, apart from the
+generated_at timestamp.
+
+`CampaignReport.to_json` writes the exact bytes of
+`json.dumps(payload, sort_keys=True, indent=2) + "\n"`.  It encodes each flat
+record with the C encoder rather than through the pure-Python `indent=2`
+path, which holds one string per token.  A top-level list item that is
+neither a flat dict nor a JSON scalar raises ValueError instead.
 """
 from __future__ import annotations
 
@@ -74,6 +80,25 @@ _CSV_COLUMNS = (
     "residual_scaled",
     "ok",
 )
+
+
+# `json.dumps(..., indent=2)` runs the pure-Python encoder, which keeps one small
+# string per token until its final join: about a million for a 20k-record
+# report.  The C encoder takes no indent, but with the newline and indentation
+# of a record's fields written into its item separator it lays out a flat
+# record exactly as `indent=2` does inside a top-level list.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat_item(item) -> str:
+    """One element of a top-level report list, laid out as `indent=2` does at that depth."""
+    if type(item) is dict:
+        if _SCALARS.issuperset(map(type, item.values())):
+            return "{\n      " + _RECORD_ENCODER.encode(item)[1:-1] + "\n    }" if item else "{}"
+    elif type(item) in _SCALARS:
+        return _RECORD_ENCODER.encode(item)
+    raise ValueError(f"top-level report lists hold flat dicts or JSON scalars, got {item!r}")
 
 
 def variants_for(selector: str) -> tuple[Variant, ...]:
@@ -209,7 +234,28 @@ class CampaignReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
+        """The report as `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+
+        Top-level lists (records, identity_records, violations) go through
+        `_flat_item`; every other value is small and goes through `indent=2`,
+        re-indented one level.  Every piece is joined once, at the end.
+        """
+        payload = self.to_payload()
+        parts = ["{"]
+        for key in sorted(payload):
+            value = payload[key]
+            parts.append(f"\n  {json.dumps(key)}: ")
+            if isinstance(value, list) and value:
+                parts.append("[")
+                for item in value:
+                    parts += ("\n    ", _flat_item(item), ",")
+                parts[-1] = "\n  ]"
+            else:
+                # encoded strings hold no raw newline, so each "\n" starts a line
+                parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+            parts.append(",")
+        parts[-1] = "\n}\n"
+        return "".join(parts)
 
     def to_csv(self) -> str:
         # one flat table: identity rows first, then bound rows; absent fields

@@ -171,7 +171,9 @@ def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
         seq += 2
         total_err = math.fsum(entry[6] for entry in heap)
         result = math.fsum(entry[5] for entry in heap)
-    return math.fsum(entry[5] for entry in sorted(heap, key=lambda entry: entry[2]))
+    # fsum rounds the exact sum once, so the heap's panel order cannot change the
+    # result; it also turns a lone -0.0 panel into 0.0, as the loop's sums do
+    return math.fsum(entry[5] for entry in heap)
 
 
 def integrate_singular(

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqfi.bounds import _brace_moment
 from hqfi.cli import build_parser, main
@@ -175,6 +177,74 @@ def test_report_serialization_shapes():
     assert lines[0].startswith("kind,function,a,b,x,lam,alpha,q,theorem,variant")
     assert len(lines) == 1 + len(rep.identity_records) + len(rep.records)
     assert rep.to_json().endswith("\n")
+
+
+def _assert_reference_json(text: str, payload: dict) -> None:
+    """Fail unless text is the indent=2 encoding of payload, naming the first differing character."""
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if text != want:
+        # pytest's own diff of two long strings takes minutes
+        i = next((i for i, (x, y) in enumerate(zip(text, want)) if x != y), min(len(text), len(want)))
+        pytest.fail(f"differs at char {i}: {text[max(i - 40, 0):i + 40]!r} != {want[max(i - 40, 0):i + 40]!r}")
+
+
+# strings that need escapes: quotes, backslashes, control and non-ASCII characters
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'), st.characters()), max_size=8)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-308, 1e308, -1e308]),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
+_KEYS = st.one_of(st.sampled_from(["a", "lhs", "B", "\xe9", 'q"', "\\", "\n", "\U0001f600"]), _TEXT)
+_FLAT_RECORDS = st.lists(st.dictionaries(_KEYS, _SCALARS, max_size=6), max_size=4)
+_NESTED = st.dictionaries(
+    _KEYS,
+    st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=6),
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(
+        CampaignReport,
+        version=_TEXT,
+        generated_at=_TEXT,
+        config=_NESTED,
+        records=_FLAT_RECORDS,
+        identity_records=_FLAT_RECORDS,
+        violations=st.lists(st.integers(), max_size=4),
+        summary=_NESTED,
+    )
+)
+def test_to_json_matches_reference_encoder(report):
+    _assert_reference_json(report.to_json(), report.to_payload())
+
+
+def test_to_json_matches_reference_encoder_on_a_sweep():
+    rep = run_verify(SweepConfig.from_dict(dict(SMALL, variant="both")))
+    assert rep.records and rep.identity_records and rep.violations
+    _assert_reference_json(rep.to_json(), rep.to_payload())
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("records", {"a": 1.0, "nested": [1.0]}),
+        ("records", {"nested": {"b": 1}}),
+        ("identity_records", [1.0]),
+        ("identity_records", ("x",)),
+        ("violations", [3]),
+    ],
+)
+def test_to_json_rejects_nested_list_items(field, bad):
+    # indent=2 would spread a nested container over lines of its own;
+    # to_json refuses it rather than write other bytes
+    lists = {"records": [{"a": 1.0}], "identity_records": [], "violations": [0]}
+    lists[field] = lists[field] + [bad]
+    rep = CampaignReport(version="0", generated_at="", config={}, summary={}, **lists)
+    with pytest.raises(ValueError, match="flat dicts or JSON scalars"):
+        rep.to_json()
 
 
 # --- run_constants ---
@@ -359,3 +429,16 @@ def test_cli_stdout_report_when_no_out(capsys):
     assert main(["verify", "--lambdas", "0", "--alphas", "1", "--qs", "1", "--functions", "const_zero"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["violations"] == 0
+
+
+def test_cli_report_bytes_are_canonical_json(tmp_path, capsys):
+    # float repr round-trips exactly, so re-encoding the parsed report pins every byte
+    args = ["verify", "--variant", "both", "--expect-violations"]
+    out = tmp_path / "r.json"
+    assert main(args + ["--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    _assert_reference_json(text, json.loads(text))
+    capsys.readouterr()
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    _assert_reference_json(stdout, json.loads(stdout))
