@@ -128,6 +128,7 @@ def identity_lhs(
 
     At x = a the left fractional interval [1/x, 1/a] is empty and its operator
     contributes 0 (mirrored at x = b); the weight wa (wb) vanishes with it.
+    Each operator's integral is cut at t = 1/u for every break u of f inside it.
     """
     a, b, x, lam, alpha = p.a, p.b, p.x, p.lam, p.alpha
     wa = ((x - a) / (a * x)) ** alpha
@@ -137,24 +138,33 @@ def identity_lhs(
     def recip(t: float) -> float:
         return f(1.0 / t)
 
+    spec_args = {"abs_tol": abs_tol, "rel_tol": rel_tol, "max_depth": max_depth}
     frac = 0.0
     if x > a:
-        frac += rl_left(recip, 1.0 / x, alpha, 1.0 / a, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth)
+        cuts = tuple(1.0 / u for u in f.breaks if a < u < x)
+        frac += rl_left(recip, 1.0 / x, alpha, 1.0 / a, cuts=cuts, **spec_args)
     if x < b:
-        frac += rl_right(recip, 1.0 / x, alpha, 1.0 / b, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth)
+        cuts = tuple(1.0 / u for u in f.breaks if x < u < b)
+        frac += rl_right(recip, 1.0 / x, alpha, 1.0 / b, cuts=cuts, **spec_args)
     return boundary - gamma(alpha + 1.0) * frac
 
 
 def _kernel_integral(
-    df, end: float, x: float, lam: float, alpha: float, spec_args: dict
+    f: ScalarFunction, end: float, x: float, lam: float, alpha: float, spec_args: dict
 ) -> float:
-    """int_0^1 (t^alpha - lam) A^{-2} f'(end*x/A) dt, A = t*end + (1-t)*x, split at the kink."""
+    """int_0^1 (t^alpha - lam) A^{-2} f'(end*x/A) dt, A = t*end + (1-t)*x.
+
+    Cut at the kink and at t = (end*x/u - x)/(end - x), where end*x/A crosses a break u of f.
+    """
+    df = f.df
 
     def g(t: float) -> float:
         A = t * end + (1.0 - t) * x
         return (t**alpha - lam) / (A * A) * df(end * x / A)
 
-    return integrate_kinked(g, alpha, lam, spec_args)
+    lo, hi = min(end, x), max(end, x)
+    cuts = tuple((end * x / u - x) / (end - x) for u in f.breaks if lo < u < hi)
+    return integrate_kinked(g, alpha, lam, spec_args, cuts=cuts)
 
 
 def identity_rhs(
@@ -171,10 +181,10 @@ def identity_rhs(
     total = 0.0
     if x > a:
         pref = (x - a) ** (alpha + 1.0) / (a * x) ** (alpha - 1.0)
-        total += pref * _kernel_integral(f.df, a, x, lam, alpha, spec_args)
+        total += pref * _kernel_integral(f, a, x, lam, alpha, spec_args)
     if x < b:
         pref = (b - x) ** (alpha + 1.0) / (b * x) ** (alpha - 1.0)
-        total -= pref * _kernel_integral(f.df, b, x, lam, alpha, spec_args)
+        total -= pref * _kernel_integral(f, b, x, lam, alpha, spec_args)
     return total
 
 

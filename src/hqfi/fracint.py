@@ -6,7 +6,8 @@ rl_right(f, v, alpha, a) = J_{v-}^alpha f(a) = (1/Gamma(alpha)) int_a^v (t-a)^(a
 Orders must satisfy alpha > 0 (the alpha = 0 identity operator is out of
 scope); alpha = 1 reduces both to plain integration.  The weight singularity
 for alpha < 1 sits at the evaluation point `at` and is removed analytically by
-the quadrature layer, never sampled.
+the quadrature layer, never sampled.  `cuts` are interior points where f is
+not smooth; the quadrature layer integrates between them piece by piece.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ def rl_left(
     alpha: float,
     at: float,
     *,
+    cuts: tuple[float, ...] = (),
     abs_tol: float = 1e-11,
     rel_tol: float = 1e-10,
     max_depth: int = 60,
@@ -39,7 +41,7 @@ def rl_left(
     if not base < at:
         raise ValueError(f"rl_left requires base < at, got base={base}, at={at}")
     spec = QuadSpec(base, at, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth)
-    return integrate_singular(f, SingularWeight(alpha, "upper"), spec) / gamma(alpha)
+    return integrate_singular(f, SingularWeight(alpha, "upper"), spec, cuts) / gamma(alpha)
 
 
 def rl_right(
@@ -48,6 +50,7 @@ def rl_right(
     alpha: float,
     at: float,
     *,
+    cuts: tuple[float, ...] = (),
     abs_tol: float = 1e-11,
     rel_tol: float = 1e-10,
     max_depth: int = 60,
@@ -57,4 +60,4 @@ def rl_right(
     if not at < base:
         raise ValueError(f"rl_right requires at < base, got base={base}, at={at}")
     spec = QuadSpec(at, base, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth)
-    return integrate_singular(f, SingularWeight(alpha, "lower"), spec) / gamma(alpha)
+    return integrate_singular(f, SingularWeight(alpha, "lower"), spec, cuts) / gamma(alpha)

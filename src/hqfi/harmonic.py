@@ -64,7 +64,9 @@ class ScalarFunction:
     `derivative` is optional; when absent, df falls back to a central
     difference with step h = cbrt(eps) * max(1, |x|).  `quasi_tags` records,
     per exponent q, whether |f'|^q is harmonically quasi-convex on `domain`;
-    tags are validated against the checker by `validate_corpus`.
+    tags are validated against the checker by `validate_corpus`.  `breaks`
+    lists, in increasing order, the points of `domain` where f or f' is not
+    smooth; the identity's integrals are cut there.
     """
 
     label: str
@@ -72,6 +74,17 @@ class ScalarFunction:
     value: Callable[[float], float]
     derivative: Callable[[float], float] | None = None
     quasi_tags: Mapping[float, bool] = field(default_factory=dict)
+    breaks: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        breaks = tuple(float(u) for u in self.breaks)
+        if not all(math.isfinite(u) and self.domain.contains(u) for u in breaks):
+            raise ValueError(
+                f"{self.label}: breaks {breaks} must be finite and inside [{self.domain.lo}, {self.domain.hi}]"
+            )
+        if any(u >= v for u, v in zip(breaks, breaks[1:])):
+            raise ValueError(f"{self.label}: breaks {breaks} must be strictly increasing")
+        object.__setattr__(self, "breaks", breaks)
 
     def __call__(self, x: float) -> float:
         return self.value(x)
@@ -195,6 +208,7 @@ def corpus() -> list[ScalarFunction]:
             _piecewise_value,
             _piecewise_deriv,
             {1.0: False, 2.0: False},
+            breaks=(1.0,),
         ),
     ]
 

@@ -180,6 +180,11 @@ class SweepConfig:
                 raise ValueError(f"{name} must be a positive real, got {v!r}")
         if self.checker_n < 2:
             raise ValueError(f"checker_n must be >= 2, got {self.checker_n}")
+        # a repeated value would repeat every record of its grid points
+        for name in ("intervals", "x_values", "lambdas", "alphas", "qs"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
@@ -319,7 +324,6 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
     records: list[dict] = []
     identity_records: list[dict] = []
     violations: list[int] = []
-    identity_by_key: dict[tuple, dict] = {}
     hypothesis_ok: dict[tuple, bool] = {}
     bound_skips = 0
 
@@ -333,18 +337,16 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
             for x in xs:
                 for lam in cfg.lambdas:
                     for alpha in cfg.alphas:
-                        key = (f.label, a, b, x, lam, alpha)
-                        ident = identity_by_key.get(key)
-                        if ident is None:
-                            pt0 = ParamPoint(a, b, x, lam, alpha, 1.0)
-                            try:
-                                lhs = identity_lhs(f, pt0, **quad_args)
-                                rhs = identity_rhs(f, pt0, **quad_args)
-                            except QuadratureError as exc:
-                                raise _case_error(exc, function=f.label, a=a, b=b, x=x, lam=lam, alpha=alpha) from exc
-                            residual = abs(lhs - rhs)
-                            scaled = residual / (1.0 + abs(lhs))
-                            ident = {
+                        pt0 = ParamPoint(a, b, x, lam, alpha, 1.0)
+                        try:
+                            lhs = identity_lhs(f, pt0, **quad_args)
+                            rhs = identity_rhs(f, pt0, **quad_args)
+                        except QuadratureError as exc:
+                            raise _case_error(exc, function=f.label, a=a, b=b, x=x, lam=lam, alpha=alpha) from exc
+                        residual = abs(lhs - rhs)
+                        scaled = residual / (1.0 + abs(lhs))
+                        identity_records.append(
+                            {
                                 "function": f.label,
                                 "a": a,
                                 "b": b,
@@ -357,9 +359,8 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
                                 "residual_scaled": scaled,
                                 "ok": scaled <= id_tol,
                             }
-                            identity_by_key[key] = ident
-                            identity_records.append(ident)
-                        lhs_abs = abs(ident["lhs"])
+                        )
+                        lhs_abs = abs(lhs)
                         for q in cfg.qs:
                             hyp_key = (f.label, a, b, q)
                             passed = hypothesis_ok.get(hyp_key)
@@ -397,7 +398,7 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
                                             "bound": value,
                                             "slack": slack,
                                             "holds": holds,
-                                            "identity_residual": ident["residual_scaled"],
+                                            "identity_residual": scaled,
                                         }
                                     )
 

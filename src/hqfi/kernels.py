@@ -124,11 +124,39 @@ def kernel_oracle(
     return integrate_kinked(f, alpha, lam, spec_args, split=split_at_kink)
 
 
+# The Jacobian k*s^(k-1) puts the integral's weight within about 1/k of s = 1.
+# From k near 1e4 on, every node of the first GK15 panel lies outside that
+# band, the panel reports an error of 0 and the integral comes out as 0.
+_MAX_POWER = 64
+
+
 def integrate_kinked(
-    f: Callable[[float], float], alpha: float, lam: float, spec_args: dict, *, split: bool = True
+    f: Callable[[float], float],
+    alpha: float,
+    lam: float,
+    spec_args: dict,
+    *,
+    split: bool = True,
+    cuts: tuple[float, ...] = (),
 ) -> float:
-    """int_0^1 f dt, split as [0, kink] + [kink, 1] at the kernel kink t = lam^(1/alpha) when it is interior."""
-    kink = lam ** (1.0 / alpha) if 0.0 < lam < 1.0 else 0.0
-    if split and 0.0 < kink < 1.0:
-        return integrate(f, QuadSpec(0.0, kink, **spec_args)) + integrate(f, QuadSpec(kink, 1.0, **spec_args))
-    return integrate(f, QuadSpec(0.0, 1.0, **spec_args))
+    """int_0^1 f dt, summed left to right over the pieces between the interior cut points.
+
+    The cuts are the caller's `cuts` plus, when `split`, the kernel kink
+    t = lam^(1/alpha).  For alpha < 1 the kernel factor t^alpha has an unbounded
+    derivative at 0, so the integral is taken in s with t = s^k, k = ceil(1/alpha):
+    t^alpha = s^(k*alpha) then has a bounded derivative, the Jacobian k*s^(k-1)
+    is a polynomial, and every cut moves to s = t^(1/k).  For alpha >= 1, k = 1
+    and f is integrated in t as given.  k stops at _MAX_POWER.
+    """
+    k = math.ceil(1.0 / max(alpha, 1.0 / _MAX_POWER))
+    ts = (*cuts, lam ** (1.0 / alpha)) if split else cuts
+    # t in (0, 1) maps into (0, 1]; a cut that rounds onto s = 1 is no cut
+    inner = sorted({t ** (1.0 / k) for t in ts if 0.0 < t < 1.0} - {1.0})
+    if k > 1:
+        g = f
+        f = lambda s: k * s ** (k - 1) * g(s**k)
+    edges = [0.0, *inner, 1.0]
+    total = integrate(f, QuadSpec(edges[0], edges[1], **spec_args))
+    for lo, hi in zip(edges[1:-1], edges[2:]):
+        total += integrate(f, QuadSpec(lo, hi, **spec_args))
+    return total

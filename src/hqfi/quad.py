@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 __all__ = [
@@ -177,7 +177,10 @@ def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
 
 
 def integrate_singular(
-    f: Callable[[float], float], weight: SingularWeight, spec: QuadSpec
+    f: Callable[[float], float],
+    weight: SingularWeight,
+    spec: QuadSpec,
+    cuts: tuple[float, ...] = (),
 ) -> float:
     """Integrate f(t) * w(t) over [spec.lo, spec.hi] with w the declared endpoint weight.
 
@@ -185,16 +188,32 @@ def integrate_singular(
     lower-weighted integral becomes (1/g) * int_0^{(hi-lo)^g} f(lo + u^(1/g)) du,
     and mirrored for the upper side.  f itself must stay finite on the closed
     interval; g == 1 reduces to the plain rule.
+
+    Interior `cuts` (points where f is not smooth) split the interval, and the
+    pieces are summed left to right.  Only the piece that touches the weight's
+    singular end needs the substitution; the others sample w directly, since it
+    is bounded away from that end.
     """
     g = weight.exponent
     lo, hi = spec.lo, spec.hi
+    lower = weight.side == "lower"
+    w = (lambda t: (t - lo) ** (g - 1.0)) if lower else (lambda t: (hi - t) ** (g - 1.0))
+    interior = sorted({c for c in cuts if lo < c < hi})
+    if interior:
+        edges = [lo, *interior, hi]
+        total = 0.0
+        for plo, phi in zip(edges, edges[1:]):
+            piece = replace(spec, lo=plo, hi=phi)
+            if (plo == lo) if lower else (phi == hi):
+                total += integrate_singular(f, weight, piece)
+            else:
+                total += integrate(lambda t: w(t) * f(t), piece)
+        return total
     if g == 1.0:
         return integrate(f, spec)
     if g > 1.0:
         # weight is continuous (0 at the endpoint); sample it directly
-        if weight.side == "lower":
-            return integrate(lambda t: (t - lo) ** (g - 1.0) * f(t), spec)
-        return integrate(lambda t: (hi - t) ** (g - 1.0) * f(t), spec)
+        return integrate(lambda t: w(t) * f(t), spec)
     span_g = (hi - lo) ** g
     inner = QuadSpec(
         0.0,
@@ -204,7 +223,7 @@ def integrate_singular(
         max_depth=spec.max_depth,
     )
     inv_g = 1.0 / g
-    if weight.side == "lower":
+    if lower:
         sub = lambda u: f(min(lo + u**inv_g, hi))
     else:
         sub = lambda u: f(max(hi - u**inv_g, lo))

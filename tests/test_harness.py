@@ -66,6 +66,24 @@ def test_config_validation():
         SweepConfig(tol_scale=0.0)
 
 
+@pytest.mark.parametrize(
+    "key, values",
+    [
+        ("lambdas", [0, 0]),
+        ("alphas", [1.0, 0.5, 1]),
+        ("qs", [2, 2.0]),
+        ("x_values", [1.5, 1.25, 1.5]),
+        ("intervals", [[1, 2], [1.0, 2.0]]),
+    ],
+)
+def test_config_rejects_repeated_grid_values(key, values):
+    # a repeated value used to repeat the bound records of its grid points
+    # while the identity records were deduplicated
+    extra = {"x_mode": "explicit"} if key == "x_values" else {}
+    with pytest.raises(ValueError, match=f"{key} must not repeat a value"):
+        SweepConfig.from_dict({key: values, **extra})
+
+
 def test_config_coerces_lists_to_tuples():
     cfg = SweepConfig(intervals=[[1, 2]], lambdas=[0, 1], functions=["identity"])
     assert cfg.intervals == ((1.0, 2.0),)
@@ -379,6 +397,15 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_repeated_grid_value_exits_2(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--lambdas", "0,0", "--functions", "square", "--out", str(out)]) == 2
+    assert "lambdas must not repeat a value" in capsys.readouterr().err
+    assert main(["verify", "--interval", "1:2", "--interval", "1:2", "--out", str(out)]) == 2
+    assert "intervals must not repeat a value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_tol_scale_env(tmp_path, monkeypatch, capsys):

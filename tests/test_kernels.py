@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqfi.kernels import KernelArgs, c1, c2, c3, kernel_oracle
+import hqfi.quad as quad
+from hqfi.bounds import ParamPoint, identity_rhs
+from hqfi.harmonic import corpus
+from hqfi.kernels import KernelArgs, c1, c2, c3, integrate_kinked, kernel_oracle
+from hqfi.quad import QuadSpec, integrate
 from hqfi.specialfn import HypParams, hyp2f1
 
 
@@ -139,3 +143,57 @@ def test_domain_validation():
         kernel_oracle(1.0, 0.5, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         KernelArgs(1.0, 0.5, 1.0, -0.2)
+
+
+# --- integrate_kinked: cuts and the t = s^k substitution ---
+
+_SPEC_ARGS = {"abs_tol": 1e-11, "rel_tol": 1e-10, "max_depth": 60}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+@pytest.mark.parametrize("lam", [0.0, 0.2, 0.5, 0.9, 1.0])
+def test_integrate_kinked_at_alpha_one_or_more_is_the_plain_split(alpha, lam):
+    # k = ceil(1/alpha) = 1: no substitution, and bit for bit [0, kink] + [kink, 1]
+    def f(t):
+        return abs(t**alpha - lam) / (0.3 * t + 0.7) ** 3
+
+    kink = lam ** (1.0 / alpha)
+    if 0.0 < kink < 1.0:
+        expected = integrate(f, QuadSpec(0.0, kink, **_SPEC_ARGS)) + integrate(f, QuadSpec(kink, 1.0, **_SPEC_ARGS))
+    else:
+        expected = integrate(f, QuadSpec(0.0, 1.0, **_SPEC_ARGS))
+    assert integrate_kinked(f, alpha, lam, _SPEC_ARGS) == expected
+    assert integrate_kinked(f, alpha, lam, _SPEC_ARGS, split=False) == integrate(f, QuadSpec(0.0, 1.0, **_SPEC_ARGS))
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-4, 0.05, 0.1, 0.3, 0.5, 0.99])
+def test_integrate_kinked_substitution_keeps_the_value(alpha):
+    # int_0^1 |t^alpha - lam| dt has the closed form c1; a cut where the
+    # integrand is smooth must not move the value either.  At alpha = 1e-4 an
+    # uncapped k = 10^4 puts the whole integral between the first panel's nodes.
+    for lam in (0.0, 1.0 / 3.0, 0.5, 1.0):
+        f = lambda t: abs(t**alpha - lam)
+        for cuts in ((), (0.25,), (0.7, 1e-3)):
+            assert integrate_kinked(f, alpha, lam, _SPEC_ARGS, cuts=cuts) == pytest.approx(c1(alpha, lam), rel=1e-12)
+
+
+def _panels(monkeypatch):
+    calls = [0]
+    inner = quad.gk15
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(quad, "gk15", counting)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5])
+@pytest.mark.parametrize("lam", [0.0, 1.0 / 3.0, 1.0])
+def test_identity_rhs_panel_budget_below_alpha_one(monkeypatch, alpha, lam):
+    # integrating in t took 80-124 GK15 panels here; in s = t^(1/k) at most 20
+    f = {g.label: g for g in corpus()}["expx"]
+    calls = _panels(monkeypatch)
+    identity_rhs(f, ParamPoint(1.0, 2.0, 1.25, lam, alpha))
+    assert 0 < calls[0] <= 20

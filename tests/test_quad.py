@@ -126,3 +126,20 @@ def test_integrate_singular_power_rule(g, p):
     expected = math.exp(math.lgamma(p + 1.0) + math.lgamma(g) - math.lgamma(p + 1.0 + g))
     got = integrate_singular(lambda t: t**p, SingularWeight(g, "upper"), QuadSpec(0.0, 1.0))
     assert got == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("g", [0.05, 0.3, 1.0, 2.5])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("c", [1.2, 2.0, 2.9])
+def test_integrate_singular_cut_at_a_kink(g, side, c):
+    # int_1^3 w(t) |t - c| dt; with d the distance from the weight's end to c
+    # and H = 2 the span, it is d^(g+1)/(g(g+1)) + (H^(g+1) - d^(g+1))/(g+1) - d(H^g - d^g)/g
+    lo, hi = 1.0, 3.0
+    d = c - lo if side == "lower" else hi - c
+    span = hi - lo
+    expected = d ** (g + 1.0) / (g * (g + 1.0)) + (span ** (g + 1.0) - d ** (g + 1.0)) / (g + 1.0)
+    expected -= d * (span**g - d**g) / g
+    spec = QuadSpec(lo, hi, abs_tol=1e-13, rel_tol=1e-13)
+    f = lambda t: abs(t - c)
+    got = integrate_singular(f, SingularWeight(g, side), spec, cuts=(c, 0.5, 3.0))
+    assert got == pytest.approx(expected, rel=1e-12)

@@ -1,0 +1,86 @@
+"""High-precision referee (mpmath, test-only) for the oracle and the identity below alpha = 1.
+
+mpmath is not a runtime dependency: these tests skip where it is not installed.
+The referee integrates with mpmath's tanh-sinh rule at 30 digits, so it shares
+no code with the GK15 engine it checks.
+"""
+import pytest
+
+from hqfi.bounds import ParamPoint, identity_lhs, identity_rhs
+from hqfi.harmonic import corpus
+from hqfi.kernels import kernel_oracle
+
+mp = pytest.importorskip("mpmath")
+
+FNS = {f.label: f for f in corpus()}
+
+
+@pytest.fixture(autouse=True)
+def _thirty_digits():
+    with mp.workdps(30):
+        yield
+
+
+def _kernel_ref(alpha, lam, q, u, v):
+    """int_0^1 |t^alpha - lam| (t*u + (1-t)*v)^(-2q) dt, split at the kink."""
+    alpha, lam, u, v = mp.mpf(alpha), mp.mpf(lam), mp.mpf(u), mp.mpf(v)
+    kink = lam ** (1 / alpha)
+    points = [0, kink, 1] if 0 < kink < 1 else [0, 1]
+    return mp.quad(lambda t: abs(t**alpha - lam) * (t * u + (1 - t) * v) ** (-2 * q), points)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
+@pytest.mark.parametrize("r", [0.01, 0.5])
+@pytest.mark.parametrize("lam", [0.0, 1.0 / 3.0, 1.0])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_kernel_oracle_against_referee(alpha, r, lam, q):
+    for u, v in ((r, 1.0), (1.0, r)):
+        ref = _kernel_ref(alpha, lam, q, u, v)
+        assert abs(kernel_oracle(alpha, lam, q, u, v) - ref) <= 1e-10 * abs(ref)
+
+
+def test_identity_at_the_plateau_case_against_referee():
+    # piecewise_plateau, a = 0.1, b = x = 4, lam = 1, alpha = 0.05: only the left
+    # operator is present, and I = wa * f(a) - Gamma(alpha+1)/Gamma(alpha) * int_{1/4}^{10} w(t) f(1/t) dt
+    # with w(t) = (10 - t)^(alpha - 1).  On [1, 10] f(1/t) = 1, so that part is
+    # 9^alpha / alpha exactly; on [1/4, 1] w is bounded and the integrand smooth.
+    f = FNS["piecewise_plateau"]
+    a, b, x, lam, alpha = mp.mpf("0.1"), mp.mpf(4), mp.mpf(4), 1, mp.mpf("0.05")
+    wa = ((x - a) / (a * x)) ** alpha
+    kinked = mp.quad(lambda t: (1 / a - t) ** (alpha - 1) * (1 / t - 2) ** 2, [1 / x, 1])
+    integral = kinked + (1 / a - 1) ** alpha / alpha
+    ref = wa * f(0.1) - mp.gamma(alpha + 1) / mp.gamma(alpha) * integral
+    assert abs(ref - mp.mpf("1.77437668414e-3")) < 1e-14
+    p = ParamPoint(0.1, 4.0, 4.0, 1.0, 0.05)
+    for side in (identity_lhs, identity_rhs):
+        assert abs(side(f, p) - ref) <= 1e-11, side.__name__
+
+
+def _rhs_ref(f, a, b, x, lam, alpha):
+    """Kernel-integral form of the identity value, integrated by the referee."""
+    alpha, lam = mp.mpf(alpha), mp.mpf(lam)
+    kink = lam ** (1 / alpha)
+    points = [0, kink, 1] if 0 < kink < 1 else [0, 1]
+
+    def brace(end):
+        def g(t):
+            A = t * end + (1 - t) * x
+            return (t**alpha - lam) / A**2 * f.df(end * x / A)
+
+        return mp.quad(g, points)
+
+    left = (x - a) ** (alpha + 1) / mp.mpf(a * x) ** (alpha - 1) * brace(mp.mpf(a))
+    right = (b - x) ** (alpha + 1) / mp.mpf(b * x) ** (alpha - 1) * brace(mp.mpf(b))
+    return left - right
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5])
+@pytest.mark.parametrize("label", sorted(set(FNS) - {"piecewise_plateau"}))
+def test_identity_below_alpha_one_against_referee(label, alpha):
+    # the corpus functions are smooth on [1, 2]; f and f' are evaluated in
+    # double precision, so the referee is good to about 1e-15 of the terms
+    f = FNS[label]
+    ref = _rhs_ref(f, 1.0, 2.0, 1.25, 1.0 / 3.0, alpha)
+    p = ParamPoint(1.0, 2.0, 1.25, 1.0 / 3.0, alpha)
+    for side in (identity_lhs, identity_rhs):
+        assert abs(side(f, p) - ref) <= 1e-11 * (1 + abs(ref)), side.__name__
