@@ -26,6 +26,7 @@ from hqfi import (
     check_harmonically_quasiconvex,
     corpus,
     evaluate_bound,
+    hyp2f1,
     hyp2f1_integral,
     hyp2f1_series,
     identity_lhs,
@@ -103,6 +104,32 @@ def test_criterion_2_closed_form_constants():
         ok,
         f"200-point grid, worst rel delta c1 {worst['c1']:.2e} (tol 1e-10), "
         f"c2 {worst['c2']:.2e}, c3 {worst['c3']:.2e} (tol 1e-9)",
+    )
+    assert ok
+
+
+def test_criterion_2_closed_form_constants_near_z_one():
+    # r <= 0.1 puts the 2F1 arguments 1 - r (and the kink's, at lam near 1) above 0.9
+    rng = random.Random(2025)
+    worst = {"c2": 0.0, "c3": 0.0}
+    for _ in range(60):
+        alpha = 0.1 + 9.9 * rng.random()
+        lam = rng.choice([0.0, 1.0 / 3.0, 0.5, 1.0, rng.random()])
+        q = rng.choice([1.0, 2.0, 8.0, 1.0 + 7.0 * rng.random()])
+        r = rng.choice([0.01, 0.05, 0.1])
+
+        def rel(closed, oracle):
+            return abs(closed - oracle) / max(abs(oracle), 1e-300)
+
+        worst["c2"] = max(worst["c2"], rel(c2(alpha, lam, q, r), kernel_oracle(alpha, lam, q, r, 1.0)))
+        worst["c3"] = max(worst["c3"], rel(c3(alpha, lam, q, r), kernel_oracle(alpha, lam, q, 1.0, r)))
+    ok = worst["c2"] <= 1e-9 and worst["c3"] <= 1e-9
+    _line(
+        2,
+        "closed-form constants near z = 1",
+        ok,
+        f"60 points at r in {{0.01, 0.05, 0.1}}, worst rel delta c2 {worst['c2']:.2e}, "
+        f"c3 {worst['c3']:.2e} (tol 1e-9)",
     )
     assert ok
 
@@ -237,12 +264,23 @@ def test_criterion_7_hypergeometric_dual_route():
         p = HypParams(a, b, c, z)
         s, i = hyp2f1_series(p), hyp2f1_integral(p)
         worst = max(worst, abs(s - i) / max(abs(i), 1e-300))
-    ok = worst <= 1e-10 and golden_a <= 1e-10 and golden_b <= 1e-10
+    # above z = 0.9 hyp2f1 sums series in 1 - z, which share no code with the Euler integral
+    worst_near_one = 0.0
+    for _ in range(100):
+        a = 0.1 + 2.9 * rng.random()
+        b = 0.1 + 2.9 * rng.random()
+        c = b + 0.1 + 2.0 * rng.random()
+        z = 0.9 + 0.09 * rng.random()
+        p = HypParams(a, b, c, z)
+        h, i = hyp2f1(p), hyp2f1_integral(p)
+        worst_near_one = max(worst_near_one, abs(h - i) / max(abs(i), 1e-300))
+    ok = worst <= 1e-10 and worst_near_one <= 1e-10 and golden_a <= 1e-10 and golden_b <= 1e-10
     _line(
         7,
         "hypergeometric dual route",
         ok,
         f"100 random points, worst series-vs-integral rel delta {worst:.2e} <= 1e-10; "
+        f"100 more at z in (0.9, 0.99), worst w-series-vs-integral rel delta {worst_near_one:.2e} <= 1e-10; "
         f"goldens 8(1-ln2) delta {golden_a:.1e}, 2ln2 delta {golden_b:.1e}",
     )
     assert ok

@@ -1,14 +1,16 @@
-"""High-precision referee (mpmath, test-only) for the oracle and the identity below alpha = 1.
+"""High-precision referee (mpmath, test-only) for 2F1, the kernel moments and their oracle,
+and the identity below alpha = 1.
 
 mpmath is not a runtime dependency: these tests skip where it is not installed.
 The referee integrates with mpmath's tanh-sinh rule at 30 digits, so it shares
-no code with the GK15 engine it checks.
+no code with the GK15 engine it checks, and takes 2F1 from mpmath.hyp2f1.
 """
 import pytest
 
 from hqfi.bounds import ParamPoint, identity_lhs, identity_rhs
 from hqfi.harmonic import corpus
-from hqfi.kernels import kernel_oracle
+from hqfi.kernels import c2, c3, kernel_oracle
+from hqfi.specialfn import HypParams, hyp2f1
 
 mp = pytest.importorskip("mpmath")
 
@@ -27,6 +29,58 @@ def _kernel_ref(alpha, lam, q, u, v):
     kink = lam ** (1 / alpha)
     points = [0, kink, 1] if 0 < kink < 1 else [0, 1]
     return mp.quad(lambda t: abs(t**alpha - lam) * (t * u + (1 - t) * v) ** (-2 * q), points)
+
+
+def _families(alpha, q):
+    """The three 2F1 parameter triples of c2 and c3."""
+    return ((2 * q, alpha + 1, alpha + 2), (2 * q, 1.0, alpha + 2), (2 * q, 1.0, 2.0))
+
+
+def _hyp_rel_err(a, b, c, z):
+    ref = mp.hyp2f1(a, b, c, z)
+    return abs((hyp2f1(HypParams(a, b, c, z)) - ref) / ref)
+
+
+@pytest.mark.parametrize("z", [0.9 + 1e-7, 0.95, 0.99, 0.999])
+def test_hyp2f1_moment_families_against_referee(z):
+    worst = max(
+        (_hyp_rel_err(a, b, c, z), (a, b, c))
+        for alpha in (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+        for q in (1.0, 1.25, 1.5, 2.0, 4.0, 7.5, 8.0, 10.0)
+        for a, b, c in _families(alpha, q)
+    )
+    assert worst[0] <= 1e-12, worst
+
+
+@pytest.mark.parametrize("offset", [1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3])
+def test_hyp2f1_near_integer_d_against_referee(offset):
+    # d = c - a - b is an integer at offset 0 in every triple below; the offset moves
+    # d off it through a (as q does in the moments) or through c (which also moves c - b)
+    worst = 0.0
+    for z in (0.9 + 1e-7, 0.99, 0.999):
+        for alpha in (1.0, 5.0):
+            for q in (1.0, 8.0):
+                for a, b, c in _families(alpha, q):
+                    worst = max(worst, _hyp_rel_err(a + offset, b, c, z), _hyp_rel_err(a, b, c + offset, z))
+    assert worst <= 1e-12
+
+
+def test_hyp2f1_fallback_point_against_referee():
+    # the w-series cancels here, so hyp2f1 takes the Euler integral
+    assert _hyp_rel_err(26.626786447863417, 28.529754408299173, 56.372857676315924, 0.9221868645536049) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.01, 0.05, 0.1])
+@pytest.mark.parametrize("q", [1.0, 3.7, 8.0])
+def test_moments_near_z_one_against_referee(r, q):
+    # r <= 0.1 puts 1 - r, and the kink's z at lam = 1, above 0.9; at lam = 1, c2
+    # subtracts two 2F1 values about 1e4 times its size, the worst case here
+    for alpha in (0.1, 0.5, 2.0, 10.0):
+        for lam in (0.0, 1.0 / 3.0, 1.0):
+            for closed, (u, v) in ((c2, (r, 1.0)), (c3, (1.0, r))):
+                ref = _kernel_ref(alpha, lam, q, u, v)
+                got = closed(alpha, lam, q, r)
+                assert abs(got - ref) <= 1e-11 * abs(ref), (closed.__name__, alpha, lam)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqfi import kernels, specialfn
 from hqfi.quad import QuadSpec, SingularWeight, integrate_singular
-from hqfi.specialfn import HypParams, beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
+from hqfi.specialfn import HypParams, _lgamma_slope, beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
+
+EULER_GAMMA = 0.5772156649015329
 
 
 def test_gamma_goldens():
@@ -104,9 +107,92 @@ def test_series_vs_integral_on_random_admissible_points():
 
 
 def test_dispatcher_matches_integral_above_switch():
-    # z beyond the series comfort zone goes through the Euler representation
+    # above z = 0.9 hyp2f1 sums series in 1 - z, a route independent of the Euler integral
     p = HypParams(2.0, 1.5, 3.0, 0.97)
     assert hyp2f1(p) == pytest.approx(hyp2f1_integral(p), rel=1e-12)
+
+
+@settings(deadline=None, max_examples=80)
+@given(a=st.floats(2.0, 20.0), z=st.floats(0.9, 0.9999, exclude_min=True))
+def test_hyp2f1_elementary_family_above_switch(a, z):
+    # 2F1(a, 1; 2; z) = ((1-z)^(1-a) - 1) / ((a-1) z); c - a - b = 1 - a spans integers and non-integers
+    expected = ((1.0 - z) ** (1.0 - a) - 1.0) / ((a - 1.0) * z)
+    assert hyp2f1(HypParams(a, 1.0, 2.0, z)) == pytest.approx(expected, rel=1e-13)
+
+
+def test_digamma_goldens():
+    assert _lgamma_slope(1.0, 0.0) == pytest.approx(-EULER_GAMMA, abs=1e-15)
+    assert _lgamma_slope(0.5, 0.0) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=2e-15)
+
+
+@settings(deadline=None, max_examples=60)
+@given(x=st.floats(0.05, 40.0))
+def test_digamma_recurrence(x):
+    assert _lgamma_slope(x + 1.0, 0.0) == pytest.approx(_lgamma_slope(x, 0.0) + 1.0 / x, rel=1e-14, abs=1e-14)
+
+
+@settings(deadline=None, max_examples=60)
+@given(x=st.floats(0.6, 30.0), e=st.floats(0.05, 0.5), sign=st.sampled_from([-1.0, 1.0]))
+def test_lgamma_slope_is_the_divided_difference(x, e, sign):
+    # |e| >= 0.05 keeps the lgamma difference itself good to ~1e-14
+    e *= sign
+    expected = (math.lgamma(x + e) - math.lgamma(x)) / e
+    assert _lgamma_slope(x, e) == pytest.approx(expected, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 11.0, 12.5])
+def test_lgamma_slope_tends_to_digamma(x):
+    # no loss of digits as e -> 0: the slope moves by about e * psi'(x) / 2 < e (1/x + 1/x^2)
+    psi = _lgamma_slope(x, 0.0)
+    for e in (1e-3, 1e-6, 1e-9, 1e-12):
+        assert _lgamma_slope(x, e) == pytest.approx(psi, abs=e * (1.0 / x + 1.0 / x**2) + 1e-14)
+        assert _lgamma_slope(x, -e) == pytest.approx(psi, abs=e * (1.0 / x + 1.0 / x**2) + 1e-14)
+
+
+@pytest.mark.parametrize(
+    "a, b, c", [(16.0, 1.0, 2.0), (4.0, 3.0, 4.0), (2.0, 1.0, 3.0), (3.0, 6.0, 7.0), (7.0, 1.0, 12.0)]
+)
+def test_hyp2f1_continuous_across_integer_d(a, b, c):
+    # d = c - a - b is an integer here; 1e-12 away the value may move only by about
+    # 1e-12 * |d ln F / dc|, never by the 1/sin(pi d) of the connection formula's terms
+    for z in (0.95, 0.999):
+        at = hyp2f1(HypParams(a, b, c, z))
+        for dc in (1e-12, -1e-12, 1e-9, -1e-9):
+            near = hyp2f1(HypParams(a, b, c + dc, z))
+            assert near == pytest.approx(at, rel=20.0 * abs(dc) + 1e-14)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("quadrature reached")
+
+
+def test_moments_near_z_one_run_without_quadrature(monkeypatch):
+    # the constants grid's points with r <= 0.1 put z = 1 - r and the kink's z above 0.9
+    monkeypatch.setattr(specialfn, "integrate", _refuse)
+    monkeypatch.setattr(specialfn, "integrate_singular", _refuse)
+    for alpha in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+        for lam in (0.0, 1.0 / 3.0, 0.5, 1.0):
+            for q in (1.0, 2.0, 4.0, 8.0):
+                for r in (0.01, 0.05, 0.1):
+                    assert kernels.c2(alpha, lam, q, r) > 0.0
+                    assert kernels.c3(alpha, lam, q, r) > 0.0
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        (-0.5, 1.0, 2.0, 0.95),  # a <= 0
+        (26.626786447863417, 28.529754408299173, 56.372857676315924, 0.9221868645536049),  # w-series cancels
+        (120.0, 20.0, 30.0, 0.95),  # a + b + c > 150
+    ],
+)
+def test_fallback_points_reach_the_integral(params, monkeypatch):
+    p = HypParams(*params)
+    expected = hyp2f1_integral(p)
+    seen = []
+    monkeypatch.setattr(specialfn, "hyp2f1_integral", lambda p: seen.append(p) or expected)
+    assert hyp2f1(p) == expected
+    assert seen == [p]
 
 
 def test_integral_route_with_singular_endpoint_weights():
