@@ -122,7 +122,6 @@ def identity_lhs(
     *,
     abs_tol: float = 1e-11,
     rel_tol: float = 1e-10,
-    max_depth: int = 60,
 ) -> float:
     """Boundary/fractional assembly of the identity value I(f; p).
 
@@ -138,7 +137,7 @@ def identity_lhs(
     def recip(t: float) -> float:
         return f(1.0 / t)
 
-    spec_args = {"abs_tol": abs_tol, "rel_tol": rel_tol, "max_depth": max_depth}
+    spec_args = {"abs_tol": abs_tol, "rel_tol": rel_tol}
     frac = 0.0
     if x > a:
         cuts = tuple(1.0 / u for u in f.breaks if a < u < x)
@@ -173,11 +172,10 @@ def identity_rhs(
     *,
     abs_tol: float = 1e-11,
     rel_tol: float = 1e-10,
-    max_depth: int = 60,
 ) -> float:
     """Kernel-integral form of the identity value; a brace with zero prefactor is skipped."""
     a, b, x, lam, alpha = p.a, p.b, p.x, p.lam, p.alpha
-    spec_args = {"abs_tol": abs_tol, "rel_tol": rel_tol, "max_depth": max_depth}
+    spec_args = {"abs_tol": abs_tol, "rel_tol": rel_tol}
     total = 0.0
     if x > a:
         pref = (x - a) ** (alpha + 1.0) / (a * x) ** (alpha - 1.0)
@@ -262,17 +260,12 @@ def evaluate_bound(
     p: ParamPoint,
     theorem: Theorem,
     variant: Variant = Variant.SYMMETRIC_CORRECTED,
-    *,
-    slack_tol: float = _SLACK_TOL,
-    abs_tol: float = 1e-11,
-    rel_tol: float = 1e-10,
-    max_depth: int = 60,
 ) -> BoundReport:
-    """|identity_lhs| against the requested bound; holds when slack >= -slack_tol."""
-    lhs_abs = abs(identity_lhs(f, p, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth))
+    """|identity_lhs| against the requested bound; holds when slack >= -_SLACK_TOL (1e-9)."""
+    lhs_abs = abs(identity_lhs(f, p))
     value = bound(f, p, theorem, variant)
     slack = value - lhs_abs
-    return BoundReport(theorem, variant, lhs_abs, value, slack, slack >= -slack_tol)
+    return BoundReport(theorem, variant, lhs_abs, value, slack, slack >= -_SLACK_TOL)
 
 
 def specialize(kind: str, base: ParamPoint) -> ParamPoint:

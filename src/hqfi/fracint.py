@@ -34,13 +34,12 @@ def rl_left(
     cuts: tuple[float, ...] = (),
     abs_tol: float = 1e-11,
     rel_tol: float = 1e-10,
-    max_depth: int = 60,
 ) -> float:
     """Left-sided operator J_{base+}^alpha f evaluated at `at`; requires base < at."""
     _check_order(alpha)
     if not base < at:
         raise ValueError(f"rl_left requires base < at, got base={base}, at={at}")
-    spec = QuadSpec(base, at, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth)
+    spec = QuadSpec(base, at, abs_tol=abs_tol, rel_tol=rel_tol)
     return integrate_singular(f, SingularWeight(alpha, "upper"), spec, cuts) / gamma(alpha)
 
 
@@ -53,11 +52,10 @@ def rl_right(
     cuts: tuple[float, ...] = (),
     abs_tol: float = 1e-11,
     rel_tol: float = 1e-10,
-    max_depth: int = 60,
 ) -> float:
     """Right-sided operator J_{base-}^alpha f evaluated at `at`; requires at < base."""
     _check_order(alpha)
     if not at < base:
         raise ValueError(f"rl_right requires at < base, got base={base}, at={at}")
-    spec = QuadSpec(at, base, abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth)
+    spec = QuadSpec(at, base, abs_tol=abs_tol, rel_tol=rel_tol)
     return integrate_singular(f, SingularWeight(alpha, "lower"), spec, cuts) / gamma(alpha)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "NO_VIOLATION",
@@ -62,9 +62,10 @@ class ScalarFunction:
     """A labelled real function on a positive interval.
 
     `derivative` is optional; when absent, df falls back to a central
-    difference with step h = cbrt(eps) * max(1, |x|).  `quasi_tags` records,
-    per exponent q, whether |f'|^q is harmonically quasi-convex on `domain`;
-    tags are validated against the checker by `validate_corpus`.  `breaks`
+    difference with step h = cbrt(eps) * max(1, |x|).  `quasi` records
+    whether |f'| is harmonically quasi-convex on `domain` (None: no claim).
+    For q >= 1, |f'|^q has the sublevel sets of |f'|, so the one flag covers
+    every q; `validate_corpus` checks it against the checker.  `breaks`
     lists, in increasing order, the points of `domain` where f or f' is not
     smooth; the identity's integrals are cut there.
     """
@@ -73,7 +74,7 @@ class ScalarFunction:
     domain: IntervalDomain
     value: Callable[[float], float]
     derivative: Callable[[float], float] | None = None
-    quasi_tags: Mapping[float, bool] = field(default_factory=dict)
+    quasi: bool | None = None
     breaks: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -188,40 +189,40 @@ def _piecewise_deriv(u: float) -> float:
 
 
 def corpus() -> list[ScalarFunction]:
-    """Reference functions, each tagged with |f'|^q quasi-convexity at q in {1, 2}."""
-    both_true = {1.0: True, 2.0: True}
+    """Reference functions, each flagged with whether |f'| is harmonically quasi-convex."""
     unit = IntervalDomain(1.0, 2.0)
     return [
-        ScalarFunction("const_zero", unit, lambda u: 0.0, lambda u: 0.0, both_true),
-        ScalarFunction("const_3_2", unit, lambda u: 1.5, lambda u: 0.0, both_true),
-        ScalarFunction("identity", unit, lambda u: u, lambda u: 1.0, both_true),
-        ScalarFunction("square", unit, lambda u: u * u, lambda u: 2.0 * u, both_true),
-        ScalarFunction("reciprocal", unit, lambda u: 1.0 / u, lambda u: -1.0 / (u * u), both_true),
-        ScalarFunction("xlnx", unit, lambda u: u * math.log(u), lambda u: math.log(u) + 1.0, both_true),
-        ScalarFunction("expx", unit, lambda u: math.exp(u), math.exp, both_true),
-        ScalarFunction("sqrtx", unit, math.sqrt, lambda u: 0.5 / math.sqrt(u), both_true),
-        # quasi-convex but not harmonically convex; |f'|^q has disconnected
-        # sublevel sets on the full domain, hence the False tags
+        ScalarFunction("const_zero", unit, lambda u: 0.0, lambda u: 0.0, True),
+        ScalarFunction("const_3_2", unit, lambda u: 1.5, lambda u: 0.0, True),
+        ScalarFunction("identity", unit, lambda u: u, lambda u: 1.0, True),
+        ScalarFunction("square", unit, lambda u: u * u, lambda u: 2.0 * u, True),
+        ScalarFunction("reciprocal", unit, lambda u: 1.0 / u, lambda u: -1.0 / (u * u), True),
+        ScalarFunction("xlnx", unit, lambda u: u * math.log(u), lambda u: math.log(u) + 1.0, True),
+        ScalarFunction("expx", unit, lambda u: math.exp(u), math.exp, True),
+        ScalarFunction("sqrtx", unit, math.sqrt, lambda u: 0.5 / math.sqrt(u), True),
+        # quasi-convex but not harmonically convex; |f'| has disconnected
+        # sublevel sets on the full domain, hence quasi=False
         ScalarFunction(
             "piecewise_plateau",
             IntervalDomain(0.1, 4.0),
             _piecewise_value,
             _piecewise_deriv,
-            {1.0: False, 2.0: False},
+            False,
             breaks=(1.0,),
         ),
     ]
 
 
 def validate_corpus(n: int = 25, seed: int = 0) -> list[ScalarFunction]:
-    """Corpus with every quasi_tags entry re-proven by the checker; raises on mismatch."""
+    """Corpus with every `quasi` flag re-proven by the checker on |f'|; raises on mismatch."""
     fns = corpus()
     for f in fns:
-        for q, claimed in f.quasi_tags.items():
-            verdict = check_harmonically_quasiconvex(abs_derivative_power(f, q), f.domain, n=n, seed=seed)
-            if verdict.violated == claimed:
-                raise RuntimeError(
-                    f"corpus tag mismatch: {f.label} q={q} tagged {claimed}, "
-                    f"checker says {verdict.status} (witness {verdict.witness})"
-                )
+        if f.quasi is None:
+            continue
+        verdict = check_harmonically_quasiconvex(abs_derivative_power(f, 1.0), f.domain, n=n, seed=seed)
+        if verdict.violated == f.quasi:
+            raise RuntimeError(
+                f"corpus flag mismatch: {f.label} quasi={f.quasi}, "
+                f"checker says {verdict.status} (witness {verdict.witness})"
+            )
     return fns

@@ -1,11 +1,12 @@
 """Campaign orchestration: parameter sweeps, constant cross-checks, report emission.
 
 `run_verify` walks a SweepConfig grid, evaluating the identity residual once
-per (function, a, b, x, lam, alpha) and every applicable bound per theorem and
-variant on top of it.  Bound families are only asserted where their hypothesis
-holds: |f'|^q is re-checked for harmonic quasi-convexity per (function,
-interval, q), and failing combinations contribute identity records only
-(counted in summary.bound_skips).
+per (function, a, b, x, lam, alpha) and every applicable bound per q, theorem
+and variant on top of it.  Bound families are only asserted where their
+hypothesis holds: |f'|^q must be harmonically quasi-convex on [a, b].  For
+q >= 1 that is the same property as for |f'| (same sublevel sets), so |f'| is
+checked once per (function, interval); a failing pair contributes identity
+records only, and summary.bound_skips counts its (x, lam, alpha, q) points.
 
 `run_constants` puts the closed-form kernel moments next to their quadrature
 oracles; `run_checkfn` exposes the convexity checkers over corpus names or a
@@ -21,6 +22,7 @@ neither a flat dict nor a JSON scalar raises ValueError instead.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -38,7 +40,7 @@ from .harmonic import (
     check_harmonically_quasiconvex,
     validate_corpus,
 )
-from .kernels import c1, c2, c3, integrate_kinked, kernel_oracle
+from .kernels import KernelArgs, c1, c2, c3, kernel_oracle
 from .quad import QuadratureError
 
 __all__ = [
@@ -324,7 +326,6 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
     records: list[dict] = []
     identity_records: list[dict] = []
     violations: list[int] = []
-    hypothesis_ok: dict[tuple, bool] = {}
     bound_skips = 0
 
     for a, b in cfg.intervals:
@@ -334,73 +335,66 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
             raise ValueError(f"no selected function covers interval [{a}, {b}]")
         xs = _x_points(cfg, a, b)
         for f in eligible:
-            for x in xs:
-                for lam in cfg.lambdas:
-                    for alpha in cfg.alphas:
-                        pt0 = ParamPoint(a, b, x, lam, alpha, 1.0)
-                        try:
-                            lhs = identity_lhs(f, pt0, **quad_args)
-                            rhs = identity_rhs(f, pt0, **quad_args)
-                        except QuadratureError as exc:
-                            raise _case_error(exc, function=f.label, a=a, b=b, x=x, lam=lam, alpha=alpha) from exc
-                        residual = abs(lhs - rhs)
-                        scaled = residual / (1.0 + abs(lhs))
-                        identity_records.append(
-                            {
-                                "function": f.label,
-                                "a": a,
-                                "b": b,
-                                "x": x,
-                                "lam": lam,
-                                "alpha": alpha,
-                                "lhs": lhs,
-                                "rhs": rhs,
-                                "residual": residual,
-                                "residual_scaled": scaled,
-                                "ok": scaled <= id_tol,
-                            }
-                        )
-                        lhs_abs = abs(lhs)
-                        for q in cfg.qs:
-                            hyp_key = (f.label, a, b, q)
-                            passed = hypothesis_ok.get(hyp_key)
-                            if passed is None:
-                                verdict = check_harmonically_quasiconvex(
-                                    abs_derivative_power(f, q), domain, n=cfg.checker_n, seed=cfg.seed
-                                )
-                                passed = not verdict.violated
-                                hypothesis_ok[hyp_key] = passed
-                            if not passed:
-                                bound_skips += 1
-                                continue
-                            pt = ParamPoint(a, b, x, lam, alpha, q)
-                            for theorem in Theorem:
-                                if theorem is Theorem.T24 and q <= 1.0:
-                                    continue
-                                for variant in variants:
-                                    value = bound(f, pt, theorem, variant)
-                                    slack = value - lhs_abs
-                                    holds = slack >= -slack_tol
-                                    if not holds:
-                                        violations.append(len(records))
-                                    records.append(
-                                        {
-                                            "function": f.label,
-                                            "a": a,
-                                            "b": b,
-                                            "x": x,
-                                            "lam": lam,
-                                            "alpha": alpha,
-                                            "q": q,
-                                            "theorem": theorem.value,
-                                            "variant": variant.value,
-                                            "lhs_abs": lhs_abs,
-                                            "bound": value,
-                                            "slack": slack,
-                                            "holds": holds,
-                                            "identity_residual": scaled,
-                                        }
-                                    )
+            # one verdict on |f'| serves every q: |f'|^q has the same sublevel sets
+            verdict = check_harmonically_quasiconvex(
+                abs_derivative_power(f, 1.0), domain, n=cfg.checker_n, seed=cfg.seed
+            )
+            qs = () if verdict.violated else cfg.qs
+            bound_skips += len(xs) * len(cfg.lambdas) * len(cfg.alphas) * (len(cfg.qs) - len(qs))
+            for x, lam, alpha in itertools.product(xs, cfg.lambdas, cfg.alphas):
+                pt0 = ParamPoint(a, b, x, lam, alpha, 1.0)
+                try:
+                    lhs = identity_lhs(f, pt0, **quad_args)
+                    rhs = identity_rhs(f, pt0, **quad_args)
+                except QuadratureError as exc:
+                    raise _case_error(exc, function=f.label, a=a, b=b, x=x, lam=lam, alpha=alpha) from exc
+                residual = abs(lhs - rhs)
+                scaled = residual / (1.0 + abs(lhs))
+                identity_records.append(
+                    {
+                        "function": f.label,
+                        "a": a,
+                        "b": b,
+                        "x": x,
+                        "lam": lam,
+                        "alpha": alpha,
+                        "lhs": lhs,
+                        "rhs": rhs,
+                        "residual": residual,
+                        "residual_scaled": scaled,
+                        "ok": scaled <= id_tol,
+                    }
+                )
+                lhs_abs = abs(lhs)
+                for q in qs:
+                    pt = ParamPoint(a, b, x, lam, alpha, q)
+                    for theorem in Theorem:
+                        if theorem is Theorem.T24 and q <= 1.0:
+                            continue
+                        for variant in variants:
+                            value = bound(f, pt, theorem, variant)
+                            slack = value - lhs_abs
+                            holds = slack >= -slack_tol
+                            if not holds:
+                                violations.append(len(records))
+                            records.append(
+                                {
+                                    "function": f.label,
+                                    "a": a,
+                                    "b": b,
+                                    "x": x,
+                                    "lam": lam,
+                                    "alpha": alpha,
+                                    "q": q,
+                                    "theorem": theorem.value,
+                                    "variant": variant.value,
+                                    "lhs_abs": lhs_abs,
+                                    "bound": value,
+                                    "slack": slack,
+                                    "holds": holds,
+                                    "identity_residual": scaled,
+                                }
+                            )
 
     by_variant = {v.value: 0 for v in variants}
     min_slack: dict[str, float | None] = {v.value: None for v in variants}
@@ -432,10 +426,6 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
     )
 
 
-def _c1_oracle(alpha: float, lam: float, spec_args: dict) -> float:
-    return integrate_kinked(lambda t: abs(t**alpha - lam), alpha, lam, spec_args)
-
-
 def _delta_block(closed: float, oracle: float) -> dict:
     abs_delta = abs(closed - oracle)
     return {
@@ -449,16 +439,18 @@ def _delta_block(closed: float, oracle: float) -> dict:
 def run_constants(alpha: float, lam: float, q: float, r: float, which: str = "all") -> dict:
     """Closed-form c1/c2/c3 next to their quadrature oracles, with deltas.
 
-    The c2 oracle integrates with endpoints (u, v) = (r, 1) and the c3 oracle
-    with (1, r); both normalizing prefactors are 1 at those endpoints, so the
-    oracle integral compares directly against the closed form.
+    All of (alpha, lam, q, r) are validated whichever moments are asked for.
+    The oracles are `kernel_oracle` at endpoints (u, v): (1, 1) for c1, where
+    the denominator is 1, (r, 1) for c2 and (1, r) for c3.  Both normalizing
+    prefactors are 1 at those endpoints, so each oracle integral compares
+    directly against its closed form.
     """
     if which not in _WHICH:
         raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
-    spec_args = {"abs_tol": 1e-11, "rel_tol": 1e-10}
+    KernelArgs(alpha, lam, q, r)
     results = {}
     if which in ("c1", "all"):
-        results["c1"] = _delta_block(c1(alpha, lam), _c1_oracle(alpha, lam, spec_args))
+        results["c1"] = _delta_block(c1(alpha, lam), kernel_oracle(alpha, lam, 1.0, 1.0, 1.0))
     if which in ("c2", "all"):
         results["c2"] = _delta_block(c2(alpha, lam, q, r), kernel_oracle(alpha, lam, q, r, 1.0))
     if which in ("c3", "all"):

@@ -103,15 +103,13 @@ def kernel_oracle(
     v: float,
     *,
     split_at_kink: bool = True,
-    abs_tol: float = 1e-11,
-    rel_tol: float = 1e-10,
-    max_depth: int = 60,
 ) -> float:
     """Adaptive quadrature of int_0^1 |t^alpha - lam| (tu + (1-t)v)^{-2q} dt.
 
     Independent of the closed forms: no 2F1 involved.  The integrand has a
     kink at t = lam^(1/alpha); splitting there is the default and a no-split
-    run is kept as a robustness cross-check.
+    run is kept as a robustness cross-check.  Every piece runs at QuadSpec's
+    default tolerances (abs 1e-11, rel 1e-10, depth 60).
     """
     if not (math.isfinite(u) and u > 0.0 and math.isfinite(v) and v > 0.0):
         raise ValueError(f"require positive endpoints, got u={u}, v={v}")
@@ -120,8 +118,7 @@ def kernel_oracle(
     def f(t: float) -> float:
         return abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** (2.0 * q)
 
-    spec_args = {"abs_tol": abs_tol, "rel_tol": rel_tol, "max_depth": max_depth}
-    return integrate_kinked(f, alpha, lam, spec_args, split=split_at_kink)
+    return integrate_kinked(f, alpha, lam, {}, split=split_at_kink)
 
 
 # The Jacobian k*s^(k-1) puts the integral's weight within about 1/k of s = 1.

@@ -124,16 +124,39 @@ def test_validate_corpus_passes_and_returns_functions():
 
 
 def test_validate_corpus_raises_on_bad_tag(monkeypatch):
-    bad = ScalarFunction(
+    peak = ScalarFunction(
         "bad_peak",
         IntervalDomain(1.0, 4.0),
         lambda u: u,
         lambda u: -((u - 2.0) ** 2) + 4.0,  # |f'| peaks mid-interval
-        {1.0: True},
+        quasi=True,
     )
-    monkeypatch.setattr(harmonic, "corpus", lambda: [bad])
-    with pytest.raises(RuntimeError, match="bad_peak"):
-        validate_corpus()
+    slope = ScalarFunction("bad_slope", IntervalDomain(1.0, 4.0), lambda u: u * u, lambda u: 2.0 * u, quasi=False)
+    for bad in (peak, slope):
+        monkeypatch.setattr(harmonic, "corpus", lambda: [bad])
+        with pytest.raises(RuntimeError, match=bad.label):
+            validate_corpus()
+
+
+def test_validate_corpus_skips_functions_without_a_claim(monkeypatch):
+    peak = ScalarFunction("no_claim", IntervalDomain(1.0, 4.0), lambda u: u, lambda u: -((u - 2.0) ** 2) + 4.0)
+    monkeypatch.setattr(harmonic, "corpus", lambda: [peak])
+    assert validate_corpus() == [peak]
+
+
+def test_quasi_verdict_does_not_depend_on_q():
+    # t -> t^q is increasing for q >= 1, so |f'|^q has the sublevel sets of |f'|
+    # and the gate may check |f'| alone
+    intervals = [IntervalDomain(lo, hi) for lo, hi in ((1, 2), (0.1, 4), (0.5, 4), (1, 4), (0.5, 3))]
+    pairs = [(f, d) for f in corpus() for d in intervals if f.domain.encloses(d)]
+    assert len(pairs) == 13  # eight functions on [1, 2], piecewise_plateau on all five
+    for f, d in pairs:
+        for n in (15, 25):
+            for seed in (0, 1, 7):
+                base = check_harmonically_quasiconvex(abs_derivative_power(f, 1.0), d, n=n, seed=seed).violated
+                for q in (1.5, 2.0, 4.0, 8.0):
+                    verdict = check_harmonically_quasiconvex(abs_derivative_power(f, q), d, n=n, seed=seed)
+                    assert verdict.violated == base, (f.label, d, n, seed, q)
 
 
 def test_verdict_violated_property():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hqfi.harness as harness
 from hqfi.bounds import _brace_moment
 from hqfi.cli import build_parser, main
+from hqfi.harmonic import check_harmonically_quasiconvex
 from hqfi.harness import (
     CampaignReport,
     SweepConfig,
@@ -149,15 +151,44 @@ def test_verify_identity_computed_once_per_point():
 
 def test_verify_hypothesis_gate_skips_bounds():
     # on [0.5, 3] the plateau function's |f'|^q has split sublevel sets,
-    # so only identity records appear
+    # so only identity records appear; each skipped (point, q) is counted
     cfg = SweepConfig.from_dict(
-        {"intervals": [[0.5, 3.0]], "lambdas": [0.5], "alphas": [1.0], "qs": [1.0]}
+        {"intervals": [[0.5, 3.0]], "lambdas": [0.5], "alphas": [1.0], "qs": [1.0, 2.0]}
     )
     rep = run_verify(cfg)
     assert rep.summary["cases"] == 0
-    assert rep.summary["bound_skips"] == 1
+    assert rep.summary["bound_skips"] == 2
     assert rep.summary["identity_cases"] == 1
     assert rep.identity_records[0]["ok"]
+
+
+def test_verify_checks_hypothesis_once_per_function_and_interval(monkeypatch):
+    checked = []
+
+    def counting_check(f, d=None, n=20, seed=0):
+        checked.append((f.label, d.lo, d.hi))
+        return check_harmonically_quasiconvex(f, d, n=n, seed=seed)
+
+    monkeypatch.setattr(harness, "check_harmonically_quasiconvex", counting_check)
+    cfg = SweepConfig.from_dict(
+        {
+            "intervals": [[1.0, 2.0], [0.5, 3.0]],
+            "lambdas": [0.5],
+            "alphas": [1.0],
+            "qs": [1.0, 2.0, 4.0],
+            "functions": ["identity", "piecewise_plateau"],
+        }
+    )
+    rep = run_verify(cfg)
+    # identity's domain [1, 2] does not enclose [0.5, 3]: three eligible pairs
+    assert sorted(checked) == [
+        ("|identity'|^1", 1.0, 2.0),
+        ("|piecewise_plateau'|^1", 0.5, 3.0),
+        ("|piecewise_plateau'|^1", 1.0, 2.0),
+    ]
+    # the plateau passes on [1, 2] (|f'| is monotone there) and fails on [0.5, 3]
+    assert rep.summary["bound_skips"] == 3
+    assert rep.summary["cases"] == 2 * (2 + 3 + 3)
 
 
 def test_verify_explicit_x_outside_interval():
@@ -285,6 +316,11 @@ def test_constants_which_selector():
         run_constants(1.0, 0.3, 2.0, 0.7, "c4")
     with pytest.raises(ValueError):
         run_constants(-1.0, 0.3, 2.0, 0.7)
+    # q and r are validated even when only c1, which uses neither, is asked for
+    with pytest.raises(ValueError, match="q >= 1"):
+        run_constants(1.0, 0.5, 0.2, 0.7, "c1")
+    with pytest.raises(ValueError, match="r in"):
+        run_constants(1.0, 0.5, 2.0, -3.0, "c1")
 
 
 def test_constants_c3_collapse_at_r_one():
@@ -432,6 +468,10 @@ def test_cli_constants_stdout(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["results"]["c1"]["closed"] == pytest.approx(5.0 / 18.0, rel=1e-12)
     assert payload["results"]["c1"]["rel_delta"] <= 1e-10
+    # invalid q and r are a domain error whichever moment is asked for
+    for which in ("c1", "c2"):
+        assert main(["constants", "--alpha", "1", "--lambda", "0.5", "--q", "0.2", "--r", "-3", "--which", which]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_cli_checkfn_always_exits_zero_on_completion(capsys):
