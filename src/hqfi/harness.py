@@ -9,10 +9,10 @@ checked once per (function, interval); a failing pair contributes identity
 records only, and summary.bound_skips counts its (x, lam, alpha, q) points.
 
 `run_constants` puts the closed-form kernel moments next to their quadrature
-oracles; `run_checkfn` exposes the convexity checkers over corpus names or a
-tiny expression grammar.  All three return plain dicts/records so the CLI can
-serialize them; runs are deterministic given the config, apart from the
-generated_at timestamp.
+oracles; `run_checkfn` exposes the convexity checkers over corpus names or
+arithmetic expressions in x (Python syntax, `^` as `**`, ln/exp/sqrt).  All
+three return plain dicts/records so the CLI can serialize them; runs are
+deterministic given the config, apart from the generated_at timestamp.
 
 `CampaignReport.to_json` writes the exact bytes of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"`.  It encodes each flat
@@ -22,11 +22,11 @@ neither a flat dict nor a JSON scalar raises ValueError instead.
 """
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import math
 import operator
-import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Callable
@@ -110,6 +110,21 @@ def variants_for(selector: str) -> tuple[Variant, ...]:
     return (Variant(selector),)
 
 
+def _integer(v) -> int:
+    if int(v) != v:  # 2.7 is an error, not 2
+        raise ValueError("not an integer")
+    return int(v)
+
+
+# how SweepConfig.__post_init__ reads each field that a JSON config or a caller may give in another type
+_CONVERT = {
+    "intervals": lambda v: tuple((float(a), float(b)) for a, b in v),
+    "functions": lambda v: v if v == "all" else tuple(str(s) for s in v),
+    **dict.fromkeys(("x_values", "lambdas", "alphas", "qs"), lambda v: tuple(float(x) for x in v)),
+    **dict.fromkeys(("x_count", "checker_n", "seed"), _integer),
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid and tolerance settings for one verification campaign.
@@ -140,20 +155,13 @@ class SweepConfig:
     tol_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        try:
-            ivals = tuple((float(a), float(b)) for a, b in self.intervals)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"intervals must be (a, b) pairs: {exc}") from exc
-        object.__setattr__(self, "intervals", ivals)
-        object.__setattr__(self, "x_values", tuple(float(v) for v in self.x_values))
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        object.__setattr__(self, "alphas", tuple(float(v) for v in self.alphas))
-        object.__setattr__(self, "qs", tuple(float(v) for v in self.qs))
-        if self.functions != "all":
-            object.__setattr__(self, "functions", tuple(str(s) for s in self.functions))
-        object.__setattr__(self, "x_count", int(self.x_count))
-        object.__setattr__(self, "checker_n", int(self.checker_n))
-        object.__setattr__(self, "seed", int(self.seed))
+        # a JSON config can hold any type: one that does not convert is a bad value too
+        for name, convert in _CONVERT.items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, convert(value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name} cannot be {value!r}: {exc}") from exc
 
         if not self.intervals:
             raise ValueError("need at least one interval")
@@ -190,6 +198,8 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config is a JSON object of SweepConfig fields, got {type(d).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:
@@ -458,131 +468,53 @@ def run_constants(alpha: float, lam: float, q: float, r: float, which: str = "al
     return {"alpha": alpha, "lam": lam, "q": q, "r": r, "which": which, "results": results}
 
 
-# --- checkfn: corpus lookup plus a deliberately tiny expression grammar ---
-#   expr  := term (('+'|'-') term)*
-#   term  := unary (('*'|'/') unary)*
-#   unary := '-' unary | power
-#   power := atom (('**'|'^') unary)?          (right-associative)
-#   atom  := NUMBER | 'x' | 'u' | ('ln'|'exp'|'sqrt') '(' expr ')' | '(' expr ')'
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
-)
-
+# --- checkfn: corpus lookup plus Python arithmetic in x or u, `^` read as `**` ---
 _FUNCS: dict[str, Callable[[float], float]] = {"ln": math.log, "exp": math.exp, "sqrt": math.sqrt}
-_VARS = ("x", "u")
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv, ast.Pow: pow}
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot tokenize expression at {text[pos:]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-    return tokens
-
-
-class _ExprParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def _peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return None
-
-    def _next(self) -> tuple[str, str]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _expect(self, text: str) -> None:
-        if self._peek() != text:
-            raise ValueError(f"expected {text!r} at token {self.pos} of expression")
-        self._next()
-
-    def parse(self) -> Callable[[float], float]:
-        node = self._expr()
-        if self.pos != len(self.tokens):
-            raise ValueError(f"trailing tokens in expression: {self.tokens[self.pos:]}")
-        return node
-
-    def _expr(self) -> Callable[[float], float]:
-        node = self._term()
-        while self._peek() in ("+", "-"):
-            op = operator.add if self._next()[1] == "+" else operator.sub
-            node = _bin(op, node, self._term())
-        return node
-
-    def _term(self) -> Callable[[float], float]:
-        node = self._unary()
-        while self._peek() in ("*", "/"):
-            op = operator.mul if self._next()[1] == "*" else operator.truediv
-            node = _bin(op, node, self._unary())
-        return node
-
-    def _unary(self) -> Callable[[float], float]:
-        if self._peek() == "-":
-            self._next()
-            inner = self._unary()
-            return lambda u: -inner(u)
-        return self._power()
-
-    def _power(self) -> Callable[[float], float]:
-        node = self._atom()
-        if self._peek() in ("**", "^"):
-            self._next()
-            exponent = self._unary()
-            return _bin(operator.pow, node, exponent)
-        return node
-
-    def _atom(self) -> Callable[[float], float]:
-        if self.pos >= len(self.tokens):
-            raise ValueError("expression ended unexpectedly")
-        kind, text = self._next()
-        if kind == "num":
-            val = float(text)
+def _closure(node: ast.AST) -> Callable[[float], float]:
+    match node:
+        case ast.Constant(v) if type(v) in (int, float):
+            val = float(str(v))  # via str, an integer past the float range reads as inf
             return lambda u: val
-        if kind == "name":
-            if text in _VARS:
-                return lambda u: u
-            fn = _FUNCS.get(text)
-            if fn is None:
-                raise ValueError(f"unknown identifier {text!r}; variables are {_VARS}, functions {sorted(_FUNCS)}")
-            self._expect("(")
-            inner = self._expr()
-            self._expect(")")
-            return _bin_unary(fn, inner)
-        if text == "(":
-            inner = self._expr()
-            self._expect(")")
-            return inner
-        raise ValueError(f"unexpected token {text!r} in expression")
+        case ast.Name("x" | "u"):
+            return lambda u: u
+        case ast.UnaryOp(ast.USub(), operand):
+            inner = _closure(operand)
+            return lambda u: -inner(u)
+        case ast.BinOp(left, op, right) if type(op) in _OPS:
+            op, left, right = _OPS[type(op)], _closure(left), _closure(right)
+            return lambda u: op(left(u), right(u))
+        case ast.Call(ast.Name(name), [arg], []) if name in _FUNCS:
+            fn, inner = _FUNCS[name], _closure(arg)
+            return lambda u: fn(inner(u))
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed: use x or u, numbers, + - * / ^ ( ) and {', '.join(_FUNCS)}")
 
 
-def _bin(op, left, right):
-    return lambda u: op(left(u), right(u))
+def _compile(text: str) -> Callable[[float], float]:
+    source = " ".join(text.split()).replace("^", "**")  # newlines and tabs too are just blanks
+    try:
+        if not source.isascii() or "," in source:  # Python reads a fullwidth x as x, and ln(x,) as ln(x)
+            raise SyntaxError("only ASCII characters and no commas")
+        root = _closure(ast.parse(source, mode="eval").body)
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:  # too deep: Recursion- or MemoryError
+        raise ValueError(f"cannot parse expression {text!r}: {exc}") from exc
 
+    def value(u: float) -> float:
+        try:
+            return float(root(u))  # float() raises TypeError on a complex value
+        except (ArithmeticError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(f"expression {text!r} has no real value at u = {u!r}: {exc}") from exc
 
-def _bin_unary(fn, inner):
-    return lambda u: fn(inner(u))
+    return value
 
 
 def _resolve_function(name_or_expr: str, domain: IntervalDomain) -> ScalarFunction:
     for f in validate_corpus():
         if f.label == name_or_expr:
             return f
-    compiled = _ExprParser(name_or_expr).parse()
-    return ScalarFunction(name_or_expr, domain, compiled)
+    return ScalarFunction(name_or_expr, domain, _compile(name_or_expr))
 
 
 def run_checkfn(fn: str, lo: float, hi: float, n: int, mode: str, seed: int = 0) -> dict:

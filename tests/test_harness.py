@@ -13,7 +13,7 @@ from hqfi.harmonic import check_harmonically_quasiconvex
 from hqfi.harness import (
     CampaignReport,
     SweepConfig,
-    _ExprParser,
+    _compile,
     run_checkfn,
     run_constants,
     run_verify,
@@ -353,7 +353,7 @@ def test_checkfn_mode_validation():
 
 
 def _ev(expr, u):
-    return _ExprParser(expr).parse()(u)
+    return _compile(expr)(u)
 
 
 def test_expression_grammar():
@@ -367,12 +367,25 @@ def test_expression_grammar():
     assert _ev("sqrt(u*u)", 2.5) == pytest.approx(2.5, rel=1e-15)
     assert _ev("x/4 - 1/x", 2.0) == 0.0
     assert _ev("1.5e2", 0.0) == 150.0
+    assert _ev(" x ", 3.0) == 3.0
+    assert _ev("2^-1", 0.0) == 0.5
+    assert _ev("--x", 3.0) == 3.0
+    assert _ev("2*-x", 3.0) == -6.0
+    assert _ev("2^3^2", 0.0) == 512.0  # right-associative
+    # Python literal spellings and a trailing comment
+    assert _ev("1_000 + 0x10 + 0o7 + 0b1 + x  # note", 0.5) == 1024.5
 
 
 def test_expression_errors():
-    for bad in ("x*(", "2 +", "foo(x)", "x y", "x $ 2", "ln 2", ""):
+    for bad in (
+        "x*(", "2 +", "foo(x)", "x y", "x $ 2", "ln 2", "",
+        "+x", "x<1", "1j*x", "True*x", "'a'",
+        "ln(x,2)", "ln(x,)", "ln(*[x])", "x.real", "(y:=x)", "x if x else 1",
+        "\uff58", "07",  # a fullwidth x; a zero-led decimal integer, as Python has it
+        "(" * 300 + "x" + ")" * 300, "-" * 5000 + "x", "x" + "**x" * 5000,  # nested too deep
+    ):
         with pytest.raises(ValueError):
-            _ExprParser(bad).parse()
+            _compile(bad)
 
 
 # --- CLI ---
@@ -431,6 +444,9 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
     cfg.write_text("not json")
     assert main(["verify", "--config", str(cfg)]) == 2
+    for bad in ('{"x_count": null}', '{"lambdas": 5}', '{"seed": [1]}', '{"functions": 5}', '["intervals"]', '{"checker_n": 2.7}'):
+        cfg.write_text(bad)
+        assert main(["verify", "--config", str(cfg)]) == 2, bad
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     assert "error" in capsys.readouterr().err
 
@@ -485,6 +501,10 @@ def test_cli_checkfn_always_exits_zero_on_completion(capsys):
 def test_cli_checkfn_parse_error_exits_2(capsys):
     assert main(["checkfn", "--fn", "x*(", "--domain", "1:2", "--n", "5", "--mode", "quasi"]) == 2
     assert "error" in capsys.readouterr().err
+    # parsed, but with no real value at some sample: a domain error, a zero division, an overflow, a complex value
+    for fn in ("ln(x-2)", "1/(x-2)", "(x-2)^-1", "exp(x)^1000", "(x-2)^0.5"):
+        assert main(["checkfn", "--fn", fn, "--domain", "1:4", "--n", "4", "--mode", "quasi"]) == 2, fn
+        assert f"expression {fn!r} has no real value at u = " in capsys.readouterr().err
 
 
 def test_cli_parser_rejects_unknown_subcommand():
