@@ -134,8 +134,11 @@ def identity_lhs(
     wb = ((b - x) / (b * x)) ** alpha
     boundary = (1.0 - lam) * (wa + wb) * f(x) + lam * (wa * f(a) + wb * f(b))
 
+    # the user's callable itself, not ScalarFunction.__call__: one frame fewer per node
+    value = f.value
+
     def recip(t: float) -> float:
-        return f(1.0 / t)
+        return value(1.0 / t)
 
     spec_args = {"abs_tol": abs_tol, "rel_tol": rel_tol}
     frac = 0.0
@@ -155,7 +158,8 @@ def _kernel_integral(
 
     Cut at the kink and at t = (end*x/u - x)/(end - x), where end*x/A crosses a break u of f.
     """
-    df = f.df
+    # as in identity_lhs, skip the forwarding ScalarFunction.df when f' is given
+    df = f.df if f.derivative is None else f.derivative
 
     def g(t: float) -> float:
         A = t * end + (1.0 - t) * x

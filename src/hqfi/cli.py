@@ -86,7 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     constants.add_argument("--which", choices=("c1", "c2", "c3", "all"), default="all")
 
     checkfn = sub.add_parser("checkfn", help="convexity checker over a corpus name or expression")
-    checkfn.add_argument("--fn", required=True, help="corpus label or expression in x (e.g. 'x*ln(x)')")
+    checkfn.add_argument(
+        "--fn",
+        required=True,
+        help="corpus label or expression in x (e.g. 'x*ln(x)'); write one that starts with a minus as --fn=-x",
+    )
     checkfn.add_argument("--domain", type=_interval, required=True, metavar="LO:HI")
     checkfn.add_argument("--n", type=int, default=20, help="equispaced grid count in 1/u (default 20)")
     checkfn.add_argument("--mode", choices=("quasi", "convex"), default="quasi")

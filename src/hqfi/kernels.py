@@ -115,8 +115,10 @@ def kernel_oracle(
         raise ValueError(f"require positive endpoints, got u={u}, v={v}")
     KernelArgs(alpha, lam, q, min(u, v) / max(u, v))
 
+    two_q = 2.0 * q
+
     def f(t: float) -> float:
-        return abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** (2.0 * q)
+        return abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** two_q
 
     return integrate_kinked(f, alpha, lam, {}, split=split_at_kink)
 

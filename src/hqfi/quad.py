@@ -3,7 +3,10 @@
 The base rule is the nested 7/15 Gauss-Kronrod pair.  The driver keeps a
 worst-first heap of subintervals and bisects until the summed error estimate
 meets the requested tolerance, so results are deterministic for a given
-integrand and spec.
+integrand and spec; a first panel that already meets it is the result.  A
+panel wider than one ulp samples only points strictly inside it, and clamps
+its nodes only when an outer node rounds onto an endpoint, as on a panel a
+few ulps wide.
 
 Integrands must stay finite on the closed interval.  Integrable endpoint
 weights (t - lo)^(g-1) or (hi - t)^(g-1) are not sampled: `integrate_singular`
@@ -100,32 +103,72 @@ class SingularWeight:
 def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """One 7/15 panel on [lo, hi]; returns (result, error_estimate).
 
-    Evaluation points are clamped to the open interval so integrands produced
-    by the singular substitution are never sampled at a removed endpoint.
+    Evaluation points stay inside the open interval (a 1-ulp panel has no
+    float there), so integrands produced by the singular substitution are
+    never sampled at a removed endpoint.  When both outer nodes land strictly
+    inside, every node does (float * and - are monotone); only when an outer
+    node rounds onto or past an endpoint, as on a panel a few ulps wide, are
+    the nodes clamped to the nearest interior floats.  f is called at the
+    centre, then at c - d_i and c + d_i for i = 0..6, outermost first.
     """
+    x0, x1, x2, x3, x4, x5, x6 = _XGK
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    g0, g1, g2, g3 = _WG
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    inlo = math.nextafter(lo, hi)
-    inhi = math.nextafter(hi, lo)
-    fc = f(min(max(c, inlo), inhi))
-    resg = _WG[3] * fc
-    resk = _WGK[7] * fc
-    resabs = _WGK[7] * abs(fc)
-    pairs = []
-    for i in range(7):
-        dx = h * _XGK[i]
-        f1 = f(max(c - dx, inlo))
-        f2 = f(min(c + dx, inhi))
-        pairs.append((f1, f2))
-        s = f1 + f2
-        resk += _WGK[i] * s
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            resg += _WG[i // 2] * s
+    d0 = h * x0
+    d1 = h * x1
+    d2 = h * x2
+    d3 = h * x3
+    d4 = h * x4
+    d5 = h * x5
+    d6 = h * x6
+    tc = c
+    l0, l1, l2, l3, l4, l5, l6 = c - d0, c - d1, c - d2, c - d3, c - d4, c - d5, c - d6
+    r0, r1, r2, r3, r4, r5, r6 = c + d0, c + d1, c + d2, c + d3, c + d4, c + d5, c + d6
+    if not (lo < l0 and r0 < hi):
+        inlo = math.nextafter(lo, hi)
+        inhi = math.nextafter(hi, lo)
+        tc = min(max(c, inlo), inhi)
+        l0, l1, l2, l3, l4, l5, l6 = [max(t, inlo) for t in (l0, l1, l2, l3, l4, l5, l6)]
+        r0, r1, r2, r3, r4, r5, r6 = [min(t, inhi) for t in (r0, r1, r2, r3, r4, r5, r6)]
+    fc = f(tc)
+    a0 = f(l0)
+    b0 = f(r0)
+    a1 = f(l1)
+    b1 = f(r1)
+    a2 = f(l2)
+    b2 = f(r2)
+    a3 = f(l3)
+    b3 = f(r3)
+    a4 = f(l4)
+    b4 = f(r4)
+    a5 = f(l5)
+    b5 = f(r5)
+    a6 = f(l6)
+    b6 = f(r6)
+    s1 = a1 + b1
+    s3 = a3 + b3
+    s5 = a5 + b5
+    # every sum runs in the order of the QUADPACK loop: centre term, then i = 0..6
+    resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+    resk = (
+        w7 * fc + w0 * (a0 + b0) + w1 * s1 + w2 * (a2 + b2) + w3 * s3
+        + w4 * (a4 + b4) + w5 * s5 + w6 * (a6 + b6)
+    )
+    resabs = (
+        w7 * abs(fc) + w0 * (abs(a0) + abs(b0)) + w1 * (abs(a1) + abs(b1))
+        + w2 * (abs(a2) + abs(b2)) + w3 * (abs(a3) + abs(b3)) + w4 * (abs(a4) + abs(b4))
+        + w5 * (abs(a5) + abs(b5)) + w6 * (abs(a6) + abs(b6))
+    )
     reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(pairs[i][0] - reskh) + abs(pairs[i][1] - reskh))
+    resasc = (
+        w7 * abs(fc - reskh)
+        + w0 * (abs(a0 - reskh) + abs(b0 - reskh)) + w1 * (abs(a1 - reskh) + abs(b1 - reskh))
+        + w2 * (abs(a2 - reskh) + abs(b2 - reskh)) + w3 * (abs(a3 - reskh) + abs(b3 - reskh))
+        + w4 * (abs(a4 - reskh) + abs(b4 - reskh)) + w5 * (abs(a5 - reskh) + abs(b5 - reskh))
+        + w6 * (abs(a6 - reskh) + abs(b6 - reskh))
+    )
     result = resk * h
     resabs *= h
     resasc *= h
@@ -142,6 +185,9 @@ def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, floa
 def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
     """Integrate f over [spec.lo, spec.hi] to max(abs_tol, rel_tol*|I|)."""
     res, err = gk15(f, spec.lo, spec.hi)
+    if err <= max(spec.abs_tol, spec.rel_tol * abs(res)):
+        # what the loop below returns when it runs zero times: fsum([res]) == res + 0.0
+        return res + 0.0
     # heap entries: (-err, tiebreak, lo, hi, depth, result, err)
     heap = [(-err, 0, spec.lo, spec.hi, 0, res, err)]
     seq = 1

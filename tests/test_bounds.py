@@ -94,6 +94,28 @@ def test_identity_lhs_equals_rhs_across_parameters():
             assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
 
 
+def test_identity_without_analytic_derivative():
+    # a function without `derivative` reaches the kernel integrals through
+    # ScalarFunction.df's central difference, the only route on which
+    # identity_rhs calls f.value; the sides still agree to the sweep's gate
+    for label in ("square", "xlnx", "expx"):
+        f = FNS[label]
+        calls = []
+
+        def value(u, plain=f.value):
+            calls.append(u)
+            return plain(u)
+
+        fd = replace(f, value=value, derivative=None)
+        for alpha in (0.5, 1.0, 2.0):
+            pt = ParamPoint(1.0, 2.0, 1.3, 0.4, alpha, 1.0)
+            lhs = identity_lhs(fd, pt)
+            calls.clear()
+            rhs = identity_rhs(fd, pt)
+            assert calls, (label, alpha)
+            assert abs(lhs - rhs) / (1.0 + abs(lhs)) <= 1e-8, (label, alpha)
+
+
 def test_identity_degenerate_endpoints():
     # x=a (or x=b) empties one fractional interval; the identity stays finite
     # and both sides agree through the single surviving brace

@@ -498,6 +498,19 @@ def test_cli_checkfn_always_exits_zero_on_completion(capsys):
     capsys.readouterr()
 
 
+def test_cli_checkfn_expression_with_leading_minus(capsys, monkeypatch):
+    # "--fn -x" is read as an option; the attached form passes the expression, and the help says so
+    assert main(["checkfn", "--fn=-x", "--domain", "1:2"]) == 0
+    assert json.loads(capsys.readouterr().out)["function"] == "-x"
+    with pytest.raises(SystemExit):
+        main(["checkfn", "--fn", "-x", "--domain", "1:2"])
+    assert "--fn: expected one argument" in capsys.readouterr().err
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["checkfn", "--help"])
+    assert "--fn=-x" in capsys.readouterr().out
+
+
 def test_cli_checkfn_parse_error_exits_2(capsys):
     assert main(["checkfn", "--fn", "x*(", "--domain", "1:2", "--n", "5", "--mode", "quasi"]) == 2
     assert "error" in capsys.readouterr().err

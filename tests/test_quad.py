@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqfi import quad
 from hqfi.quad import QuadratureError, QuadSpec, SingularWeight, gk15, integrate, integrate_singular
 
 
@@ -18,6 +19,129 @@ def test_gk15_polynomial_exactness():
 def test_gk15_error_estimate_bounds_true_error():
     got, err = gk15(math.sin, 0.0, math.pi / 2.0)
     assert abs(got - 1.0) <= max(err, 1e-15)
+
+
+def _gk15_loop(f, lo, hi):
+    """The loop form of gk15 that clamps every node; the reference the straight-line panel must match bit for bit."""
+    xgk, wgk, wg = quad._XGK, quad._WGK, quad._WG
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    inlo = math.nextafter(lo, hi)
+    inhi = math.nextafter(hi, lo)
+    fc = f(min(max(c, inlo), inhi))
+    resg = wg[3] * fc
+    resk = wgk[7] * fc
+    resabs = wgk[7] * abs(fc)
+    pairs = []
+    for i in range(7):
+        dx = h * xgk[i]
+        f1 = f(max(c - dx, inlo))
+        f2 = f(min(c + dx, inhi))
+        pairs.append((f1, f2))
+        s = f1 + f2
+        resk += wgk[i] * s
+        resabs += wgk[i] * (abs(f1) + abs(f2))
+        if i % 2 == 1:
+            resg += wg[i // 2] * s
+    reskh = 0.5 * resk
+    resasc = wgk[7] * abs(fc - reskh)
+    for i in range(7):
+        resasc += wgk[i] * (abs(pairs[i][0] - reskh) + abs(pairs[i][1] - reskh))
+    result = resk * h
+    resabs *= h
+    resasc *= h
+    err = abs((resk - resg) * h)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > 1e-290:
+        err = max(50.0 * quad._EPS * resabs, err)
+    return result, err
+
+
+def _integrand(kind, k):
+    return {
+        "poly": lambda t: k + t * (0.5 - t * (k - t)),
+        "kink": lambda t: abs(t - k),
+        "sqrt": lambda t: math.sqrt(abs(t - k)),
+        "negzero": lambda t: -0.0,
+    }[kind]
+
+
+def _bits(pair):
+    return tuple(v.hex() for v in pair)
+
+
+def _run_both(f, lo, hi):
+    """(bits, points) of the straight-line and the loop panel."""
+    got_pts, ref_pts = [], []
+    got = gk15(lambda t: got_pts.append(t) or f(t), lo, hi)
+    ref = _gk15_loop(lambda t: ref_pts.append(t) or f(t), lo, hi)
+    return (_bits(got), got_pts), (_bits(ref), ref_pts)
+
+
+def _step_ulps(lo, n):
+    hi = lo
+    for _ in range(n):
+        hi = math.nextafter(hi, math.inf)
+    return hi
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    lo=st.floats(-1e3, 1e3),
+    width=st.one_of(st.integers(1, 4), st.floats(1e-12, 1e3)),
+    kind=st.sampled_from(["poly", "kink", "sqrt", "negzero"]),
+    k=st.floats(-2e3, 2e3),
+)
+def test_gk15_matches_loop_reference(lo, width, kind, k):
+    # an int width is that many ulps: the clamped path; a float width is mostly the unclamped one
+    hi = _step_ulps(lo, width) if isinstance(width, int) else lo + width
+    if not lo < hi:
+        return
+    got, ref = _run_both(_integrand(kind, k), lo, hi)
+    assert got == ref
+
+
+@pytest.mark.parametrize("lo", [0.0, 1.0, -3.5, 1e-300, 0.1, 2.0 - 2.0**-52, 1e300])
+@pytest.mark.parametrize("ulps", [1, 2, 3, 4])
+def test_gk15_clamps_panels_a_few_ulps_wide(lo, ulps):
+    hi = _step_ulps(lo, ulps)
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # an outer node rounds onto (or past) an endpoint, so the clamped path runs
+    assert not (lo < c - h * quad._XGK[0] and c + h * quad._XGK[0] < hi)
+    for kind in ("poly", "kink", "sqrt", "negzero"):
+        (got, pts), ref = _run_both(_integrand(kind, 1.0), lo, hi)
+        assert (got, pts) == ref, kind
+        assert len(pts) == 15
+        if ulps >= 2:
+            # a 1-ulp panel has no float inside it; any wider one is sampled strictly inside
+            assert all(lo < t < hi for t in pts), kind
+
+
+def test_integrate_negative_zero_panel_is_positive_zero():
+    got = integrate(lambda t: -0.0, QuadSpec(0.0, 1.0))
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+def test_integrate_stops_after_a_panel_whose_error_meets_the_tolerance(monkeypatch):
+    # the tolerance test is err <= tol: a first panel with err equal to abs_tol
+    # ends the run there, and one ulp less asks for a bisection
+    f = lambda t: abs(t - 1.0 / 3.0)
+    res, err = gk15(f, 0.0, 1.0)
+    assert err > 0.0
+    calls = []
+
+    def counted(f, lo, hi):
+        calls.append((lo, hi))
+        return gk15(f, lo, hi)
+
+    monkeypatch.setattr(quad, "gk15", counted)
+    got = integrate(f, QuadSpec(0.0, 1.0, abs_tol=err, rel_tol=0.0))
+    assert calls == [(0.0, 1.0)]
+    assert got.hex() == (res + 0.0).hex()
+    calls.clear()
+    integrate(f, QuadSpec(0.0, 1.0, abs_tol=math.nextafter(err, 0.0), rel_tol=0.0))
+    assert len(calls) > 1
 
 
 def test_integrate_smooth_goldens():
