@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 from .fracint import rl_left, rl_right
 from .harmonic import IntervalDomain, ScalarFunction
-from .kernels import c1, c2, c3, integrate_kinked
+from .kernels import KernelArgs, c1, c2, c3, integrate_kinked
 from .specialfn import gamma
 
 __all__ = [
@@ -91,12 +91,7 @@ class ParamPoint:
             raise ValueError(f"require 0 < a < b, got a={self.a}, b={self.b}")
         if not self.a <= self.x <= self.b:
             raise ValueError(f"require x in [a, b], got x={self.x} outside [{self.a}, {self.b}]")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"require lam in [0, 1], got {self.lam}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"require alpha > 0, got {self.alpha}")
-        if not (math.isfinite(self.q) and self.q >= 1.0):
-            raise ValueError(f"require q >= 1, got {self.q}")
+        KernelArgs(self.alpha, self.lam, self.q, 1.0)
 
     @property
     def h_point(self) -> float:
@@ -116,18 +111,13 @@ class BoundReport:
     holds: bool
 
 
-def identity_lhs(
-    f: ScalarFunction,
-    p: ParamPoint,
-    *,
-    abs_tol: float = 1e-11,
-    rel_tol: float = 1e-10,
-) -> float:
+def identity_lhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
     """Boundary/fractional assembly of the identity value I(f; p).
 
     At x = a the left fractional interval [1/x, 1/a] is empty and its operator
     contributes 0 (mirrored at x = b); the weight wa (wb) vanishes with it.
     Each operator's integral is cut at t = 1/u for every break u of f inside it.
+    The `abs_tol` and `rel_tol` keywords are passed on to QuadSpec.
     """
     a, b, x, lam, alpha = p.a, p.b, p.x, p.lam, p.alpha
     wa = ((x - a) / (a * x)) ** alpha
@@ -140,26 +130,22 @@ def identity_lhs(
     def recip(t: float) -> float:
         return value(1.0 / t)
 
-    spec_args = {"abs_tol": abs_tol, "rel_tol": rel_tol}
     frac = 0.0
     if x > a:
         cuts = tuple(1.0 / u for u in f.breaks if a < u < x)
-        frac += rl_left(recip, 1.0 / x, alpha, 1.0 / a, cuts=cuts, **spec_args)
+        frac += rl_left(recip, 1.0 / x, alpha, 1.0 / a, cuts=cuts, **tol)
     if x < b:
         cuts = tuple(1.0 / u for u in f.breaks if x < u < b)
-        frac += rl_right(recip, 1.0 / x, alpha, 1.0 / b, cuts=cuts, **spec_args)
+        frac += rl_right(recip, 1.0 / x, alpha, 1.0 / b, cuts=cuts, **tol)
     return boundary - gamma(alpha + 1.0) * frac
 
 
-def _kernel_integral(
-    f: ScalarFunction, end: float, x: float, lam: float, alpha: float, spec_args: dict
-) -> float:
+def _kernel_integral(f: ScalarFunction, end: float, x: float, lam: float, alpha: float, tol: dict) -> float:
     """int_0^1 (t^alpha - lam) A^{-2} f'(end*x/A) dt, A = t*end + (1-t)*x.
 
     Cut at the kink and at t = (end*x/u - x)/(end - x), where end*x/A crosses a break u of f.
     """
-    # as in identity_lhs, skip the forwarding ScalarFunction.df when f' is given
-    df = f.df if f.derivative is None else f.derivative
+    df = f.df
 
     def g(t: float) -> float:
         A = t * end + (1.0 - t) * x
@@ -167,26 +153,22 @@ def _kernel_integral(
 
     lo, hi = min(end, x), max(end, x)
     cuts = tuple((end * x / u - x) / (end - x) for u in f.breaks if lo < u < hi)
-    return integrate_kinked(g, alpha, lam, spec_args, cuts=cuts)
+    return integrate_kinked(g, alpha, lam, cuts=cuts, **tol)
 
 
-def identity_rhs(
-    f: ScalarFunction,
-    p: ParamPoint,
-    *,
-    abs_tol: float = 1e-11,
-    rel_tol: float = 1e-10,
-) -> float:
-    """Kernel-integral form of the identity value; a brace with zero prefactor is skipped."""
+def identity_rhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
+    """Kernel-integral form of the identity value; a brace with zero prefactor is skipped.
+
+    The `abs_tol` and `rel_tol` keywords are passed on to QuadSpec.
+    """
     a, b, x, lam, alpha = p.a, p.b, p.x, p.lam, p.alpha
-    spec_args = {"abs_tol": abs_tol, "rel_tol": rel_tol}
     total = 0.0
     if x > a:
         pref = (x - a) ** (alpha + 1.0) / (a * x) ** (alpha - 1.0)
-        total += pref * _kernel_integral(f, a, x, lam, alpha, spec_args)
+        total += pref * _kernel_integral(f, a, x, lam, alpha, tol)
     if x < b:
         pref = (b - x) ** (alpha + 1.0) / (b * x) ** (alpha - 1.0)
-        total -= pref * _kernel_integral(f, b, x, lam, alpha, spec_args)
+        total -= pref * _kernel_integral(f, b, x, lam, alpha, tol)
     return total
 
 

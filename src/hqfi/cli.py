@@ -3,7 +3,8 @@
 Exit codes: 0 = ran with no unexpected violations; 1 = unexpected violations
 (identity failures, corrected-variant bound violations, or as_stated
 violations without --expect-violations); 2 = configuration or domain errors;
-3 = quadrature non-convergence.
+3 = numerical failure (quadrature non-convergence, or a float overflow or
+division by zero).
 
 `verify` reads an optional JSON config (SweepConfig schema) and lets every
 field be overridden by a flag (flag wins).  The report goes to stdout or
@@ -176,14 +177,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "constants":
             return _cmd_constants(args)
         return _cmd_checkfn(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -11,9 +11,10 @@ a returned violation is a certificate, a clean pass is only sample evidence.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = [
@@ -61,7 +62,7 @@ class IntervalDomain:
 class ScalarFunction:
     """A labelled real function on a positive interval.
 
-    `derivative` is optional; when absent, df falls back to a central
+    `df` is f', set once: `derivative` itself when given, else a central
     difference with step h = cbrt(eps) * max(1, |x|).  `quasi` records
     whether |f'| is harmonically quasi-convex on `domain` (None: no claim).
     For q >= 1, |f'|^q has the sublevel sets of |f'|, so the one flag covers
@@ -76,6 +77,7 @@ class ScalarFunction:
     derivative: Callable[[float], float] | None = None
     quasi: bool | None = None
     breaks: tuple[float, ...] = ()
+    df: Callable[[float], float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         breaks = tuple(float(u) for u in self.breaks)
@@ -86,15 +88,16 @@ class ScalarFunction:
         if any(u >= v for u, v in zip(breaks, breaks[1:])):
             raise ValueError(f"{self.label}: breaks {breaks} must be strictly increasing")
         object.__setattr__(self, "breaks", breaks)
+        df = self.derivative
+        object.__setattr__(self, "df", functools.partial(_central_difference, self.value) if df is None else df)
 
     def __call__(self, x: float) -> float:
         return self.value(x)
 
-    def df(self, x: float) -> float:
-        if self.derivative is not None:
-            return self.derivative(x)
-        h = _CBRT_EPS * max(1.0, abs(x))
-        return (self.value(x + h) - self.value(x - h)) / (2.0 * h)
+
+def _central_difference(value: Callable[[float], float], x: float) -> float:
+    h = _CBRT_EPS * max(1.0, abs(x))
+    return (value(x + h) - value(x - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True)

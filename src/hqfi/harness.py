@@ -207,24 +207,12 @@ class SweepConfig:
         return cls(**d)
 
     def to_dict(self) -> dict:
-        return {
-            "intervals": [list(iv) for iv in self.intervals],
-            "x_mode": self.x_mode,
-            "x_count": self.x_count,
-            "x_values": list(self.x_values),
-            "lambdas": list(self.lambdas),
-            "alphas": list(self.alphas),
-            "qs": list(self.qs),
-            "functions": "all" if self.functions == "all" else list(self.functions),
-            "variant": self.variant,
-            "seed": self.seed,
-            "tol_identity": self.tol_identity,
-            "tol_slack": self.tol_slack,
-            "tol_quad_abs": self.tol_quad_abs,
-            "tol_quad_rel": self.tol_quad_rel,
-            "checker_n": self.checker_n,
-            "tol_scale": self.tol_scale,
-        }
+        """Every field, in JSON shapes: each tuple, at any depth, becomes a list."""
+        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}
+
+
+def _as_lists(value):
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -240,15 +228,7 @@ class CampaignReport:
     summary: dict
 
     def to_payload(self) -> dict:
-        return {
-            "version": self.version,
-            "generated_at": self.generated_at,
-            "config": self.config,
-            "records": self.records,
-            "identity_records": self.identity_records,
-            "violations": self.violations,
-            "summary": self.summary,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         """The report as `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`, byte for byte.

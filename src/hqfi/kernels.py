@@ -95,21 +95,12 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
     return main + corr
 
 
-def kernel_oracle(
-    alpha: float,
-    lam: float,
-    q: float,
-    u: float,
-    v: float,
-    *,
-    split_at_kink: bool = True,
-) -> float:
+def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> float:
     """Adaptive quadrature of int_0^1 |t^alpha - lam| (tu + (1-t)v)^{-2q} dt.
 
     Independent of the closed forms: no 2F1 involved.  The integrand has a
-    kink at t = lam^(1/alpha); splitting there is the default and a no-split
-    run is kept as a robustness cross-check.  Every piece runs at QuadSpec's
-    default tolerances (abs 1e-11, rel 1e-10, depth 60).
+    kink at t = lam^(1/alpha), where `integrate_kinked` splits it.  Every
+    piece runs at QuadSpec's default tolerances.
     """
     if not (math.isfinite(u) and u > 0.0 and math.isfinite(v) and v > 0.0):
         raise ValueError(f"require positive endpoints, got u={u}, v={v}")
@@ -120,7 +111,7 @@ def kernel_oracle(
     def f(t: float) -> float:
         return abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** two_q
 
-    return integrate_kinked(f, alpha, lam, {}, split=split_at_kink)
+    return integrate_kinked(f, alpha, lam)
 
 
 # The Jacobian k*s^(k-1) puts the integral's weight within about 1/k of s = 1.
@@ -130,32 +121,26 @@ _MAX_POWER = 64
 
 
 def integrate_kinked(
-    f: Callable[[float], float],
-    alpha: float,
-    lam: float,
-    spec_args: dict,
-    *,
-    split: bool = True,
-    cuts: tuple[float, ...] = (),
+    f: Callable[[float], float], alpha: float, lam: float, *, cuts: tuple[float, ...] = (), **tol
 ) -> float:
     """int_0^1 f dt, summed left to right over the pieces between the interior cut points.
 
-    The cuts are the caller's `cuts` plus, when `split`, the kernel kink
-    t = lam^(1/alpha).  For alpha < 1 the kernel factor t^alpha has an unbounded
-    derivative at 0, so the integral is taken in s with t = s^k, k = ceil(1/alpha):
-    t^alpha = s^(k*alpha) then has a bounded derivative, the Jacobian k*s^(k-1)
-    is a polynomial, and every cut moves to s = t^(1/k).  For alpha >= 1, k = 1
-    and f is integrated in t as given.  k stops at _MAX_POWER.
+    The cuts are the caller's `cuts` plus the kernel kink t = lam^(1/alpha).
+    For alpha < 1 the kernel factor t^alpha has an unbounded derivative at 0,
+    so the integral is taken in s with t = s^k, k = ceil(1/alpha): t^alpha =
+    s^(k*alpha) then has a bounded derivative, the Jacobian k*s^(k-1) is a
+    polynomial, and every cut moves to s = t^(1/k).  For alpha >= 1, k = 1
+    and f is integrated in t as given.  k stops at _MAX_POWER.  The `abs_tol`
+    and `rel_tol` keywords are passed on to each piece's QuadSpec.
     """
     k = math.ceil(1.0 / max(alpha, 1.0 / _MAX_POWER))
-    ts = (*cuts, lam ** (1.0 / alpha)) if split else cuts
     # t in (0, 1) maps into (0, 1]; a cut that rounds onto s = 1 is no cut
-    inner = sorted({t ** (1.0 / k) for t in ts if 0.0 < t < 1.0} - {1.0})
+    inner = sorted({t ** (1.0 / k) for t in (*cuts, lam ** (1.0 / alpha)) if 0.0 < t < 1.0} - {1.0})
     if k > 1:
         g = f
         f = lambda s: k * s ** (k - 1) * g(s**k)
     edges = [0.0, *inner, 1.0]
-    total = integrate(f, QuadSpec(edges[0], edges[1], **spec_args))
+    total = integrate(f, QuadSpec(edges[0], edges[1], **tol))
     for lo, hi in zip(edges[1:-1], edges[2:]):
-        total += integrate(f, QuadSpec(lo, hi, **spec_args))
+        total += integrate(f, QuadSpec(lo, hi, **tol))
     return total

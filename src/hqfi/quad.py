@@ -4,9 +4,10 @@ The base rule is the nested 7/15 Gauss-Kronrod pair.  The driver keeps a
 worst-first heap of subintervals and bisects until the summed error estimate
 meets the requested tolerance, so results are deterministic for a given
 integrand and spec; a first panel that already meets it is the result.  A
-panel wider than one ulp samples only points strictly inside it, and clamps
-its nodes only when an outer node rounds onto an endpoint, as on a panel a
-few ulps wide.
+spec sets only the interval and the tolerances: no panel is bisected past
+depth 60, and no run holds more than 10,000 panels.  A panel wider than one
+ulp samples only points strictly inside it, and clamps its nodes only when
+an outer node rounds onto an endpoint, as on a panel a few ulps wide.
 
 Integrands must stay finite on the closed interval.  Integrable endpoint
 weights (t - lo)^(g-1) or (hi - t)^(g-1) are not sampled: `integrate_singular`
@@ -31,6 +32,7 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _MAX_PANELS = 10_000
+_MAX_DEPTH = 60
 
 # QUADPACK dqk15 table, positive abscissae only; the Gauss-7 nodes are the
 # odd-indexed rows and node 0.  Exactness through degree 22 is pinned by tests.
@@ -67,13 +69,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Integration request: interval plus convergence policy."""
+    """Integration request: interval plus tolerances.
+
+    The package's only quadrature defaults: every layer above passes its
+    `abs_tol` and `rel_tol` keywords on to here.  The depth limit and the
+    panel budget are fixed (_MAX_DEPTH, _MAX_PANELS).
+    """
 
     lo: float
     hi: float
     abs_tol: float = 1e-11
     rel_tol: float = 1e-10
-    max_depth: int = 60
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -82,8 +88,6 @@ class QuadSpec:
             raise ValueError(f"require lo < hi, got [{self.lo}, {self.hi}]")
         if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
             raise ValueError("require abs_tol > 0 and rel_tol >= 0")
-        if self.max_depth < 1:
-            raise ValueError("require max_depth >= 1")
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,7 @@ def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
     result = res
     while total_err > max(spec.abs_tol, spec.rel_tol * abs(result)):
         _, _, plo, phi, depth, _, _ = heapq.heappop(heap)
-        if depth >= spec.max_depth:
+        if depth >= _MAX_DEPTH:
             raise QuadratureError(
                 f"no convergence on [{spec.lo}, {spec.hi}]: error {total_err:.3e} "
                 f"after depth {depth}, worst interval [{plo}, {phi}]"
@@ -261,13 +265,7 @@ def integrate_singular(
         # weight is continuous (0 at the endpoint); sample it directly
         return integrate(lambda t: w(t) * f(t), spec)
     span_g = (hi - lo) ** g
-    inner = QuadSpec(
-        0.0,
-        span_g,
-        abs_tol=spec.abs_tol * g,
-        rel_tol=spec.rel_tol,
-        max_depth=spec.max_depth,
-    )
+    inner = replace(spec, lo=0.0, hi=span_g, abs_tol=spec.abs_tol * g)
     inv_g = 1.0 / g
     if lower:
         sub = lambda u: f(min(lo + u**inv_g, hi))

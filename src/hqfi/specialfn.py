@@ -21,7 +21,7 @@ __all__ = ["HypParams", "gamma", "beta", "hyp2f1", "hyp2f1_series", "hyp2f1_inte
 _SERIES_TERM_CUTOFF = 1e-16
 _SERIES_MAX_TERMS = 10_000
 _SERIES_Z_LIMIT = 0.9
-_INNER_SPEC_ARGS = {"abs_tol": 1e-14, "rel_tol": 1e-12, "max_depth": 60}
+_INNER_SPEC_ARGS = {"abs_tol": 1e-14, "rel_tol": 1e-12}
 # Keeps every gamma argument of the w = 1 - z series far below the overflow at 171.
 _W_SERIES_MAX_PARAMS = 150.0
 # The w = 1 - z series loses about 1e-15 times the ratio of the summed magnitudes of

@@ -1,6 +1,8 @@
 """Convexity checkers, the reference corpus, and derivative plumbing."""
+import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,19 @@ def test_finite_difference_matches_analytic_derivatives():
                 continue  # FD straddles the kink there
             analytic = f.df(u)
             assert bare.df(u) == pytest.approx(analytic, rel=1e-6, abs=1e-8)
+
+
+def test_df_is_resolved_once():
+    # a given derivative is df itself; without one, df is the central difference at step cbrt(eps)*max(1, |x|)
+    for f in corpus():
+        assert f.df is f.derivative
+    assert harmonic._CBRT_EPS == pytest.approx(sys.float_info.epsilon ** (1.0 / 3.0), rel=1e-15)
+    g = lambda u: u * math.log(u) + math.sin(3.0 * u)
+    fd = dataclasses.replace(_by_label()["xlnx"], value=g, derivative=None)
+    assert fd.value is g and fd.derivative is None
+    for x in (0.5, 1.0, 1.0 + 2**-40, 1.37, 2.0, 123.456):
+        h = harmonic._CBRT_EPS * max(1.0, abs(x))
+        assert fd.df(x).hex() == ((g(x + h) - g(x - h)) / (2.0 * h)).hex(), x
 
 
 def test_abs_derivative_power_values_and_validation():

@@ -38,6 +38,35 @@ def test_config_defaults_round_trip():
     assert cfg.variant == "symmetric_corrected"
 
 
+def test_config_to_dict_has_json_shapes():
+    # the benchmark compares a report's config with to_dict() by ==, and a tuple never equals the parsed list
+    cfg = SweepConfig(
+        intervals=((1.0, 2.0), (0.5, 3.0)),
+        x_mode="explicit",
+        x_count=3,
+        x_values=(1.25, 1.5),
+        lambdas=(0.25,),
+        alphas=(0.75, 1.5),
+        qs=(1.5,),
+        functions=("square", "expx"),
+        variant="both",
+        seed=7,
+        tol_identity=2e-8,
+        tol_slack=2e-9,
+        tol_quad_abs=2e-11,
+        tol_quad_rel=2e-10,
+        checker_n=9,
+        tol_scale=0.5,
+    )
+    d = cfg.to_dict()
+    assert all(d[name] != value for name, value in SweepConfig().to_dict().items())
+    assert d == json.loads(json.dumps(d))
+    assert d["intervals"] == [[1.0, 2.0], [0.5, 3.0]] and d["functions"] == ["square", "expx"]
+    assert SweepConfig.from_dict(d) == cfg
+    payload = run_verify(SweepConfig(**SMALL)).to_payload()
+    assert set(payload) == {"version", "generated_at", "config", "records", "identity_records", "violations", "summary"}
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         SweepConfig.from_dict({"alpha": [1.0]})
@@ -518,6 +547,26 @@ def test_cli_checkfn_parse_error_exits_2(capsys):
     for fn in ("ln(x-2)", "1/(x-2)", "(x-2)^-1", "exp(x)^1000", "(x-2)^0.5"):
         assert main(["checkfn", "--fn", fn, "--domain", "1:4", "--n", "4", "--mode", "quasi"]) == 2, fn
         assert f"expression {fn!r} has no real value at u = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # ZeroDivisionError in kernel_oracle's integrand: (t*u + (1-t)*v)^2000 underflows to 0
+        ["constants", "--alpha", "1", "--lambda", "0", "--q", "1000", "--r", "0.5"],
+        # OverflowError at w**d in hyp2f1
+        ["constants", "--alpha", "1", "--lambda", "0.5", "--q", "3000", "--r", "0.05"],
+        # OverflowError at s**(-2q) in the bound's c3
+        ["verify", "--interval", "1:4", "--functions", "piecewise_plateau", "--qs", "1000", "--alphas", "1",
+         "--lambdas", "0.5", "--x-mode", "grid"],
+    ],
+)
+def test_cli_float_overflow_exits_3(argv, capsys):
+    # exit 1 means violations found; a float overflow or zero division is a numerical failure, like quadrature's
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
 
 
 def test_cli_parser_rejects_unknown_subcommand():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hqfi.quad as quad
-from hqfi.bounds import ParamPoint, identity_rhs
+from hqfi.bounds import ParamPoint, identity_lhs, identity_rhs
+from hqfi.fracint import rl_left, rl_right
 from hqfi.harmonic import corpus
 from hqfi.kernels import KernelArgs, c1, c2, c3, integrate_kinked, kernel_oracle
 from hqfi.quad import QuadSpec, integrate
@@ -76,8 +77,9 @@ def test_moments_collapse_at_r_equal_one():
 
 def test_oracle_split_vs_unsplit():
     # kink handling is a convergence aid, not a value change
-    split = kernel_oracle(1.3, 0.4, 2.0, 0.6, 1.0)
-    unsplit = kernel_oracle(1.3, 0.4, 2.0, 0.6, 1.0, split_at_kink=False)
+    alpha, lam, q, u, v = 1.3, 0.4, 2.0, 0.6, 1.0
+    split = kernel_oracle(alpha, lam, q, u, v)
+    unsplit = integrate(lambda t: abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** (2.0 * q), QuadSpec(0.0, 1.0))
     assert split == pytest.approx(unsplit, rel=1e-9)
 
 
@@ -147,7 +149,7 @@ def test_domain_validation():
 
 # --- integrate_kinked: cuts and the t = s^k substitution ---
 
-_SPEC_ARGS = {"abs_tol": 1e-11, "rel_tol": 1e-10, "max_depth": 60}
+_SPEC_ARGS = {"abs_tol": 1e-11, "rel_tol": 1e-10}
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
@@ -162,8 +164,7 @@ def test_integrate_kinked_at_alpha_one_or_more_is_the_plain_split(alpha, lam):
         expected = integrate(f, QuadSpec(0.0, kink, **_SPEC_ARGS)) + integrate(f, QuadSpec(kink, 1.0, **_SPEC_ARGS))
     else:
         expected = integrate(f, QuadSpec(0.0, 1.0, **_SPEC_ARGS))
-    assert integrate_kinked(f, alpha, lam, _SPEC_ARGS) == expected
-    assert integrate_kinked(f, alpha, lam, _SPEC_ARGS, split=False) == integrate(f, QuadSpec(0.0, 1.0, **_SPEC_ARGS))
+    assert integrate_kinked(f, alpha, lam, **_SPEC_ARGS) == expected
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 1e-4, 0.05, 0.1, 0.3, 0.5, 0.99])
@@ -174,7 +175,7 @@ def test_integrate_kinked_substitution_keeps_the_value(alpha):
     for lam in (0.0, 1.0 / 3.0, 0.5, 1.0):
         f = lambda t: abs(t**alpha - lam)
         for cuts in ((), (0.25,), (0.7, 1e-3)):
-            assert integrate_kinked(f, alpha, lam, _SPEC_ARGS, cuts=cuts) == pytest.approx(c1(alpha, lam), rel=1e-12)
+            assert integrate_kinked(f, alpha, lam, cuts=cuts, **_SPEC_ARGS) == pytest.approx(c1(alpha, lam), rel=1e-12)
 
 
 def _panels(monkeypatch):
@@ -197,3 +198,28 @@ def test_identity_rhs_panel_budget_below_alpha_one(monkeypatch, alpha, lam):
     calls = _panels(monkeypatch)
     identity_rhs(f, ParamPoint(1.0, 2.0, 1.25, lam, alpha))
     assert 0 < calls[0] <= 20
+
+
+_PLATEAU = {g.label: g for g in corpus()}["piecewise_plateau"]
+_POINT = ParamPoint(0.1, 4.0, 2.0, 1.0 / 3.0, 0.5)
+_TOLERANCE_FORWARDERS = {
+    "rl_left": lambda **tol: rl_left(math.exp, 0.5, 0.7, 2.0, **tol),
+    "rl_right": lambda **tol: rl_right(math.exp, 2.0, 0.7, 0.5, **tol),
+    "identity_lhs": lambda **tol: identity_lhs(_PLATEAU, _POINT, **tol),
+    "identity_rhs": lambda **tol: identity_rhs(_PLATEAU, _POINT, **tol),
+    "integrate_kinked": lambda **tol: integrate_kinked(lambda t: abs(t - 0.3) / (0.1 * t + 0.045) ** 4, 1.0, 0.3, **tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOLERANCE_FORWARDERS))
+def test_tolerance_keywords_reach_quadspec(monkeypatch, name):
+    # a misspelled keyword is an error, not a silent fall-back to the defaults
+    run = _TOLERANCE_FORWARDERS[name]
+    with pytest.raises(TypeError):
+        run(abs_tl=1e-4)
+    calls = _panels(monkeypatch)
+    run()
+    default_panels = calls[0]
+    calls[0] = 0
+    run(abs_tol=1e-4, rel_tol=1e-4)
+    assert 0 < calls[0] < default_panels
