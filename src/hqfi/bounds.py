@@ -8,8 +8,12 @@ alpha > 0, the identity value is
       - Gamma(alpha+1) [ J_{1/x+}^alpha (f o inv)(1/a) + J_{1/x-}^alpha (f o inv)(1/b) ]
 
 with wa = ((x-a)/(ax))^alpha, wb = ((b-x)/(bx))^alpha and inv(t) = 1/t.
-`identity_lhs` assembles exactly that; `identity_rhs` evaluates the equivalent
-kernel-integral form, and the pair is the residual check the harness sweeps.
+`identity_lhs` assembles exactly that, in two parts: the lam-free pieces
+(`_lhs_parts`: the fractional term, which holds all of its quadrature, and
+wa + wb, f(x), wa f(a) + wb f(b)), then the boundary term at one lam
+(`_lhs_at`).  A sweep over lam computes the first part once per
+(f, a, b, x, alpha).  `identity_rhs` evaluates the equivalent kernel-integral
+form, and the pair is the residual check the harness sweeps.
 
 When |f'|^q is harmonically quasi-convex on [a, b], |I| is bounded by three
 families (T22: power-mean, T23: its q=1 reduction shape, T24: Holder).  All
@@ -27,9 +31,17 @@ form (denominators x^2, b^2; second sup over {|f'(x)|, |f'(b)|}); `as_stated`
 reproduces the source text verbatim, which is refutable and kept for
 counterexample hunting.
 
+`bound` is a product of factors that vary with different inputs, each with
+its own helper: `_rule` the constants of one (theorem, variant) at one q,
+`_braces` the powers of (x-a), (ax), (b-x), (bx) at one (a, b, x, alpha),
+`_sup` the derivative sups of f at one x, `_weight` a brace's factor in front
+of its moment, `_moments` the brace moments, and `_assemble` the product.
+The harness sweep calls the same helpers, each at the loop level where its
+factor varies, so both give the same bits.
+
 The brace moments c2(...)^(1/kq) and c3(...)^(1/kq) do not depend on f, so
-`bound` memoizes them per (alpha, lam, kq, r) for the process lifetime, in a
-cache of fixed size (`_BRACE_CACHE_SIZE`).
+`_brace_moment` memoizes them per (alpha, lam, kq, r) for the process
+lifetime, in a cache of fixed size (`_BRACE_CACHE_SIZE`).
 """
 from __future__ import annotations
 
@@ -111,18 +123,26 @@ class BoundReport:
     holds: bool
 
 
-def identity_lhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
-    """Boundary/fractional assembly of the identity value I(f; p).
+class _LhsParts(NamedTuple):
+    """The lam-free pieces of identity_lhs at one (f, a, b, x, alpha)."""
+
+    weights: float  # wa + wb
+    fx: float  # f(x)
+    ends: float  # wa f(a) + wb f(b)
+    fractional: float  # Gamma(alpha+1) [J_{1/x+}^alpha (f o inv)(1/a) + J_{1/x-}^alpha (f o inv)(1/b)]
+
+
+def _lhs_parts(f: ScalarFunction, a: float, b: float, x: float, alpha: float, tol: dict) -> _LhsParts:
+    """Everything identity_lhs needs except lam; the fractional integrals are all its quadrature.
 
     At x = a the left fractional interval [1/x, 1/a] is empty and its operator
     contributes 0 (mirrored at x = b); the weight wa (wb) vanishes with it.
     Each operator's integral is cut at t = 1/u for every break u of f inside it.
-    The `abs_tol` and `rel_tol` keywords are passed on to QuadSpec.
     """
-    a, b, x, lam, alpha = p.a, p.b, p.x, p.lam, p.alpha
     wa = ((x - a) / (a * x)) ** alpha
     wb = ((b - x) / (b * x)) ** alpha
-    boundary = (1.0 - lam) * (wa + wb) * f(x) + lam * (wa * f(a) + wb * f(b))
+    fx = f(x)
+    ends = wa * f(a) + wb * f(b)
 
     # the user's callable itself, not ScalarFunction.__call__: one frame fewer per node
     value = f.value
@@ -137,7 +157,23 @@ def identity_lhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
     if x < b:
         cuts = tuple(1.0 / u for u in f.breaks if x < u < b)
         frac += rl_right(recip, 1.0 / x, alpha, 1.0 / b, cuts=cuts, **tol)
-    return boundary - gamma(alpha + 1.0) * frac
+    return _LhsParts(wa + wb, fx, ends, gamma(alpha + 1.0) * frac)
+
+
+def _lhs_at(parts: _LhsParts, lam: float) -> float:
+    """identity_lhs at one lam: (1-lam) [wa + wb] f(x) + lam [wa f(a) + wb f(b)] minus the fractional part."""
+    return (1.0 - lam) * parts.weights * parts.fx + lam * parts.ends - parts.fractional
+
+
+def identity_lhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
+    """Boundary/fractional assembly of the identity value I(f; p).
+
+    The fractional part does not depend on lam, so a sweep over lam computes
+    it once (`_lhs_parts`) and assembles each lam's boundary term on top of it
+    (`_lhs_at`); this function is that composition at one point.  The
+    `abs_tol` and `rel_tol` keywords are passed on to QuadSpec.
+    """
+    return _lhs_at(_lhs_parts(f, p.a, p.b, p.x, p.alpha, tol), p.lam)
 
 
 def _kernel_integral(f: ScalarFunction, end: float, x: float, lam: float, alpha: float, tol: dict) -> float:
@@ -203,6 +239,79 @@ def _brace_moment(right: bool, alpha: float, lam: float, kq: float, r: float) ->
     return (c3 if right else c2)(alpha, lam, kq, r) ** (1.0 / kq)
 
 
+class _Rule(NamedTuple):
+    """The constants of one (theorem, variant) bound formula at one q."""
+
+    kq: float  # kernel-moment exponent of the C2/C3 braces
+    c1_power: float
+    den_exp: float | None  # denominators x^den_exp, b^den_exp; None: the corrected x*x, b*b
+    far_is_b: bool  # second sup over {f'(x), f'(b)}, else {f'(x), f'(a)}
+
+
+def _rule(theorem: Theorem, variant: Variant, q: float) -> _Rule:
+    if theorem is Theorem.T24 and q <= 1.0:
+        raise ValueError(f"Holder bound needs q > 1, got q={q}")
+    fam = _FAMILIES[theorem]
+    if variant is Variant.SYMMETRIC_CORRECTED:
+        return _Rule(fam.moment(q), fam.c1_power(q), None, True)
+    return _Rule(fam.moment(q), fam.c1_power(q), fam.stated_den(q), fam.stated_far_is_b)
+
+
+class _Brace(NamedTuple):
+    """The f- and q-free factors of one brace at one (a, b, x, alpha)."""
+
+    right: bool  # the C3 brace over [x, b], else the C2 brace over [a, x]
+    scale: float  # (x-a)^(alpha+1), or (b-x)^(alpha+1)
+    span: float  # (a x)^(alpha-1), or (b x)^(alpha-1)
+    den_base: float  # x, or b
+    end: float  # a, or b: the far point of the corrected second sup
+    r: float  # a/x, or x/b: the moment's ratio
+
+
+def _braces(a: float, b: float, x: float, alpha: float) -> tuple[_Brace, ...]:
+    """The braces whose side is not empty: the left one when x > a, the right one when x < b."""
+    braces = ()
+    if x > a:
+        braces += (_Brace(False, (x - a) ** (alpha + 1.0), (a * x) ** (alpha - 1.0), x, a, a / x),)
+    if x < b:
+        braces += (_Brace(True, (b - x) ** (alpha + 1.0), (b * x) ** (alpha - 1.0), b, b, x / b),)
+    return braces
+
+
+def _sup(f: ScalarFunction, x: float) -> Callable[[float], float]:
+    """u -> max(|f'(x)|, |f'(u)|), each derivative evaluated once, on first use."""
+    dfx = abs(f.df(x))
+    seen: dict[float, float] = {}
+
+    def sup(u: float) -> float:
+        s = seen.get(u)
+        if s is None:
+            s = seen[u] = max(dfx, abs(f.df(u)))
+        return s
+
+    return sup
+
+
+def _weight(brace: _Brace, rule: _Rule, sup: Callable[[float], float], a: float) -> float:
+    """A brace's factor in front of its kernel moment: scale / (span * den) * sup."""
+    base = brace.den_base
+    den = base * base if rule.den_exp is None else base**rule.den_exp
+    return brace.scale / (brace.span * den) * sup(brace.end if rule.far_is_b else a)
+
+
+def _moments(braces: tuple[_Brace, ...], alpha: float, lam: float, kq: float) -> list[float]:
+    """Each brace's kernel moment, c2 or c3 to the power 1/kq."""
+    return [_brace_moment(br.right, alpha, lam, kq, br.r) for br in braces]
+
+
+def _assemble(c1_factor: float, weights: list[float], moments: list[float]) -> float:
+    """c1^power times the sum, left brace first, of each brace's weight times its moment."""
+    total = 0.0
+    for w, m in zip(weights, moments):
+        total += w * m
+    return c1_factor * total
+
+
 def bound(
     f: ScalarFunction,
     p: ParamPoint,
@@ -215,30 +324,14 @@ def bound(
     plain max of derivative magnitudes regardless of q.  The corrected variant
     divides by x^2, b^2 and takes the second sup over {|f'(x)|, |f'(b)|}; the
     as_stated variant takes the family's printed exponent and far point.
+    A sweep calls the same helpers, each at the loop level where its factor varies.
     """
-    if theorem is Theorem.T24 and p.q <= 1.0:
-        raise ValueError(f"Holder bound needs q > 1, got q={p.q}")
-    fam = _FAMILIES[theorem]
-    a, b, x, lam, alpha = p.a, p.b, p.x, p.lam, p.alpha
-    corrected = variant is Variant.SYMMETRIC_CORRECTED
-    kq = fam.moment(p.q)
-    den_exp = fam.stated_den(p.q)
-    far = b if corrected or fam.stated_far_is_b else a
-    dfx = abs(f.df(x))
-    total = 0.0
-    if x > a:
-        den = x * x if corrected else x**den_exp
-        sup = max(dfx, abs(f.df(a)))
-        total += (x - a) ** (alpha + 1.0) / ((a * x) ** (alpha - 1.0) * den) * sup * _brace_moment(
-            False, alpha, lam, kq, a / x
-        )
-    if x < b:
-        den = b * b if corrected else b**den_exp
-        sup = max(dfx, abs(f.df(far)))
-        total += (b - x) ** (alpha + 1.0) / ((b * x) ** (alpha - 1.0) * den) * sup * _brace_moment(
-            True, alpha, lam, kq, x / b
-        )
-    return c1(alpha, lam) ** fam.c1_power(p.q) * total
+    rule = _rule(theorem, variant, p.q)
+    braces = _braces(p.a, p.b, p.x, p.alpha)
+    sup = _sup(f, p.x)
+    weights = [_weight(br, rule, sup, p.a) for br in braces]
+    moments = _moments(braces, p.alpha, p.lam, rule.kq)
+    return _assemble(c1(p.alpha, p.lam) ** rule.c1_power, weights, moments)
 
 
 def evaluate_bound(

@@ -8,6 +8,25 @@ q >= 1 that is the same property as for |f'| (same sublevel sets), so |f'| is
 checked once per (function, interval); a failing pair contributes identity
 records only, and summary.bound_skips counts its (x, lam, alpha, q) points.
 
+It runs in stages, and computes each factor at the loop level where it varies:
+
+  _setup           once per run: functions, tolerances, the rule of each
+                   (q, theorem, variant), c1(alpha, lam) and its power per
+                   (alpha, lam, q, theorem)
+  _gate            once per (function, interval): the hypothesis verdict
+  _identity_stage  per (function, interval): the lam-free part of the lhs,
+                   with its fractional integrals, once per (x, alpha); the
+                   lhs at each lam and the rhs once per (x, lam, alpha)
+  _bound_stage     per (function, interval): |f'(x)|, |f'(a)|, |f'(b)| once
+                   per x; the brace powers once per (x, alpha); the brace
+                   weights once per (x, alpha, q, theorem, variant); the brace
+                   moments once per (x, lam, alpha, q, theorem)
+  _summary         once per run
+
+Every factor goes through the helpers `bounds.bound` and `bounds.identity_lhs`
+are built from, in the same floating-point order, so each record holds the
+same bits those public functions give at its point.
+
 `run_constants` puts the closed-form kernel moments next to their quadrature
 oracles; `run_checkfn` exposes the convexity checkers over corpus names or
 arithmetic expressions in x (Python syntax, `^` as `**`, ln/exp/sqrt).  All
@@ -29,9 +48,23 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .bounds import ParamPoint, Theorem, Variant, bound, identity_lhs, identity_rhs
+from .bounds import (
+    ParamPoint,
+    Theorem,
+    Variant,
+    _assemble,
+    _braces,
+    _lhs_at,
+    _lhs_parts,
+    _moments,
+    _Rule,
+    _rule,
+    _sup,
+    _weight,
+    identity_rhs,
+)
 from .harmonic import (
     IntervalDomain,
     ScalarFunction,
@@ -302,90 +335,162 @@ def _case_error(exc: QuadratureError, **ctx) -> QuadratureError:
     return QuadratureError(f"{exc} [case: {detail}]")
 
 
-def run_verify(cfg: SweepConfig) -> CampaignReport:
-    """Evaluate identity residuals and all applicable bounds over the config grid."""
+class _Step(NamedTuple):
+    """One (q, theorem) of the bound sweep, with the rule of each swept variant."""
+
+    q: float
+    theorem: str
+    kq: float  # the variants share the kernel-moment exponent and the c1 power
+    c1_power: float
+    variants: tuple[tuple[str, _Rule], ...]
+
+
+class _Plan(NamedTuple):
+    """What every (function, interval) of one run shares, worked out once from the config."""
+
+    cfg: SweepConfig
+    fns: list[ScalarFunction]
+    variants: tuple[Variant, ...]
+    quad_args: dict
+    id_tol: float
+    slack_tol: float
+    steps: tuple[_Step, ...]
+    c1_factors: dict  # (alpha, lam) -> c1(alpha, lam)^power of each step, in step order
+
+
+def _setup(cfg: SweepConfig) -> _Plan:
+    """Select the functions and fix the tolerances, the bound rules and the c1 factors of the run."""
     fns = _select_functions(cfg)
     variants = variants_for(cfg.variant)
-    quad_args = {
-        "abs_tol": cfg.tol_quad_abs * cfg.tol_scale,
-        "rel_tol": cfg.tol_quad_rel * cfg.tol_scale,
-    }
-    id_tol = cfg.tol_identity * cfg.tol_scale
-    slack_tol = cfg.tol_slack * cfg.tol_scale
+    steps = []
+    for q in cfg.qs:
+        for theorem in Theorem:
+            if theorem is Theorem.T24 and q <= 1.0:
+                continue  # the Holder bound needs q > 1
+            rules = tuple((v.value, _rule(theorem, v, q)) for v in variants)
+            steps.append(_Step(q, theorem.value, rules[0][1].kq, rules[0][1].c1_power, rules))
+    c1_factors = {}
+    for alpha, lam in itertools.product(cfg.alphas, cfg.lambdas):
+        value = c1(alpha, lam)
+        c1_factors[alpha, lam] = [value**step.c1_power for step in steps]
+    return _Plan(
+        cfg=cfg,
+        fns=fns,
+        variants=variants,
+        quad_args={"abs_tol": cfg.tol_quad_abs * cfg.tol_scale, "rel_tol": cfg.tol_quad_rel * cfg.tol_scale},
+        id_tol=cfg.tol_identity * cfg.tol_scale,
+        slack_tol=cfg.tol_slack * cfg.tol_scale,
+        steps=tuple(steps),
+        c1_factors=c1_factors,
+    )
 
-    records: list[dict] = []
-    identity_records: list[dict] = []
-    violations: list[int] = []
-    bound_skips = 0
 
-    for a, b in cfg.intervals:
-        domain = IntervalDomain(a, b)
-        eligible = [f for f in fns if f.domain.encloses(domain)]
-        if not eligible:
-            raise ValueError(f"no selected function covers interval [{a}, {b}]")
-        xs = _x_points(cfg, a, b)
-        for f in eligible:
-            # one verdict on |f'| serves every q: |f'|^q has the same sublevel sets
-            verdict = check_harmonically_quasiconvex(
-                abs_derivative_power(f, 1.0), domain, n=cfg.checker_n, seed=cfg.seed
+def _gate(cfg: SweepConfig, f: ScalarFunction, domain: IntervalDomain) -> bool:
+    """Whether the bound hypothesis holds for f on the domain, for every q at once.
+
+    |f'|^q has the sublevel sets of |f'| for q >= 1, so one verdict on |f'| serves every q.
+    """
+    verdict = check_harmonically_quasiconvex(abs_derivative_power(f, 1.0), domain, n=cfg.checker_n, seed=cfg.seed)
+    return not verdict.violated
+
+
+def _identity_stage(plan: _Plan, f: ScalarFunction, a: float, b: float, xs: tuple[float, ...]) -> list[dict]:
+    """One identity record per (x, lam, alpha); the lam-free part of the lhs is computed once per (x, alpha)."""
+    cfg, tol, id_tol = plan.cfg, plan.quad_args, plan.id_tol
+    out = []
+    for x in xs:
+        parts = {}
+        for lam, alpha in itertools.product(cfg.lambdas, cfg.alphas):
+            pt = ParamPoint(a, b, x, lam, alpha, 1.0)
+            try:
+                if alpha not in parts:
+                    parts[alpha] = _lhs_parts(f, a, b, x, alpha, tol)
+                lhs = _lhs_at(parts[alpha], lam)
+                rhs = identity_rhs(f, pt, **tol)
+            except QuadratureError as exc:
+                raise _case_error(exc, function=f.label, a=a, b=b, x=x, lam=lam, alpha=alpha) from exc
+            residual = abs(lhs - rhs)
+            scaled = residual / (1.0 + abs(lhs))
+            out.append(
+                {
+                    "function": f.label,
+                    "a": a,
+                    "b": b,
+                    "x": x,
+                    "lam": lam,
+                    "alpha": alpha,
+                    "lhs": lhs,
+                    "rhs": rhs,
+                    "residual": residual,
+                    "residual_scaled": scaled,
+                    "ok": scaled <= id_tol,
+                }
             )
-            qs = () if verdict.violated else cfg.qs
-            bound_skips += len(xs) * len(cfg.lambdas) * len(cfg.alphas) * (len(cfg.qs) - len(qs))
-            for x, lam, alpha in itertools.product(xs, cfg.lambdas, cfg.alphas):
-                pt0 = ParamPoint(a, b, x, lam, alpha, 1.0)
-                try:
-                    lhs = identity_lhs(f, pt0, **quad_args)
-                    rhs = identity_rhs(f, pt0, **quad_args)
-                except QuadratureError as exc:
-                    raise _case_error(exc, function=f.label, a=a, b=b, x=x, lam=lam, alpha=alpha) from exc
-                residual = abs(lhs - rhs)
-                scaled = residual / (1.0 + abs(lhs))
-                identity_records.append(
-                    {
-                        "function": f.label,
-                        "a": a,
-                        "b": b,
-                        "x": x,
-                        "lam": lam,
-                        "alpha": alpha,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "residual": residual,
-                        "residual_scaled": scaled,
-                        "ok": scaled <= id_tol,
-                    }
-                )
-                lhs_abs = abs(lhs)
-                for q in qs:
-                    pt = ParamPoint(a, b, x, lam, alpha, q)
-                    for theorem in Theorem:
-                        if theorem is Theorem.T24 and q <= 1.0:
-                            continue
-                        for variant in variants:
-                            value = bound(f, pt, theorem, variant)
-                            slack = value - lhs_abs
-                            holds = slack >= -slack_tol
-                            if not holds:
-                                violations.append(len(records))
-                            records.append(
-                                {
-                                    "function": f.label,
-                                    "a": a,
-                                    "b": b,
-                                    "x": x,
-                                    "lam": lam,
-                                    "alpha": alpha,
-                                    "q": q,
-                                    "theorem": theorem.value,
-                                    "variant": variant.value,
-                                    "lhs_abs": lhs_abs,
-                                    "bound": value,
-                                    "slack": slack,
-                                    "holds": holds,
-                                    "identity_residual": scaled,
-                                }
-                            )
+    return out
 
+
+def _bound_stage(
+    plan: _Plan,
+    f: ScalarFunction,
+    a: float,
+    b: float,
+    xs: tuple[float, ...],
+    identity: list[dict],
+    records: list[dict],
+    violations: list[int],
+) -> None:
+    """Append one bound record per (x, lam, alpha, q, theorem, variant), in that order.
+
+    Each factor of the bound is computed at the loop level where it varies:
+    the derivative sups once per x, the brace powers once per (x, alpha), the
+    brace weights once per (x, alpha, step, variant), the kernel moments once
+    per (x, lam, alpha, step), and the c1 factors once per run (in `_setup`).
+    """
+    cfg, steps, slack_tol = plan.cfg, plan.steps, plan.slack_tol
+    ids = iter(identity)
+    for x in xs:
+        sup = _sup(f, x)
+        braces = {alpha: _braces(a, b, x, alpha) for alpha in cfg.alphas}
+        weights = {
+            alpha: [[[_weight(br, rule, sup, a) for br in brs] for _, rule in step.variants] for step in steps]
+            for alpha, brs in braces.items()
+        }
+        for lam, alpha in itertools.product(cfg.lambdas, cfg.alphas):
+            ident = next(ids)
+            lhs_abs = abs(ident["lhs"])
+            scaled = ident["residual_scaled"]
+            brs = braces[alpha]
+            for step, c1_factor, step_weights in zip(steps, plan.c1_factors[alpha, lam], weights[alpha]):
+                moments = _moments(brs, alpha, lam, step.kq)
+                for (variant, _), w in zip(step.variants, step_weights):
+                    value = _assemble(c1_factor, w, moments)
+                    slack = value - lhs_abs
+                    holds = slack >= -slack_tol
+                    if not holds:
+                        violations.append(len(records))
+                    records.append(
+                        {
+                            "function": f.label,
+                            "a": a,
+                            "b": b,
+                            "x": x,
+                            "lam": lam,
+                            "alpha": alpha,
+                            "q": step.q,
+                            "theorem": step.theorem,
+                            "variant": variant,
+                            "lhs_abs": lhs_abs,
+                            "bound": value,
+                            "slack": slack,
+                            "holds": holds,
+                            "identity_residual": scaled,
+                        }
+                    )
+
+
+def _summary(
+    variants: tuple[Variant, ...], records: list, identity_records: list, violations: list, bound_skips: int
+) -> dict:
     by_variant = {v.value: 0 for v in variants}
     min_slack: dict[str, float | None] = {v.value: None for v in variants}
     for rec in records:
@@ -395,7 +500,7 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
         cur = min_slack[name]
         if cur is None or rec["slack"] < cur:
             min_slack[name] = rec["slack"]
-    summary = {
+    return {
         "cases": len(records),
         "identity_cases": len(identity_records),
         "violations": len(violations),
@@ -405,6 +510,34 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
         "min_slack_by_variant": min_slack,
         "bound_skips": bound_skips,
     }
+
+
+def run_verify(cfg: SweepConfig) -> CampaignReport:
+    """Evaluate identity residuals and all applicable bounds over the config grid.
+
+    Stages: `_setup` once per run, then per (interval, function) `_gate`,
+    `_identity_stage` and `_bound_stage`, and `_summary` once at the end.
+    """
+    plan = _setup(cfg)
+    records: list[dict] = []
+    identity_records: list[dict] = []
+    violations: list[int] = []
+    bound_skips = 0
+    points = len(cfg.lambdas) * len(cfg.alphas)
+    for a, b in cfg.intervals:
+        domain = IntervalDomain(a, b)
+        eligible = [f for f in plan.fns if f.domain.encloses(domain)]
+        if not eligible:
+            raise ValueError(f"no selected function covers interval [{a}, {b}]")
+        xs = _x_points(cfg, a, b)
+        for f in eligible:
+            holds = _gate(cfg, f, domain)
+            if not holds:
+                bound_skips += len(xs) * points * len(cfg.qs)
+            identity = _identity_stage(plan, f, a, b, xs)
+            identity_records += identity
+            if holds:
+                _bound_stage(plan, f, a, b, xs, identity, records, violations)
     return CampaignReport(
         version=TOOL_VERSION,
         generated_at=datetime.now(timezone.utc).isoformat(),
@@ -412,7 +545,7 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
         records=records,
         identity_records=identity_records,
         violations=violations,
-        summary=summary,
+        summary=_summary(plan.variants, records, identity_records, violations, bound_skips),
     )
 
 

@@ -52,13 +52,22 @@ def c1(alpha: float, lam: float) -> float:
     return (2.0 * alpha * lam ** (1.0 + 1.0 / alpha) + 1.0) / (alpha + 1.0) - lam
 
 
+def _finite(name: str, value: float, alpha: float, lam: float, q: float, r: float) -> float:
+    # an inf or nan moment would make every bound built on it hold, and is no JSON number
+    if not math.isfinite(value):
+        raise OverflowError(
+            f"{name}(alpha={alpha}, lam={lam}, q={q}, r={r}) = {value} is not finite in double precision"
+        )
+    return value
+
+
 def c2(alpha: float, lam: float, q: float, r: float) -> float:
     """Closed form of the left-brace moment; r = a/x."""
     KernelArgs(alpha, lam, q, r)
     z1 = 1.0 - r
     main = hyp2f1(HypParams(2.0 * q, alpha + 1.0, alpha + 2.0, z1)) / (alpha + 1.0)
     if lam == 0.0:
-        return main
+        return _finite("c2", main, alpha, lam, q, r)
     main -= lam * hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z1))
     m = lam ** (1.0 / alpha)
     z2 = m * (1.0 - r)
@@ -66,7 +75,7 @@ def c2(alpha: float, lam: float, q: float, r: float) -> float:
         hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z2))
         - hyp2f1(HypParams(2.0 * q, alpha + 1.0, alpha + 2.0, z2)) / (alpha + 1.0)
     )
-    return main + corr
+    return _finite("c2", main + corr, alpha, lam, q, r)
 
 
 def c3(alpha: float, lam: float, q: float, r: float) -> float:
@@ -83,7 +92,7 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
     z1 = 1.0 - r
     main = hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z1)) / (alpha + 1.0)
     if lam == 0.0:
-        return main
+        return _finite("c3", main, alpha, lam, q, r)
     main -= lam * hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z1))
     m = lam ** (1.0 / alpha)
     s = r + m * (1.0 - r)
@@ -92,7 +101,7 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
         hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z3))
         - hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z3)) / (alpha + 1.0)
     )
-    return main + corr
+    return _finite("c3", main + corr, alpha, lam, q, r)
 
 
 def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> float:

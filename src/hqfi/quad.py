@@ -5,9 +5,12 @@ worst-first heap of subintervals and bisects until the summed error estimate
 meets the requested tolerance, so results are deterministic for a given
 integrand and spec; a first panel that already meets it is the result.  A
 spec sets only the interval and the tolerances: no panel is bisected past
-depth 60, and no run holds more than 10,000 panels.  A panel wider than one
-ulp samples only points strictly inside it, and clamps its nodes only when
-an outer node rounds onto an endpoint, as on a panel a few ulps wide.
+depth 60, and no run holds more than 10,000 panels.  A run whose panels all
+sit at their roundoff floor, 50*eps times the panel's integral of |f|, fails
+at once when their sum is above the tolerance, since no bisection lowers it.
+A panel wider than one ulp samples only points strictly inside it, and
+clamps its nodes only when an outer node rounds onto an endpoint, as on a
+panel a few ulps wide.
 
 Integrands must stay finite on the closed interval.  Integrable endpoint
 weights (t - lo)^(g-1) or (hi - t)^(g-1) are not sampled: `integrate_singular`
@@ -64,7 +67,7 @@ _WG = (
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the requested tolerance is unreachable within the depth budget."""
+    """Raised when the requested tolerance is unreachable: past a budget, or below the roundoff floor."""
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,18 @@ def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, floa
     return result, err
 
 
+def _at_floor(res: float, err: float) -> bool:
+    """Whether a gk15 panel's error is its roundoff floor 50*eps*resabs, with resabs = |res|.
+
+    That holds exactly when f keeps one sign on the panel (resabs then sums
+    the same terms as the result) and the floor was the larger estimate.  The
+    halves of such a panel have floors that sum to about the same, so no
+    bisection lowers it: QUADPACK's roundoff case (QAGS, ier = 2).  A panel
+    where f changes sign is never taken to be at its floor.
+    """
+    return err == 50.0 * _EPS * abs(res)
+
+
 def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
     """Integrate f over [spec.lo, spec.hi] to max(abs_tol, rel_tol*|I|)."""
     res, err = gk15(f, spec.lo, spec.hi)
@@ -197,8 +212,14 @@ def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
     seq = 1
     total_err = err
     result = res
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(result)):
-        _, _, plo, phi, depth, _, _ = heapq.heappop(heap)
+    live = 0 if _at_floor(res, err) else 1  # panels whose error bisection can still lower
+    while total_err > (tol := max(spec.abs_tol, spec.rel_tol * abs(result))):
+        if not live:
+            raise QuadratureError(
+                f"no convergence on [{spec.lo}, {spec.hi}]: error {total_err:.3e} is the roundoff floor "
+                f"50*eps*resabs of all {len(heap)} panels, above the tolerance {tol:.3e}"
+            )
+        _, _, plo, phi, depth, pres, perr = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
             raise QuadratureError(
                 f"no convergence on [{spec.lo}, {spec.hi}]: error {total_err:.3e} "
@@ -216,6 +237,7 @@ def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
             )
         rl, el = gk15(f, plo, mid)
         rr, er = gk15(f, mid, phi)
+        live += (not _at_floor(rl, el)) + (not _at_floor(rr, er)) - (not _at_floor(pres, perr))
         heapq.heappush(heap, (-el, seq, plo, mid, depth + 1, rl, el))
         heapq.heappush(heap, (-er, seq + 1, mid, phi, depth + 1, rr, er))
         seq += 2

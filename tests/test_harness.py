@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hqfi.fracint as fracint
 import hqfi.harness as harness
-from hqfi.bounds import _brace_moment
+from hqfi.bounds import ParamPoint, Theorem, Variant, _brace_moment, bound, identity_lhs
 from hqfi.cli import build_parser, main
-from hqfi.harmonic import check_harmonically_quasiconvex
+from hqfi.harmonic import check_harmonically_quasiconvex, corpus
 from hqfi.harness import (
     CampaignReport,
     SweepConfig,
@@ -19,6 +20,7 @@ from hqfi.harness import (
     run_verify,
     variants_for,
 )
+from hqfi.kernels import c1, c2, c3
 
 SMALL = {
     "lambdas": [0.0, 0.5],
@@ -176,6 +178,72 @@ def test_verify_identity_computed_once_per_point():
     keys = {(r["function"], r["x"], r["lam"], r["alpha"]) for r in rep.identity_records}
     assert len(rep.identity_records) == len(keys)  # q never duplicates identity work
     assert len(rep.identity_records) == 2 * 1 * 2 * 1  # fns * x * lams * alphas
+
+
+def test_hoisted_sweep_equals_the_public_functions_bit_for_bit():
+    # x = a, an interior x and x = b on each interval; the plateau is kinked at u = 1,
+    # inside [0.5, 3] (identity records only: the gate fails there) and at a = 1 of [1, 4]
+    cfg = SweepConfig.from_dict(
+        {
+            "intervals": [[1.0, 2.0], [0.5, 3.0], [1.0, 4.0]],
+            "x_mode": "grid",
+            "x_count": 3,
+            "lambdas": [0.0, 1.0 / 3.0, 1.0],
+            "alphas": [0.5, 1.0, 2.5],
+            "qs": [1.0, 1.5, 4.0],
+            "functions": ["square", "xlnx", "piecewise_plateau"],
+            "variant": "both",
+        }
+    )
+    rep = run_verify(cfg)
+    fns = {f.label: f for f in corpus()}
+    tol = {"abs_tol": cfg.tol_quad_abs, "rel_tol": cfg.tol_quad_rel}
+    for r in rep.identity_records:
+        pt = ParamPoint(r["a"], r["b"], r["x"], r["lam"], r["alpha"])
+        assert r["lhs"].hex() == identity_lhs(fns[r["function"]], pt, **tol).hex(), r
+    for r in rep.records:
+        pt = ParamPoint(r["a"], r["b"], r["x"], r["lam"], r["alpha"], r["q"])
+        want = bound(fns[r["function"]], pt, Theorem(r["theorem"]), Variant(r["variant"]))
+        assert r["bound"].hex() == want.hex(), r
+    # the grid reaches what the test claims to cover
+    seen = {(r["function"], r["a"], r["b"], r["x"], r["q"], r["variant"]) for r in rep.records}
+    for label, a, b in (("square", 1.0, 2.0), ("xlnx", 1.0, 2.0), ("piecewise_plateau", 1.0, 4.0)):
+        for x in (a, (a + b) / 2.0, b):
+            for q in cfg.qs:
+                for variant in ("as_stated", "symmetric_corrected"):
+                    assert (label, a, b, x, q, variant) in seen
+    assert any(r["function"] == "piecewise_plateau" and r["a"] == 0.5 for r in rep.identity_records)
+
+
+def test_verify_computes_lam_free_work_once(monkeypatch):
+    calls = {"integrate_singular": 0, "c1": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(fracint, "integrate_singular", counting("integrate_singular", fracint.integrate_singular))
+    monkeypatch.setattr(harness, "c1", counting("c1", c1))
+    grid = {"x_mode": "grid", "x_count": 3, "alphas": [0.5, 2.0], "qs": [1.0, 2.0], "functions": ["expx"]}
+    counts = []
+    for lambdas in ([0.5], [0.0, 1.0 / 3.0, 0.5, 1.0]):
+        calls.update(integrate_singular=0, c1=0)
+        rep = run_verify(SweepConfig.from_dict({**grid, "lambdas": lambdas}))
+        assert rep.summary["cases"] > 0
+        counts.append(dict(calls))
+    # the fractional part of the lhs does not depend on lam; c1 depends on (alpha, lam) alone
+    assert counts[0]["integrate_singular"] == counts[1]["integrate_singular"] > 0
+    assert counts[0]["c1"] == 1 * 2 and counts[1]["c1"] == 4 * 2
+
+
+def test_nonfinite_kernel_moments_fail_loudly():
+    # 2F1(2000, 2; 3; 0.5) is past the double range: a bound of inf would hold, and is no JSON number
+    for name, moment in (("c2", c2), ("c3", c3)):
+        with pytest.raises(OverflowError, match=rf"{name}\(alpha=1, lam=0, q=1000, r=0.5\) = inf is not finite"):
+            moment(1, 0, 1000, 0.5)
 
 
 def test_verify_hypothesis_gate_skips_bounds():
@@ -559,6 +627,9 @@ def test_cli_checkfn_parse_error_exits_2(capsys):
         # OverflowError at s**(-2q) in the bound's c3
         ["verify", "--interval", "1:4", "--functions", "piecewise_plateau", "--qs", "1000", "--alphas", "1",
          "--lambdas", "0.5", "--x-mode", "grid"],
+        # OverflowError for the inf that c2 would otherwise return, and write into the report
+        ["verify", "--interval", "1:4", "--functions", "piecewise_plateau", "--qs", "1000", "--alphas", "1",
+         "--lambdas", "0", "--x-mode", "explicit", "--x-values", "4"],
     ],
 )
 def test_cli_float_overflow_exits_3(argv, capsys):
@@ -567,6 +638,14 @@ def test_cli_float_overflow_exits_3(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+
+
+def test_cli_tolerance_below_the_roundoff_floor_exits_3(monkeypatch, capsys):
+    # without the roundoff-floor check, integrate spends its 10,000-panel budget here, several seconds
+    monkeypatch.setenv("HQFI_TOL_SCALE", "1e-6")
+    assert main(["verify", "--functions", "expx", "--alphas", "1", "--qs", "1", "--lambdas", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("quadrature failure: ") and "roundoff floor" in err and err.count("\n") == 1
 
 
 def test_cli_parser_rejects_unknown_subcommand():

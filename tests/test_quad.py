@@ -1,5 +1,6 @@
 """Adaptive Gauss-Kronrod engine: closed-form goldens, tolerance behaviour, weights."""
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,24 @@ def test_integrate_undeclared_endpoint_singularity_depth_wall():
 def test_integrate_nonintegrable_raises():
     with pytest.raises(QuadratureError):
         integrate(lambda t: 1.0 / t, QuadSpec(0.0, 1.0))
+
+
+def test_integrate_below_the_roundoff_floor_raises_at_once(monkeypatch):
+    # exp keeps one sign, so the panel's error is its floor 50*eps*resabs; bisecting keeps the
+    # floor's sum, and without the check the loop spends its 10,000-panel budget, about 7 s, first
+    _, err = gk15(math.exp, 0.0, 1.0)
+    panels = [0]
+
+    def counted(*args):
+        panels[0] += 1
+        return gk15(*args)
+
+    monkeypatch.setattr(quad, "gk15", counted)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="roundoff floor"):
+        integrate(math.exp, QuadSpec(0.0, 1.0, abs_tol=math.nextafter(err, 0.0), rel_tol=0.0))
+    assert time.perf_counter() - start < 1.0
+    assert panels[0] == 1
 
 
 def test_quadspec_validation():
