@@ -19,7 +19,7 @@ When |f'|^q is harmonically quasi-convex on [a, b], |I| is bounded by three
 families (T22: power-mean, T23: its q=1 reduction shape, T24: Holder).  All
 three have the shape c1^power * {C2 brace + C3 brace} at a kernel-moment
 exponent kq, so one table (`_FAMILIES`) holds what tells them apart and one
-function, `bound`, assembles any of them:
+evaluator, `_bounds`, assembles any of them:
 
   family  kq         c1 power  as_stated denominators  as_stated second sup
   T22     q          1 - 1/q   x^{2q}, b^{2q}          {|f'(x)|, |f'(a)|}
@@ -31,13 +31,11 @@ form (denominators x^2, b^2; second sup over {|f'(x)|, |f'(b)|}); `as_stated`
 reproduces the source text verbatim, which is refutable and kept for
 counterexample hunting.
 
-`bound` is a product of factors that vary with different inputs, each with
-its own helper: `_rule` the constants of one (theorem, variant) at one q,
-`_braces` the powers of (x-a), (ax), (b-x), (bx) at one (a, b, x, alpha),
-`_sup` the derivative sups of f at one x, `_weight` a brace's factor in front
-of its moment, `_moments` the brace moments, and `_assemble` the product.
-The harness sweep calls the same helpers, each at the loop level where its
-factor varies, so both give the same bits.
+`bound` and the harness sweep call the same per-point evaluator, `_bounds`:
+at one (f, a, b, x, lam, alpha) it takes the brace powers and the derivative
+sups once and returns the bound of every (q, theorem, variant) row it is
+given.  `bound` passes it one row; the sweep builds its rows once per run
+(`_rows`), so each record holds the bits `bound` gives at its point.
 
 The brace moments c2(...)^(1/kq) and c3(...)^(1/kq) do not depend on f, so
 `_brace_moment` memoizes them per (alpha, lam, kq, r) for the process
@@ -239,77 +237,66 @@ def _brace_moment(right: bool, alpha: float, lam: float, kq: float, r: float) ->
     return (c3 if right else c2)(alpha, lam, kq, r) ** (1.0 / kq)
 
 
-class _Rule(NamedTuple):
-    """The constants of one (theorem, variant) bound formula at one q."""
+class _Row(NamedTuple):
+    """One (q, theorem, variant) bound formula, with its constants."""
 
+    q: float
+    theorem: str
+    variant: str
     kq: float  # kernel-moment exponent of the C2/C3 braces
     c1_power: float
     den_exp: float | None  # denominators x^den_exp, b^den_exp; None: the corrected x*x, b*b
     far_is_b: bool  # second sup over {f'(x), f'(b)}, else {f'(x), f'(a)}
 
 
-def _rule(theorem: Theorem, variant: Variant, q: float) -> _Rule:
+def _row(theorem: Theorem, variant: Variant, q: float) -> _Row:
     if theorem is Theorem.T24 and q <= 1.0:
         raise ValueError(f"Holder bound needs q > 1, got q={q}")
     fam = _FAMILIES[theorem]
-    if variant is Variant.SYMMETRIC_CORRECTED:
-        return _Rule(fam.moment(q), fam.c1_power(q), None, True)
-    return _Rule(fam.moment(q), fam.c1_power(q), fam.stated_den(q), fam.stated_far_is_b)
+    corrected = variant is Variant.SYMMETRIC_CORRECTED
+    den_exp = None if corrected else fam.stated_den(q)
+    far_is_b = corrected or fam.stated_far_is_b
+    return _Row(q, theorem.value, variant.value, fam.moment(q), fam.c1_power(q), den_exp, far_is_b)
 
 
-class _Brace(NamedTuple):
-    """The f- and q-free factors of one brace at one (a, b, x, alpha)."""
-
-    right: bool  # the C3 brace over [x, b], else the C2 brace over [a, x]
-    scale: float  # (x-a)^(alpha+1), or (b-x)^(alpha+1)
-    span: float  # (a x)^(alpha-1), or (b x)^(alpha-1)
-    den_base: float  # x, or b
-    end: float  # a, or b: the far point of the corrected second sup
-    r: float  # a/x, or x/b: the moment's ratio
-
-
-def _braces(a: float, b: float, x: float, alpha: float) -> tuple[_Brace, ...]:
-    """The braces whose side is not empty: the left one when x > a, the right one when x < b."""
-    braces = ()
-    if x > a:
-        braces += (_Brace(False, (x - a) ** (alpha + 1.0), (a * x) ** (alpha - 1.0), x, a, a / x),)
-    if x < b:
-        braces += (_Brace(True, (b - x) ** (alpha + 1.0), (b * x) ** (alpha - 1.0), b, b, x / b),)
-    return braces
+def _rows(qs: tuple[float, ...], variants: tuple[Variant, ...]) -> tuple[_Row, ...]:
+    """Every row a sweep evaluates, in record order: q, then theorem (T24 only for q > 1), then variant."""
+    return tuple(
+        _row(theorem, variant, q)
+        for q in qs
+        for theorem in Theorem
+        if theorem is not Theorem.T24 or q > 1.0
+        for variant in variants
+    )
 
 
-def _sup(f: ScalarFunction, x: float) -> Callable[[float], float]:
-    """u -> max(|f'(x)|, |f'(u)|), each derivative evaluated once, on first use."""
+def _bounds(
+    f: ScalarFunction, a: float, b: float, x: float, lam: float, alpha: float, rows: tuple[_Row, ...], c1_value: float
+) -> list[float]:
+    """Each row's bound at one point, in row order; c1_value is c1(alpha, lam).
+
+    A row's bound is c1_value^power times the sum, left brace first, of each
+    brace's weight scale / (span * den) * sup times its kernel moment.  The
+    left brace over [a, x] exists when x > a, the right one over [x, b] when
+    x < b.  Each derivative is evaluated once per call.
+    """
     dfx = abs(f.df(x))
-    seen: dict[float, float] = {}
-
-    def sup(u: float) -> float:
-        s = seen.get(u)
-        if s is None:
-            s = seen[u] = max(dfx, abs(f.df(u)))
-        return s
-
-    return sup
-
-
-def _weight(brace: _Brace, rule: _Rule, sup: Callable[[float], float], a: float) -> float:
-    """A brace's factor in front of its kernel moment: scale / (span * den) * sup."""
-    base = brace.den_base
-    den = base * base if rule.den_exp is None else base**rule.den_exp
-    return brace.scale / (brace.span * den) * sup(brace.end if rule.far_is_b else a)
-
-
-def _moments(braces: tuple[_Brace, ...], alpha: float, lam: float, kq: float) -> list[float]:
-    """Each brace's kernel moment, c2 or c3 to the power 1/kq."""
-    return [_brace_moment(br.right, alpha, lam, kq, br.r) for br in braces]
-
-
-def _assemble(c1_factor: float, weights: list[float], moments: list[float]) -> float:
-    """c1^power times the sum, left brace first, of each brace's weight times its moment."""
-    total = 0.0
-    for w, m in zip(weights, moments):
-        total += w * m
-    return c1_factor * total
+    sup_a = max(dfx, abs(f.df(a)))
+    # (right, scale, span, den_base, sup at the brace's own end, moment ratio r)
+    braces = []
+    if x > a:
+        braces.append((False, (x - a) ** (alpha + 1.0), (a * x) ** (alpha - 1.0), x, sup_a, a / x))
+    if x < b:
+        braces.append((True, (b - x) ** (alpha + 1.0), (b * x) ** (alpha - 1.0), b, max(dfx, abs(f.df(b))), x / b))
+    values = []
+    for row in rows:
+        total = 0.0
+        for right, scale, span, base, sup_end, r in braces:
+            den = base * base if row.den_exp is None else base**row.den_exp
+            weight = scale / (span * den) * (sup_end if row.far_is_b else sup_a)
+            total += weight * _brace_moment(right, alpha, lam, row.kq, r)
+        values.append(c1_value**row.c1_power * total)
+    return values
 
 
 def bound(
@@ -324,14 +311,10 @@ def bound(
     plain max of derivative magnitudes regardless of q.  The corrected variant
     divides by x^2, b^2 and takes the second sup over {|f'(x)|, |f'(b)|}; the
     as_stated variant takes the family's printed exponent and far point.
-    A sweep calls the same helpers, each at the loop level where its factor varies.
+    A sweep calls the same evaluator, `_bounds`, with every row at once.
     """
-    rule = _rule(theorem, variant, p.q)
-    braces = _braces(p.a, p.b, p.x, p.alpha)
-    sup = _sup(f, p.x)
-    weights = [_weight(br, rule, sup, p.a) for br in braces]
-    moments = _moments(braces, p.alpha, p.lam, rule.kq)
-    return _assemble(c1(p.alpha, p.lam) ** rule.c1_power, weights, moments)
+    row = _row(theorem, variant, p.q)
+    return _bounds(f, p.a, p.b, p.x, p.lam, p.alpha, (row,), c1(p.alpha, p.lam))[0]
 
 
 def evaluate_bound(

@@ -8,24 +8,23 @@ q >= 1 that is the same property as for |f'| (same sublevel sets), so |f'| is
 checked once per (function, interval); a failing pair contributes identity
 records only, and summary.bound_skips counts its (x, lam, alpha, q) points.
 
-It runs in stages, and computes each factor at the loop level where it varies:
+It runs in stages, and computes each piece of work once where it varies:
 
-  _setup           once per run: functions, tolerances, the rule of each
-                   (q, theorem, variant), c1(alpha, lam) and its power per
-                   (alpha, lam, q, theorem)
-  _gate            once per (function, interval): the hypothesis verdict
-  _identity_stage  per (function, interval): the lam-free part of the lhs,
-                   with its fractional integrals, once per (x, alpha); the
-                   lhs at each lam and the rhs once per (x, lam, alpha)
-  _bound_stage     per (function, interval): |f'(x)|, |f'(a)|, |f'(b)| once
-                   per x; the brace powers once per (x, alpha); the brace
-                   weights once per (x, alpha, q, theorem, variant); the brace
-                   moments once per (x, lam, alpha, q, theorem)
-  _summary         once per run
+  once per run             (_setup) the functions, the tolerances, every
+                           (q, theorem, variant) bound row in record order,
+                           and c1(alpha, lam) per (alpha, lam)
+  per (function, interval) (_gate) the hypothesis verdict
+  per (x, alpha)           (_identity_stage) the lam-free part of the lhs,
+                           with all of its fractional integrals
+  per identity record      (_identity_stage) the lhs at its lam and the rhs;
+                           (_bound_stage) one `bounds._bounds` call, which
+                           evaluates every row at that point
+  once per run             (_summary) the summary block
 
-Every factor goes through the helpers `bounds.bound` and `bounds.identity_lhs`
-are built from, in the same floating-point order, so each record holds the
-same bits those public functions give at its point.
+The lhs and the bounds go through the helpers `bounds.identity_lhs` and
+`bounds.bound` are built from, in the same floating-point order, so each
+record holds the same bits those public functions give at its point.  The
+kernel moments are reused only through the memo in `bounds`.
 
 `run_constants` puts the closed-form kernel moments next to their quadrature
 oracles; `run_checkfn` exposes the convexity checkers over corpus names or
@@ -50,21 +49,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
-from .bounds import (
-    ParamPoint,
-    Theorem,
-    Variant,
-    _assemble,
-    _braces,
-    _lhs_at,
-    _lhs_parts,
-    _moments,
-    _Rule,
-    _rule,
-    _sup,
-    _weight,
-    identity_rhs,
-)
+from .bounds import ParamPoint, Variant, _bounds, _lhs_at, _lhs_parts, _rows, identity_rhs
 from .harmonic import (
     IntervalDomain,
     ScalarFunction,
@@ -143,17 +128,23 @@ def variants_for(selector: str) -> tuple[Variant, ...]:
     return (Variant(selector),)
 
 
+def _real(v) -> float:
+    if isinstance(v, bool):  # JSON true is an int to Python, not a number to a config
+        raise TypeError("a boolean is not a number")
+    return float(v)
+
+
 def _integer(v) -> int:
-    if int(v) != v:  # 2.7 is an error, not 2
+    if int(_real(v)) != v:  # 2.7 is an error, not 2
         raise ValueError("not an integer")
     return int(v)
 
 
 # how SweepConfig.__post_init__ reads each field that a JSON config or a caller may give in another type
 _CONVERT = {
-    "intervals": lambda v: tuple((float(a), float(b)) for a, b in v),
+    "intervals": lambda v: tuple((_real(a), _real(b)) for a, b in v),
     "functions": lambda v: v if v == "all" else tuple(str(s) for s in v),
-    **dict.fromkeys(("x_values", "lambdas", "alphas", "qs"), lambda v: tuple(float(x) for x in v)),
+    **dict.fromkeys(("x_values", "lambdas", "alphas", "qs"), lambda v: tuple(_real(x) for x in v)),
     **dict.fromkeys(("x_count", "checker_n", "seed"), _integer),
 }
 
@@ -219,7 +210,7 @@ class SweepConfig:
             raise ValueError(f"variant must be one of {_VARIANT_SELECTORS}, got {self.variant!r}")
         for name in ("tol_identity", "tol_slack", "tol_quad_abs", "tol_quad_rel", "tol_scale"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be a positive real, got {v!r}")
         if self.checker_n < 2:
             raise ValueError(f"checker_n must be >= 2, got {self.checker_n}")
@@ -335,16 +326,6 @@ def _case_error(exc: QuadratureError, **ctx) -> QuadratureError:
     return QuadratureError(f"{exc} [case: {detail}]")
 
 
-class _Step(NamedTuple):
-    """One (q, theorem) of the bound sweep, with the rule of each swept variant."""
-
-    q: float
-    theorem: str
-    kq: float  # the variants share the kernel-moment exponent and the c1 power
-    c1_power: float
-    variants: tuple[tuple[str, _Rule], ...]
-
-
 class _Plan(NamedTuple):
     """What every (function, interval) of one run shares, worked out once from the config."""
 
@@ -354,34 +335,22 @@ class _Plan(NamedTuple):
     quad_args: dict
     id_tol: float
     slack_tol: float
-    steps: tuple[_Step, ...]
-    c1_factors: dict  # (alpha, lam) -> c1(alpha, lam)^power of each step, in step order
+    rows: tuple  # every (q, theorem, variant) bound row, in record order
+    c1: dict  # (alpha, lam) -> c1(alpha, lam)
 
 
 def _setup(cfg: SweepConfig) -> _Plan:
-    """Select the functions and fix the tolerances, the bound rules and the c1 factors of the run."""
-    fns = _select_functions(cfg)
+    """Select the functions and fix the tolerances, the bound rows and the c1 values of the run."""
     variants = variants_for(cfg.variant)
-    steps = []
-    for q in cfg.qs:
-        for theorem in Theorem:
-            if theorem is Theorem.T24 and q <= 1.0:
-                continue  # the Holder bound needs q > 1
-            rules = tuple((v.value, _rule(theorem, v, q)) for v in variants)
-            steps.append(_Step(q, theorem.value, rules[0][1].kq, rules[0][1].c1_power, rules))
-    c1_factors = {}
-    for alpha, lam in itertools.product(cfg.alphas, cfg.lambdas):
-        value = c1(alpha, lam)
-        c1_factors[alpha, lam] = [value**step.c1_power for step in steps]
     return _Plan(
         cfg=cfg,
-        fns=fns,
+        fns=_select_functions(cfg),
         variants=variants,
         quad_args={"abs_tol": cfg.tol_quad_abs * cfg.tol_scale, "rel_tol": cfg.tol_quad_rel * cfg.tol_scale},
         id_tol=cfg.tol_identity * cfg.tol_scale,
         slack_tol=cfg.tol_slack * cfg.tol_scale,
-        steps=tuple(steps),
-        c1_factors=c1_factors,
+        rows=_rows(cfg.qs, variants),
+        c1={(alpha, lam): c1(alpha, lam) for alpha, lam in itertools.product(cfg.alphas, cfg.lambdas)},
     )
 
 
@@ -430,62 +399,37 @@ def _identity_stage(plan: _Plan, f: ScalarFunction, a: float, b: float, xs: tupl
 
 
 def _bound_stage(
-    plan: _Plan,
-    f: ScalarFunction,
-    a: float,
-    b: float,
-    xs: tuple[float, ...],
-    identity: list[dict],
-    records: list[dict],
-    violations: list[int],
+    plan: _Plan, f: ScalarFunction, identity: list[dict], records: list[dict], violations: list[int]
 ) -> None:
-    """Append one bound record per (x, lam, alpha, q, theorem, variant), in that order.
-
-    Each factor of the bound is computed at the loop level where it varies:
-    the derivative sups once per x, the brace powers once per (x, alpha), the
-    brace weights once per (x, alpha, step, variant), the kernel moments once
-    per (x, lam, alpha, step), and the c1 factors once per run (in `_setup`).
-    """
-    cfg, steps, slack_tol = plan.cfg, plan.steps, plan.slack_tol
-    ids = iter(identity)
-    for x in xs:
-        sup = _sup(f, x)
-        braces = {alpha: _braces(a, b, x, alpha) for alpha in cfg.alphas}
-        weights = {
-            alpha: [[[_weight(br, rule, sup, a) for br in brs] for _, rule in step.variants] for step in steps]
-            for alpha, brs in braces.items()
-        }
-        for lam, alpha in itertools.product(cfg.lambdas, cfg.alphas):
-            ident = next(ids)
-            lhs_abs = abs(ident["lhs"])
-            scaled = ident["residual_scaled"]
-            brs = braces[alpha]
-            for step, c1_factor, step_weights in zip(steps, plan.c1_factors[alpha, lam], weights[alpha]):
-                moments = _moments(brs, alpha, lam, step.kq)
-                for (variant, _), w in zip(step.variants, step_weights):
-                    value = _assemble(c1_factor, w, moments)
-                    slack = value - lhs_abs
-                    holds = slack >= -slack_tol
-                    if not holds:
-                        violations.append(len(records))
-                    records.append(
-                        {
-                            "function": f.label,
-                            "a": a,
-                            "b": b,
-                            "x": x,
-                            "lam": lam,
-                            "alpha": alpha,
-                            "q": step.q,
-                            "theorem": step.theorem,
-                            "variant": variant,
-                            "lhs_abs": lhs_abs,
-                            "bound": value,
-                            "slack": slack,
-                            "holds": holds,
-                            "identity_residual": scaled,
-                        }
-                    )
+    """Append one bound record per identity record and row, in that order: one `_bounds` call per identity record."""
+    rows, slack_tol = plan.rows, plan.slack_tol
+    for ident in identity:
+        a, b, x, lam, alpha = ident["a"], ident["b"], ident["x"], ident["lam"], ident["alpha"]
+        lhs_abs = abs(ident["lhs"])
+        scaled = ident["residual_scaled"]
+        for row, value in zip(rows, _bounds(f, a, b, x, lam, alpha, rows, plan.c1[alpha, lam])):
+            slack = value - lhs_abs
+            holds = slack >= -slack_tol
+            if not holds:
+                violations.append(len(records))
+            records.append(
+                {
+                    "function": f.label,
+                    "a": a,
+                    "b": b,
+                    "x": x,
+                    "lam": lam,
+                    "alpha": alpha,
+                    "q": row.q,
+                    "theorem": row.theorem,
+                    "variant": row.variant,
+                    "lhs_abs": lhs_abs,
+                    "bound": value,
+                    "slack": slack,
+                    "holds": holds,
+                    "identity_residual": scaled,
+                }
+            )
 
 
 def _summary(
@@ -537,7 +481,7 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
             identity = _identity_stage(plan, f, a, b, xs)
             identity_records += identity
             if holds:
-                _bound_stage(plan, f, a, b, xs, identity, records, violations)
+                _bound_stage(plan, f, identity, records, violations)
     return CampaignReport(
         version=TOOL_VERSION,
         generated_at=datetime.now(timezone.utc).isoformat(),

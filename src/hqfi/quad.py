@@ -12,7 +12,8 @@ A panel wider than one ulp samples only points strictly inside it, and
 clamps its nodes only when an outer node rounds onto an endpoint, as on a
 panel a few ulps wide.
 
-Integrands must stay finite on the closed interval.  Integrable endpoint
+Integrands must stay finite on the closed interval: a panel whose result
+or error estimate is NaN or infinite raises QuadratureError.  Integrable endpoint
 weights (t - lo)^(g-1) or (hi - t)^(g-1) are not sampled: `integrate_singular`
 removes them exactly by substitution, which is the only reliable way to reach
 tight tolerances near an algebraic singularity in double precision.
@@ -67,7 +68,8 @@ _WG = (
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the requested tolerance is unreachable: past a budget, or below the roundoff floor."""
+    """Raised when the requested tolerance is unreachable: past a budget, below the roundoff floor,
+    or on a panel whose result or error estimate is not finite."""
 
 
 @dataclass(frozen=True)
@@ -201,9 +203,18 @@ def _at_floor(res: float, err: float) -> bool:
     return err == 50.0 * _EPS * abs(res)
 
 
+def _nonfinite(spec: QuadSpec, lo: float, hi: float, res: float, err: float) -> QuadratureError:
+    # a NaN error estimate fails every comparison, so the loop would stop and return the NaN
+    return QuadratureError(
+        f"non-finite integrand on [{spec.lo}, {spec.hi}]: panel [{lo}, {hi}] gives {res!r} with error {err!r}"
+    )
+
+
 def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
     """Integrate f over [spec.lo, spec.hi] to max(abs_tol, rel_tol*|I|)."""
     res, err = gk15(f, spec.lo, spec.hi)
+    if not (math.isfinite(res) and math.isfinite(err)):
+        raise _nonfinite(spec, spec.lo, spec.hi, res, err)
     if err <= max(spec.abs_tol, spec.rel_tol * abs(res)):
         # what the loop below returns when it runs zero times: fsum([res]) == res + 0.0
         return res + 0.0
@@ -237,6 +248,10 @@ def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
             )
         rl, el = gk15(f, plo, mid)
         rr, er = gk15(f, mid, phi)
+        if not (math.isfinite(rl) and math.isfinite(el)):
+            raise _nonfinite(spec, plo, mid, rl, el)
+        if not (math.isfinite(rr) and math.isfinite(er)):
+            raise _nonfinite(spec, mid, phi, rr, er)
         live += (not _at_floor(rl, el)) + (not _at_floor(rr, er)) - (not _at_floor(pres, perr))
         heapq.heappush(heap, (-el, seq, plo, mid, depth + 1, rl, el))
         heapq.heappush(heap, (-er, seq + 1, mid, phi, depth + 1, rr, er))

@@ -1,0 +1,75 @@
+"""Dead-code guard: no module of src/hqfi keeps an unused import or an unreferenced private helper."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hqfi"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _reads(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name read under node, leaving out the subtree `skip` (a definition's own body)."""
+    if node is skip:
+        return set()
+    found = {node.id} if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store) else set()
+    for child in ast.iter_child_nodes(node):
+        found |= _reads(child, skip)
+    return found
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each module-level function, class or constant whose name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_modules_parse():
+    assert {"bounds", "harness", "quad"} <= set(MODULES)
+
+
+def test_no_unused_imports():
+    unused = []
+    for module, tree in MODULES.items():
+        used = _reads(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{module}: {bound}")
+    assert not unused, unused
+
+
+def test_every_private_helper_is_referenced():
+    # a sibling reaches a helper by `from .module import _name` or by `module._name`
+    imported = set()
+    attributes = set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    dead = []
+    for module, tree in MODULES.items():
+        for name, node in _private_definitions(tree):
+            if name not in _reads(tree, skip=node) and (module, name) not in imported and name not in attributes:
+                dead.append(f"{module}.{name}")
+    assert not dead, dead

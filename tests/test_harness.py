@@ -97,6 +97,11 @@ def test_config_validation():
         SweepConfig(x_mode="explicit")
     with pytest.raises(ValueError):
         SweepConfig(tol_scale=0.0)
+    # bool is an int to Python, but JSON true is no number
+    bools = ({"tol_identity": True}, {"lambdas": [True]}, {"seed": True}, {"x_count": True}, {"intervals": [[True, 2]]})
+    for bad in bools:
+        with pytest.raises(ValueError, match="cannot be|must be a positive real"):
+            SweepConfig.from_dict(bad)
 
 
 @pytest.mark.parametrize(
@@ -213,6 +218,23 @@ def test_hoisted_sweep_equals_the_public_functions_bit_for_bit():
                 for variant in ("as_stated", "symmetric_corrected"):
                     assert (label, a, b, x, q, variant) in seen
     assert any(r["function"] == "piecewise_plateau" and r["a"] == 0.5 for r in rep.identity_records)
+    # record order is part of the report bytes: each gated identity point in turn, then at that
+    # point q in config order, then T22, T23, T24 (q > 1 only), then variants in variants_for order
+    rows = [
+        (q, theorem, variant)
+        for q in cfg.qs
+        for theorem in ("T22", "T23", "T24")
+        if theorem != "T24" or q > 1.0
+        for variant in ("as_stated", "symmetric_corrected")
+    ]
+    point = lambda r: (r["function"], r["a"], r["b"], r["x"], r["lam"], r["alpha"])
+    pairs = {(r["function"], r["a"], r["b"]) for r in rep.records}
+    gated = [point(r) for r in rep.identity_records if point(r)[:3] in pairs]
+    chunks = [rep.records[i : i + len(rows)] for i in range(0, len(rep.records), len(rows))]
+    assert [point(chunk[0]) for chunk in chunks] == gated
+    for chunk in chunks:
+        assert {point(r) for r in chunk} == {point(chunk[0])}
+        assert [(r["q"], r["theorem"], r["variant"]) for r in chunk] == rows
 
 
 def test_verify_computes_lam_free_work_once(monkeypatch):
@@ -541,7 +563,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
     cfg.write_text("not json")
     assert main(["verify", "--config", str(cfg)]) == 2
-    for bad in ('{"x_count": null}', '{"lambdas": 5}', '{"seed": [1]}', '{"functions": 5}', '["intervals"]', '{"checker_n": 2.7}'):
+    for bad in (
+        '{"x_count": null}', '{"lambdas": 5}', '{"seed": [1]}', '{"functions": 5}', '["intervals"]', '{"checker_n": 2.7}',
+        '{"tol_identity": true}', '{"lambdas": [true]}', '{"seed": true}', '{"x_count": true}', '{"intervals": [[true, 2]]}',
+    ):
         cfg.write_text(bad)
         assert main(["verify", "--config", str(cfg)]) == 2, bad
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqfi import quad
+from hqfi.bounds import ParamPoint, identity_lhs
+from hqfi.harmonic import IntervalDomain, ScalarFunction
 from hqfi.quad import QuadratureError, QuadSpec, SingularWeight, gk15, integrate, integrate_singular
 
 
@@ -178,6 +180,40 @@ def test_integrate_undeclared_endpoint_singularity_depth_wall():
 def test_integrate_nonintegrable_raises():
     with pytest.raises(QuadratureError):
         integrate(lambda t: 1.0 / t, QuadSpec(0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda t: math.nan,
+        lambda t: math.inf if t > 0.5 else 1.0,
+        lambda t: -math.inf if t < 0.25 else math.inf,  # the panel sums inf - inf to NaN
+    ],
+)
+def test_integrate_nonfinite_panel_raises(f):
+    # a NaN error estimate fails both tolerance tests, so the loop used to stop and return the NaN
+    with pytest.raises(QuadratureError, match=r"non-finite integrand on \[0.0, 1.0\]"):
+        integrate(f, QuadSpec(0.0, 1.0))
+
+
+def test_integrate_nonfinite_child_panel_raises(monkeypatch):
+    # sqrt needs bisection; the right half of the first split reads NaN
+    panels = [0]
+
+    def nan_on_third(f, lo, hi):
+        panels[0] += 1
+        res, err = gk15(f, lo, hi)
+        return (math.nan, err) if panels[0] == 3 else (res, err)
+
+    monkeypatch.setattr(quad, "gk15", nan_on_third)
+    with pytest.raises(QuadratureError, match=r"on \[0.0, 1.0\]: panel \[0.5, 1.0\] gives nan"):
+        integrate(math.sqrt, QuadSpec(0.0, 1.0))
+
+
+def test_identity_lhs_of_a_partly_nan_function_raises():
+    f = ScalarFunction("nan_above", IntervalDomain(1.0, 2.0), lambda u: u if u < 1.5 else math.nan, lambda u: 1.0)
+    with pytest.raises(QuadratureError, match="non-finite integrand"):
+        identity_lhs(f, ParamPoint(1.0, 2.0, 1.25, 0.5, 1.0))
 
 
 def test_integrate_below_the_roundoff_floor_raises_at_once(monkeypatch):
