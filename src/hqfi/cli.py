@@ -8,8 +8,9 @@ division by zero).
 
 `verify` reads an optional JSON config (SweepConfig schema) and lets every
 field be overridden by a flag (flag wins).  The report goes to stdout or
---out, as canonical JSON or a flat CSV.  HQFI_TOL_SCALE multiplies the
-config's tol_scale for robustness studies.
+--out, as canonical JSON or a flat CSV; the JSON is written as it is
+encoded, record by record.  HQFI_TOL_SCALE multiplies the config's tol_scale
+for robustness studies.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
+from typing import Iterable
 
 from .harness import SweepConfig, run_checkfn, run_constants, run_verify
 from .quad import QuadratureError
@@ -136,17 +137,19 @@ def _verify_config(args: argparse.Namespace) -> SweepConfig:
     return SweepConfig.from_dict(merged)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _verify_config(args)
-    report = run_verify(cfg)
-    _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
+    report = run_verify(cfg)  # before --out is opened, so a run that fails writes no file
+    # the JSON report is written as it is encoded and never held whole
+    _emit(report.json_chunks() if args.format == "json" else (report.to_csv(),), args.out)
     by_variant = report.summary["violations_by_variant"]
     unexpected = report.summary["identity_failures"] > 0
     unexpected = unexpected or by_variant.get("symmetric_corrected", 0) > 0

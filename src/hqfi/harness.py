@@ -33,10 +33,20 @@ three return plain dicts/records so the CLI can serialize them; runs are
 deterministic given the config, apart from the generated_at timestamp.
 
 `CampaignReport.to_json` writes the exact bytes of
-`json.dumps(payload, sort_keys=True, indent=2) + "\n"`.  It encodes each flat
-record with the C encoder rather than through the pure-Python `indent=2`
-path, which holds one string per token.  A top-level list item that is
-neither a flat dict nor a JSON scalar raises ValueError instead.
+`json.dumps(payload, sort_keys=True, indent=2) + "\n"`: it is the join of
+`CampaignReport.json_chunks`, the one encoder, which yields the report a
+record at a time so the CLI can write it as it is encoded.  The top-level
+lists are laid out by `_list_chunks`, not by the pure-Python `indent=2` path,
+which holds one string per token.  Records repeat most of their values: the
+bound records of one identity record hold its function, a, b, x, lam, alpha,
+lhs_abs and identity_residual as the very same objects, and their q, theorem
+and variant come from a few shared rows.  So a value that is the object the
+previous record held under the same key keeps that record's text, and only a
+new object is encoded (float repr, or the C encoder).  The test is `is`,
+never `==`: 0.0 == -0.0 and 1 == 1.0 == True, but each is written
+differently; and the memo keeps the object it compares, so no other object
+can take its id.  A top-level list item that is neither a flat dict nor a
+JSON scalar raises ValueError instead.
 """
 from __future__ import annotations
 
@@ -47,7 +57,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .bounds import ParamPoint, Variant, _bounds, _lhs_at, _lhs_parts, _rows, identity_rhs
 from .harmonic import (
@@ -104,21 +114,61 @@ _CSV_COLUMNS = (
 
 # `json.dumps(..., indent=2)` runs the pure-Python encoder, which keeps one small
 # string per token until its final join: about a million for a 20k-record
-# report.  The C encoder takes no indent, but with the newline and indentation
-# of a record's fields written into its item separator it lays out a flat
-# record exactly as `indent=2` does inside a top-level list.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+# report.  `_list_chunks` lays out the top-level lists itself, one record at a
+# time, and leaves the C encoder only the scalars and keys it meets for the
+# first time.
+_ENCODER = json.JSONEncoder()
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_UNSET = object()  # what a key's memo cell holds before any record has the key
 
 
-def _flat_item(item) -> str:
-    """One element of a top-level report list, laid out as `indent=2` does at that depth."""
-    if type(item) is dict:
-        if _SCALARS.issuperset(map(type, item.values())):
-            return "{\n      " + _RECORD_ENCODER.encode(item)[1:-1] + "\n    }" if item else "{}"
-    elif type(item) in _SCALARS:
-        return _RECORD_ENCODER.encode(item)
+def _scalar_text(value, item) -> str:
+    """The JSON text of one value of a top-level list item, which must be a JSON scalar."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) in _SCALARS:
+        return _ENCODER.encode(value)
     raise ValueError(f"top-level report lists hold flat dicts or JSON scalars, got {item!r}")
+
+
+def _shape(keys: list, cells: dict) -> tuple:
+    """(key, head, memo cell) per key, in sorted order; a head is the key's text and what precedes it."""
+    # the C encoder writes each key, whatever its type, as it writes a lone dict's key
+    heads = [",\n      " + _ENCODER.encode({key: 0})[1:-2] for key in keys]
+    heads[0] = heads[0][1:]
+    return tuple((key, head, cells.setdefault(key, [_UNSET, ""])) for key, head in zip(keys, heads))
+
+
+def _list_chunks(items: list) -> Iterator[str]:
+    """A non-empty top-level report list, laid out as `indent=2` does at that depth, one chunk per item.
+
+    A record value that is the very object the previous record with that key
+    held under it keeps that record's text.  Identity, not equality: 0.0 and
+    -0.0, or 1, 1.0 and True, are equal and hash alike but encode apart.
+    """
+    cells: dict = {}  # key -> [the last value under it, its text]
+    shapes: dict = {}  # a record's keys -> ((key, head, cell), ...) in sorted key order
+    sep = "["
+    for item in items:
+        if type(item) is dict and item:
+            shape = shapes.get(keys := tuple(item))
+            if shape is None:
+                shape = _shape(sorted(item), cells)
+                if all(type(key) is str for key in keys):  # 1.0 equals the key 1 but is written "1.0"
+                    shapes[keys] = shape
+            parts = [sep, "\n    {"]
+            for key, head, cell in shape:
+                value = item[key]
+                if value is not cell[0]:
+                    cell[1] = _scalar_text(value, item)
+                    cell[0] = value
+                parts += (head, cell[1])
+            parts.append("\n    }")
+            yield "".join(parts)
+        else:
+            yield f"{sep}\n    {'{}' if type(item) is dict else _scalar_text(item, item)}"
+        sep = ","
+    yield "\n  ]"
 
 
 def variants_for(selector: str) -> tuple[Variant, ...]:
@@ -129,9 +179,18 @@ def variants_for(selector: str) -> tuple[Variant, ...]:
 
 
 def _real(v) -> float:
-    if isinstance(v, bool):  # JSON true is an int to Python, not a number to a config
-        raise TypeError("a boolean is not a number")
+    # JSON true is an int to Python, and float() reads "0.5", but neither is a number to a config
+    if isinstance(v, (bool, str)):
+        raise TypeError(f"a {'boolean' if isinstance(v, bool) else 'string'} is not a number")
     return float(v)
+
+
+def _labels(v) -> tuple[str, ...] | str:
+    if v == "all":
+        return v
+    if isinstance(v, str):  # a lone label would be read as a list of its characters
+        raise TypeError('functions is "all" or a list of labels')
+    return tuple(str(s) for s in v)
 
 
 def _integer(v) -> int:
@@ -143,7 +202,7 @@ def _integer(v) -> int:
 # how SweepConfig.__post_init__ reads each field that a JSON config or a caller may give in another type
 _CONVERT = {
     "intervals": lambda v: tuple((_real(a), _real(b)) for a, b in v),
-    "functions": lambda v: v if v == "all" else tuple(str(s) for s in v),
+    "functions": _labels,
     **dict.fromkeys(("x_values", "lambdas", "alphas", "qs"), lambda v: tuple(_real(x) for x in v)),
     **dict.fromkeys(("x_count", "checker_n", "seed"), _integer),
 }
@@ -254,29 +313,29 @@ class CampaignReport:
     def to_payload(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def to_json(self) -> str:
-        """The report as `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+    def json_chunks(self) -> Iterator[str]:
+        """The text of `to_json`, in pieces: a top-level list one item at a time.
 
         Top-level lists (records, identity_records, violations) go through
-        `_flat_item`; every other value is small and goes through `indent=2`,
-        re-indented one level.  Every piece is joined once, at the end.
+        `_list_chunks`; every other value is small and goes through
+        `indent=2`, re-indented one level.
         """
         payload = self.to_payload()
-        parts = ["{"]
+        sep = "{"
         for key in sorted(payload):
             value = payload[key]
-            parts.append(f"\n  {json.dumps(key)}: ")
+            yield f"{sep}\n  {json.dumps(key)}: "
             if isinstance(value, list) and value:
-                parts.append("[")
-                for item in value:
-                    parts += ("\n    ", _flat_item(item), ",")
-                parts[-1] = "\n  ]"
+                yield from _list_chunks(value)
             else:
                 # encoded strings hold no raw newline, so each "\n" starts a line
-                parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
-            parts.append(",")
-        parts[-1] = "\n}\n"
-        return "".join(parts)
+                yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+            sep = ","
+        yield "\n}\n"
+
+    def to_json(self) -> str:
+        """The report as `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`, byte for byte."""
+        return "".join(self.json_chunks())
 
     def to_csv(self) -> str:
         # one flat table: identity rows first, then bound rows; absent fields

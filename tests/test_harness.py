@@ -1,9 +1,10 @@
 """Sweep configs, campaign reports, the CLI surface, and the expression grammar."""
 import json
 import math
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hqfi.fracint as fracint
@@ -99,9 +100,14 @@ def test_config_validation():
         SweepConfig(tol_scale=0.0)
     # bool is an int to Python, but JSON true is no number
     bools = ({"tol_identity": True}, {"lambdas": [True]}, {"seed": True}, {"x_count": True}, {"intervals": [[True, 2]]})
-    for bad in bools:
+    # float() reads "0.5", but a quoted number is no number either
+    strings = ({"lambdas": ["0.5"], "alphas": ["1"]}, {"intervals": [["1", "2"]]}, {"qs": ["2"]})
+    for bad in bools + strings:
         with pytest.raises(ValueError, match="cannot be|must be a positive real"):
             SweepConfig.from_dict(bad)
+    # a lone label is not a list of its characters
+    with pytest.raises(ValueError, match='functions is "all" or a list of labels'):
+        SweepConfig.from_dict({"functions": "expx"})
 
 
 @pytest.mark.parametrize(
@@ -365,6 +371,14 @@ _FLOATS = st.one_of(
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
 _KEYS = st.one_of(st.sampled_from(["a", "lhs", "B", "\xe9", 'q"', "\\", "\n", "\U0001f600"]), _TEXT)
 _FLAT_RECORDS = st.lists(st.dictionaries(_KEYS, _SCALARS, max_size=6), max_size=4)
+# One object per value, so consecutive records hold the very same objects, under one key and under
+# another: equal values that are written apart (0.0 and -0.0; 1, 1.0 and True) and reused NaN and inf.
+_NAN = float("nan")  # a second NaN object beside math.nan
+_POOL = (0.0, -0.0, 1, 1.0, True, False, None, math.nan, _NAN, math.inf, -math.inf, 2.5, "", "a")
+_POOLED_RECORDS = st.lists(
+    st.dictionaries(st.sampled_from(["a", "b", "lhs"]), st.sampled_from(_POOL), max_size=3), min_size=2, max_size=8
+)
+_RECORDS = st.one_of(_FLAT_RECORDS, _POOLED_RECORDS)
 _NESTED = st.dictionaries(
     _KEYS,
     st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=6),
@@ -379,20 +393,37 @@ _NESTED = st.dictionaries(
         version=_TEXT,
         generated_at=_TEXT,
         config=_NESTED,
-        records=_FLAT_RECORDS,
-        identity_records=_FLAT_RECORDS,
+        records=_RECORDS,
+        identity_records=_RECORDS,
         violations=st.lists(st.integers(), max_size=4),
         summary=_NESTED,
     )
 )
+@example(
+    CampaignReport(
+        version="0",
+        generated_at="",
+        config={},
+        # each value after the first record is a new object equal to the one before it under that key
+        records=[{"a": 0.0, "b": 1}, {"a": -0.0, "b": 1.0}, {"a": 0.0, "b": True}, {"b": 1, "lhs": math.nan}],
+        identity_records=[{"lhs": math.nan}, {"lhs": _NAN, "a": math.inf}, {"a": math.inf}, {"a": -math.inf}, {}],
+        # keys too can be equal and written apart: "1", "1.0", "true"
+        violations=[{1: 0}, {1.0: 0}, {True: 0}, {-0.0: 0}, {0.0: 0}],
+        summary={},
+    )
+)
 def test_to_json_matches_reference_encoder(report):
     _assert_reference_json(report.to_json(), report.to_payload())
+    assert "".join(report.json_chunks()) == report.to_json()  # what the CLI writes is what to_json returns
 
 
 def test_to_json_matches_reference_encoder_on_a_sweep():
     rep = run_verify(SweepConfig.from_dict(dict(SMALL, variant="both")))
     assert rep.records and rep.identity_records and rep.violations
     _assert_reference_json(rep.to_json(), rep.to_payload())
+
+
+_SHARED = 0.25
 
 
 @pytest.mark.parametrize(
@@ -403,12 +434,14 @@ def test_to_json_matches_reference_encoder_on_a_sweep():
         ("identity_records", [1.0]),
         ("identity_records", ("x",)),
         ("violations", [3]),
+        # its other value is the very object the record before held under "a", so written from the memo
+        ("records", {"a": _SHARED, "nested": [1.0]}),
     ],
 )
 def test_to_json_rejects_nested_list_items(field, bad):
     # indent=2 would spread a nested container over lines of its own;
     # to_json refuses it rather than write other bytes
-    lists = {"records": [{"a": 1.0}], "identity_records": [], "violations": [0]}
+    lists = {"records": [{"a": _SHARED}], "identity_records": [], "violations": [0]}
     lists[field] = lists[field] + [bad]
     rep = CampaignReport(version="0", generated_at="", config={}, summary={}, **lists)
     with pytest.raises(ValueError, match="flat dicts or JSON scalars"):
@@ -566,6 +599,7 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     for bad in (
         '{"x_count": null}', '{"lambdas": 5}', '{"seed": [1]}', '{"functions": 5}', '["intervals"]', '{"checker_n": 2.7}',
         '{"tol_identity": true}', '{"lambdas": [true]}', '{"seed": true}', '{"x_count": true}', '{"intervals": [[true, 2]]}',
+        '{"lambdas": ["0.5"], "alphas": ["1"]}', '{"intervals": [["1", "2"]]}', '{"qs": ["2"]}', '{"functions": "expx"}',
     ):
         cfg.write_text(bad)
         assert main(["verify", "--config", str(cfg)]) == 2, bad
@@ -657,12 +691,14 @@ def test_cli_checkfn_parse_error_exits_2(capsys):
          "--lambdas", "0", "--x-mode", "explicit", "--x-values", "4"],
     ],
 )
-def test_cli_float_overflow_exits_3(argv, capsys):
+def test_cli_float_overflow_exits_3(argv, tmp_path, capsys):
     # exit 1 means violations found; a float overflow or zero division is a numerical failure, like quadrature's
-    assert main(argv) == 3
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)] if argv[0] == "verify" else argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    assert not out.exists()  # the report is streamed to --out, which is opened only after the run
 
 
 def test_cli_tolerance_below_the_roundoff_floor_exits_3(monkeypatch, capsys):
@@ -695,3 +731,8 @@ def test_cli_report_bytes_are_canonical_json(tmp_path, capsys):
     assert main(args) == 0
     stdout = capsys.readouterr().out
     _assert_reference_json(stdout, json.loads(stdout))
+    # stdout and --out carry the same report; only its timestamp line may differ
+    stamp = re.compile(r'^  "generated_at": ".*",\n', re.M)
+    (out_body, n_out), (stdout_body, n_stdout) = (stamp.subn("", report) for report in (text, stdout))
+    same = out_body == stdout_body  # a bool, so a failure prints no diff of two long strings
+    assert (n_out, n_stdout, same) == (1, 1, True)
