@@ -13,7 +13,11 @@ with wa = ((x-a)/(ax))^alpha, wb = ((b-x)/(bx))^alpha and inv(t) = 1/t.
 wa + wb, f(x), wa f(a) + wb f(b)), then the boundary term at one lam
 (`_lhs_at`).  A sweep over lam computes the first part once per
 (f, a, b, x, alpha).  `identity_rhs` evaluates the equivalent kernel-integral
-form, and the pair is the residual check the harness sweeps.
+form, and the pair is the residual check the harness sweeps.  Its kernel
+t^alpha - lam is linear in lam and has no kink, so each brace is
+pref (P - lam Q) with two kink-free integrals: Q per (f, a, b, x)
+(`_rhs_qs`), P per (f, a, b, x, alpha) (`_rhs_parts`), and the value at one
+lam on top (`_rhs_at`).  Only the bounds' |t^alpha - lam| has a kink.
 
 When |f'|^q is harmonically quasi-convex on [a, b], |I| is bounded by three
 families (T22: power-mean, T23: its q=1 reduction shape, T24: Holder).  All
@@ -174,36 +178,95 @@ def identity_lhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
     return _lhs_at(_lhs_parts(f, p.a, p.b, p.x, p.alpha, tol), p.lam)
 
 
-def _kernel_integral(f: ScalarFunction, end: float, x: float, lam: float, alpha: float, tol: dict) -> float:
-    """int_0^1 (t^alpha - lam) A^{-2} f'(end*x/A) dt, A = t*end + (1-t)*x.
+def _brace_cuts(f: ScalarFunction, end: float, x: float) -> tuple[float, ...]:
+    """The points t = (end*x/u - x)/(end - x) where end*x/A, A = t*end + (1-t)*x, crosses a break u of f."""
+    lo, hi = min(end, x), max(end, x)
+    return tuple((end * x / u - x) / (end - x) for u in f.breaks if lo < u < hi)
 
-    Cut at the kink and at t = (end*x/u - x)/(end - x), where end*x/A crosses a break u of f.
+
+def _kernel_p(f: ScalarFunction, end: float, x: float, alpha: float, tol: dict) -> float:
+    """P = int_0^1 t^alpha A^{-2} f'(end*x/A) dt, A = t*end + (1-t)*x.
+
+    No kink (lam = 0): cut only at the breaks, and taken in s = t^(1/k) below alpha = 1.
     """
     df = f.df
 
     def g(t: float) -> float:
         A = t * end + (1.0 - t) * x
-        return (t**alpha - lam) / (A * A) * df(end * x / A)
+        return t**alpha / (A * A) * df(end * x / A)
 
-    lo, hi = min(end, x), max(end, x)
-    cuts = tuple((end * x / u - x) / (end - x) for u in f.breaks if lo < u < hi)
-    return integrate_kinked(g, alpha, lam, cuts=cuts, **tol)
+    return integrate_kinked(g, alpha, 0.0, cuts=_brace_cuts(f, end, x), **tol)
+
+
+def _kernel_q(f: ScalarFunction, end: float, x: float, tol: dict) -> float:
+    """Q = int_0^1 A^{-2} f'(end*x/A) dt, A = t*end + (1-t)*x: smooth in t between the breaks (k = 1)."""
+    df = f.df
+
+    def g(t: float) -> float:
+        A = t * end + (1.0 - t) * x
+        return df(end * x / A) / (A * A)
+
+    return integrate_kinked(g, 1.0, 0.0, cuts=_brace_cuts(f, end, x), **tol)
+
+
+class _Side(NamedTuple):
+    """One brace of identity_rhs at one (f, end, x, alpha): its value at lam is pref (P - lam Q)."""
+
+    pref: float  # |end - x|^(alpha+1) / (end x)^(alpha-1)
+    p: float
+    q: float
+
+
+def _rhs_qs(f: ScalarFunction, a: float, b: float, x: float, tol: dict) -> tuple[float | None, float | None]:
+    """The alpha- and lam-free Q of the left and right brace; None where the brace is absent (x = a, x = b)."""
+    return (
+        _kernel_q(f, a, x, tol) if x > a else None,
+        _kernel_q(f, b, x, tol) if x < b else None,
+    )
+
+
+def _rhs_parts(
+    f: ScalarFunction, a: float, b: float, x: float, alpha: float, qs: tuple[float | None, float | None], tol: dict
+) -> tuple[_Side | None, _Side | None]:
+    """The lam-free sides of identity_rhs at one (f, a, b, x, alpha), given `_rhs_qs` at (f, a, b, x)."""
+    q_left, q_right = qs
+    left = right = None
+    if q_left is not None:
+        pref = (x - a) ** (alpha + 1.0) / (a * x) ** (alpha - 1.0)
+        left = _Side(pref, _kernel_p(f, a, x, alpha, tol), q_left)
+    if q_right is not None:
+        pref = (b - x) ** (alpha + 1.0) / (b * x) ** (alpha - 1.0)
+        right = _Side(pref, _kernel_p(f, b, x, alpha, tol), q_right)
+    return left, right
+
+
+def _rhs_at(sides: tuple[_Side | None, _Side | None], lam: float) -> float:
+    """identity_rhs at one lam: the left brace minus the right one, each pref (P - lam Q)."""
+    left, right = sides
+    total = 0.0
+    if left is not None:
+        total += left.pref * (left.p - lam * left.q)
+    if right is not None:
+        total -= right.pref * (right.p - lam * right.q)
+    return total
 
 
 def identity_rhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
     """Kernel-integral form of the identity value; a brace with zero prefactor is skipped.
 
-    The `abs_tol` and `rel_tol` keywords are passed on to QuadSpec.
+    Each brace is pref * int_0^1 (t^alpha - lam) A^{-2} f'(end*x/A) dt, and
+    the kernel t^alpha - lam is linear in lam and has no kink, so the brace is
+    pref (P - lam Q) with P = int t^alpha A^{-2} f'(...) and Q = int A^{-2} f'(...).
+    Q depends on (f, end, x) only and P also on alpha, so a sweep computes Q
+    once per x (`_rhs_qs`), P once per (x, alpha) (`_rhs_parts`) and each
+    lam's value on top (`_rhs_at`); this function is that composition at one
+    point.  Q stays a quadrature: its closed form (f(end) - f(x))/(end x (end - x))
+    would make the lam part of the identity hold by construction, where the
+    quadrature still checks f' against f.  The `abs_tol` and `rel_tol`
+    keywords are passed on to QuadSpec.
     """
-    a, b, x, lam, alpha = p.a, p.b, p.x, p.lam, p.alpha
-    total = 0.0
-    if x > a:
-        pref = (x - a) ** (alpha + 1.0) / (a * x) ** (alpha - 1.0)
-        total += pref * _kernel_integral(f, a, x, lam, alpha, tol)
-    if x < b:
-        pref = (b - x) ** (alpha + 1.0) / (b * x) ** (alpha - 1.0)
-        total -= pref * _kernel_integral(f, b, x, lam, alpha, tol)
-    return total
+    qs = _rhs_qs(f, p.a, p.b, p.x, tol)
+    return _rhs_at(_rhs_parts(f, p.a, p.b, p.x, p.alpha, qs, tol), p.lam)
 
 
 class _Family(NamedTuple):

@@ -14,17 +14,22 @@ It runs in stages, and computes each piece of work once where it varies:
                            (q, theorem, variant) bound row in record order,
                            and c1(alpha, lam) per (alpha, lam)
   per (function, interval) (_gate) the hypothesis verdict
+  per x                    (_identity_stage) the rhs integrals Q of each
+                           brace, which depend on neither lam nor alpha
   per (x, alpha)           (_identity_stage) the lam-free part of the lhs,
-                           with all of its fractional integrals
-  per identity record      (_identity_stage) the lhs at its lam and the rhs;
-                           (_bound_stage) one `bounds._bounds` call, which
-                           evaluates every row at that point
+                           with all of its fractional integrals, and the
+                           rhs integrals P
+  per identity record      (_identity_stage) the lhs and the rhs at its lam,
+                           with no quadrature; (_bound_stage) one
+                           `bounds._bounds` call, which evaluates every row
+                           at that point
   once per run             (_summary) the summary block
 
-The lhs and the bounds go through the helpers `bounds.identity_lhs` and
-`bounds.bound` are built from, in the same floating-point order, so each
-record holds the same bits those public functions give at its point.  The
-kernel moments are reused only through the memo in `bounds`.
+The lhs, the rhs and the bounds go through the helpers `bounds.identity_lhs`,
+`bounds.identity_rhs` and `bounds.bound` are built from, in the same
+floating-point order, so each record holds the same bits those public
+functions give at its point.  The kernel moments are reused only through
+the memo in `bounds`.
 
 `run_constants` puts the closed-form kernel moments next to their quadrature
 oracles; `run_checkfn` exposes the convexity checkers over corpus names or
@@ -59,7 +64,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Callable, Iterator, NamedTuple
 
-from .bounds import ParamPoint, Variant, _bounds, _lhs_at, _lhs_parts, _rows, identity_rhs
+from .bounds import Variant, _bounds, _lhs_at, _lhs_parts, _rhs_at, _rhs_parts, _rhs_qs, _rows
 from .harmonic import (
     IntervalDomain,
     ScalarFunction,
@@ -188,9 +193,10 @@ def _real(v) -> float:
 def _labels(v) -> tuple[str, ...] | str:
     if v == "all":
         return v
-    if isinstance(v, str):  # a lone label would be read as a list of its characters
+    # a lone label would be read as its characters, an object as its keys, and 5 as the label "5"
+    if not isinstance(v, (list, tuple)) or not all(isinstance(s, str) for s in v):
         raise TypeError('functions is "all" or a list of labels')
-    return tuple(str(s) for s in v)
+    return tuple(v)
 
 
 def _integer(v) -> int:
@@ -423,20 +429,27 @@ def _gate(cfg: SweepConfig, f: ScalarFunction, domain: IntervalDomain) -> bool:
 
 
 def _identity_stage(plan: _Plan, f: ScalarFunction, a: float, b: float, xs: tuple[float, ...]) -> list[dict]:
-    """One identity record per (x, lam, alpha); the lam-free part of the lhs is computed once per (x, alpha)."""
+    """One identity record per (x, lam, alpha), built on the lam-free parts of both sides.
+
+    Per x, the rhs integrals Q; per (x, alpha), the fractional part of the lhs
+    and the rhs integrals P; per record, each side at its lam.
+    """
     cfg, tol, id_tol = plan.cfg, plan.quad_args, plan.id_tol
     out = []
     for x in xs:
+        qs = None
         parts = {}
         for lam, alpha in itertools.product(cfg.lambdas, cfg.alphas):
-            pt = ParamPoint(a, b, x, lam, alpha, 1.0)
             try:
                 if alpha not in parts:
-                    parts[alpha] = _lhs_parts(f, a, b, x, alpha, tol)
-                lhs = _lhs_at(parts[alpha], lam)
-                rhs = identity_rhs(f, pt, **tol)
+                    if qs is None:
+                        qs = _rhs_qs(f, a, b, x, tol)
+                    parts[alpha] = (_lhs_parts(f, a, b, x, alpha, tol), _rhs_parts(f, a, b, x, alpha, qs, tol))
             except QuadratureError as exc:
-                raise _case_error(exc, function=f.label, a=a, b=b, x=x, lam=lam, alpha=alpha) from exc
+                raise _case_error(exc, function=f.label, a=a, b=b, x=x, alpha=alpha) from exc
+            lhs_parts, rhs_parts = parts[alpha]
+            lhs = _lhs_at(lhs_parts, lam)
+            rhs = _rhs_at(rhs_parts, lam)
             residual = abs(lhs - rhs)
             scaled = residual / (1.0 + abs(lhs))
             out.append(

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hqfi.bounds as bounds
 import hqfi.fracint as fracint
 import hqfi.harness as harness
-from hqfi.bounds import ParamPoint, Theorem, Variant, _brace_moment, bound, identity_lhs
+from hqfi.bounds import ParamPoint, Theorem, Variant, _brace_moment, bound, identity_lhs, identity_rhs
 from hqfi.cli import build_parser, main
 from hqfi.harmonic import check_harmonically_quasiconvex, corpus
 from hqfi.harness import (
@@ -105,9 +106,11 @@ def test_config_validation():
     for bad in bools + strings:
         with pytest.raises(ValueError, match="cannot be|must be a positive real"):
             SweepConfig.from_dict(bad)
-    # a lone label is not a list of its characters
-    with pytest.raises(ValueError, match='functions is "all" or a list of labels'):
-        SweepConfig.from_dict({"functions": "expx"})
+    # a lone label is not a list of its characters, an object not a list of its keys,
+    # and a number not a label
+    for bad in ("expx", {"expx": 1}, [5]):
+        with pytest.raises(ValueError, match='functions is "all" or a list of labels'):
+            SweepConfig.from_dict({"functions": bad})
 
 
 @pytest.mark.parametrize(
@@ -212,6 +215,7 @@ def test_hoisted_sweep_equals_the_public_functions_bit_for_bit():
     for r in rep.identity_records:
         pt = ParamPoint(r["a"], r["b"], r["x"], r["lam"], r["alpha"])
         assert r["lhs"].hex() == identity_lhs(fns[r["function"]], pt, **tol).hex(), r
+        assert r["rhs"].hex() == identity_rhs(fns[r["function"]], pt, **tol).hex(), r
     for r in rep.records:
         pt = ParamPoint(r["a"], r["b"], r["x"], r["lam"], r["alpha"], r["q"])
         want = bound(fns[r["function"]], pt, Theorem(r["theorem"]), Variant(r["variant"]))
@@ -265,6 +269,33 @@ def test_verify_computes_lam_free_work_once(monkeypatch):
     # the fractional part of the lhs does not depend on lam; c1 depends on (alpha, lam) alone
     assert counts[0]["integrate_singular"] == counts[1]["integrate_singular"] > 0
     assert counts[0]["c1"] == 1 * 2 and counts[1]["c1"] == 4 * 2
+
+
+def test_verify_computes_rhs_integrals_once_where_they_vary(monkeypatch):
+    # the rhs of each brace is pref (P - lam Q): P depends on (f, end, x, alpha), Q on (f, end, x)
+    calls = {"_kernel_p": 0, "_kernel_q": 0}
+
+    def counting(name):
+        inner = getattr(bounds, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(bounds, name, counting(name))
+    grid = {"x_mode": "grid", "x_count": 3, "qs": [1.0], "functions": ["expx"]}
+    counts = {}
+    for lambdas, alphas in (([0.5], [1.0]), ([0.0, 1.0 / 3.0, 0.5, 1.0], [1.0]), ([0.5], [0.5, 1.0, 2.0])):
+        calls.update(_kernel_p=0, _kernel_q=0)
+        rep = run_verify(SweepConfig.from_dict({**grid, "lambdas": lambdas, "alphas": alphas}))
+        assert len(rep.identity_records) == 3 * len(lambdas) * len(alphas)
+        counts[len(lambdas), len(alphas)] = dict(calls)
+    # x = a and x = b have one brace each, the midpoint two: 4 braces per (f, interval)
+    assert counts[1, 1] == counts[4, 1] == {"_kernel_p": 4, "_kernel_q": 4}
+    assert counts[1, 3] == {"_kernel_p": 3 * 4, "_kernel_q": 4}
 
 
 def test_nonfinite_kernel_moments_fail_loudly():
@@ -600,6 +631,7 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         '{"x_count": null}', '{"lambdas": 5}', '{"seed": [1]}', '{"functions": 5}', '["intervals"]', '{"checker_n": 2.7}',
         '{"tol_identity": true}', '{"lambdas": [true]}', '{"seed": true}', '{"x_count": true}', '{"intervals": [[true, 2]]}',
         '{"lambdas": ["0.5"], "alphas": ["1"]}', '{"intervals": [["1", "2"]]}', '{"qs": ["2"]}', '{"functions": "expx"}',
+        '{"functions": {"expx": 1}}', '{"functions": [5]}',
     ):
         cfg.write_text(bad)
         assert main(["verify", "--config", str(cfg)]) == 2, bad

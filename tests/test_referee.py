@@ -138,3 +138,17 @@ def test_identity_below_alpha_one_against_referee(label, alpha):
     p = ParamPoint(1.0, 2.0, 1.25, 1.0 / 3.0, alpha)
     for side in (identity_lhs, identity_rhs):
         assert abs(side(f, p) - ref) <= 1e-11 * (1 + abs(ref)), side.__name__
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+@pytest.mark.parametrize("label", ["reciprocal", "sqrtx", "expx"])
+def test_identity_rhs_where_its_lam_free_integrals_cancel_against_referee(label, lam):
+    # identity_rhs takes each brace as pref (P - lam Q); on [0.1, 4] at lam near 1
+    # P and Q nearly cancel, and the worst case is reciprocal at x = H, alpha = 4, lam = 1
+    f = FNS[label]
+    a, b = 0.1, 4.0
+    for x in (a, 2.0 * a * b / (a + b), b):
+        for alpha in (0.05, 1.0, 4.0):
+            ref = _rhs_ref(f, a, b, x, lam, alpha)
+            got = identity_rhs(f, ParamPoint(a, b, x, lam, alpha))
+            assert abs(got - ref) <= 1e-11 * (1 + abs(ref)), (x, alpha)
