@@ -31,8 +31,8 @@ from .harmonic import (
 )
 from .harness import TOOL_VERSION, CampaignReport, SweepConfig, run_checkfn, run_constants, run_verify
 from .kernels import c1, c2, c3, kernel_oracle
-from .quad import QuadratureError, QuadSpec, SingularWeight, integrate, integrate_singular
-from .specialfn import HypParams, beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
+from .quad import QuadratureError, QuadSpec, integrate, integrate_singular
+from .specialfn import beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
 
 __version__ = TOOL_VERSION
 
@@ -41,12 +41,10 @@ __all__ = [
     "TOOL_VERSION",
     # quadrature
     "QuadSpec",
-    "SingularWeight",
     "QuadratureError",
     "integrate",
     "integrate_singular",
     # special functions
-    "HypParams",
     "gamma",
     "beta",
     "hyp2f1",

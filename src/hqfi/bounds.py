@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple
 
 from .fracint import rl_left, rl_right
 from .harmonic import IntervalDomain, ScalarFunction
-from .kernels import KernelArgs, c1, c2, c3, integrate_kinked
+from .kernels import _check_args, c1, c2, c3, integrate_kinked
 from .specialfn import gamma
 
 __all__ = [
@@ -105,7 +105,7 @@ class ParamPoint:
             raise ValueError(f"require 0 < a < b, got a={self.a}, b={self.b}")
         if not self.a <= self.x <= self.b:
             raise ValueError(f"require x in [a, b], got x={self.x} outside [{self.a}, {self.b}]")
-        KernelArgs(self.alpha, self.lam, self.q, 1.0)
+        _check_args(self.alpha, self.lam, self.q, 1.0)
 
     @property
     def h_point(self) -> float:

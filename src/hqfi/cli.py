@@ -21,7 +21,7 @@ import os
 import sys
 from typing import Iterable
 
-from .harness import SweepConfig, run_checkfn, run_constants, run_verify
+from .harness import _CHECK_MODES, _WHICH, _X_MODES, SweepConfig, run_checkfn, run_constants, run_verify
 from .quad import QuadratureError
 
 __all__ = ["build_parser", "main"]
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="as_stated violations are anticipated; do not fail the run for them",
     )
     verify.add_argument("--interval", action="append", type=_interval, metavar="A:B", help="sweep interval (repeatable)")
-    verify.add_argument("--x-mode", choices=("h_point", "grid", "explicit"))
+    verify.add_argument("--x-mode", choices=_X_MODES)
     verify.add_argument("--x-count", type=int, help="grid-mode point count")
     verify.add_argument("--x-values", type=_floats, metavar="X1,X2,...", help="explicit-mode evaluation points")
     verify.add_argument("--lambdas", type=_floats, metavar="L1,L2,...")
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     constants.add_argument("--lambda", dest="lam", type=float, required=True)
     constants.add_argument("--q", type=float, required=True)
     constants.add_argument("--r", type=float, required=True)
-    constants.add_argument("--which", choices=("c1", "c2", "c3", "all"), default="all")
+    constants.add_argument("--which", choices=_WHICH, default="all")
 
     checkfn = sub.add_parser("checkfn", help="convexity checker over a corpus name or expression")
     checkfn.add_argument(
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     checkfn.add_argument("--domain", type=_interval, required=True, metavar="LO:HI")
     checkfn.add_argument("--n", type=int, default=20, help="equispaced grid count in 1/u (default 20)")
-    checkfn.add_argument("--mode", choices=("quasi", "convex"), default="quasi")
+    checkfn.add_argument("--mode", choices=_CHECK_MODES, default="quasi")
     checkfn.add_argument("--seed", type=int, default=0)
 
     return parser

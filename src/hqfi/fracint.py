@@ -8,7 +8,7 @@ scope); alpha = 1 reduces both to plain integration.  The weight singularity
 for alpha < 1 sits at the evaluation point `at` and is removed analytically by
 the quadrature layer, never sampled.  `cuts` are interior points where f is
 not smooth; the quadrature layer integrates between them piece by piece.
-The quadrature layer also checks the inputs (`SingularWeight` the order,
+The quadrature layer also checks the inputs (`integrate_singular` the order,
 `QuadSpec` the interval) and owns the tolerance defaults: `abs_tol` and
 `rel_tol` keywords are passed on to `QuadSpec`.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .quad import QuadSpec, SingularWeight, integrate_singular
+from .quad import QuadSpec, integrate_singular
 from .specialfn import gamma
 
 __all__ = ["rl_left", "rl_right"]
@@ -27,7 +27,7 @@ def rl_left(
 ) -> float:
     """Left-sided operator J_{base+}^alpha f evaluated at `at`; requires base < at."""
     spec = QuadSpec(base, at, **tol)
-    return integrate_singular(f, SingularWeight(alpha, "upper"), spec, cuts) / gamma(alpha)
+    return integrate_singular(f, alpha, "upper", spec, cuts) / gamma(alpha)
 
 
 def rl_right(
@@ -35,4 +35,4 @@ def rl_right(
 ) -> float:
     """Right-sided operator J_{base-}^alpha f evaluated at `at`; requires at < base."""
     spec = QuadSpec(at, base, **tol)
-    return integrate_singular(f, SingularWeight(alpha, "lower"), spec, cuts) / gamma(alpha)
+    return integrate_singular(f, alpha, "lower", spec, cuts) / gamma(alpha)

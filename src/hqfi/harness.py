@@ -64,17 +64,18 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Callable, Iterator, NamedTuple
 
-from .bounds import Variant, _bounds, _lhs_at, _lhs_parts, _rhs_at, _rhs_parts, _rhs_qs, _rows
+from .bounds import _SLACK_TOL, Variant, _bounds, _lhs_at, _lhs_parts, _rhs_at, _rhs_parts, _rhs_qs, _rows
 from .harmonic import (
     IntervalDomain,
     ScalarFunction,
     abs_derivative_power,
     check_harmonically_convex,
     check_harmonically_quasiconvex,
+    corpus,
     validate_corpus,
 )
-from .kernels import KernelArgs, c1, c2, c3, kernel_oracle
-from .quad import QuadratureError
+from .kernels import _check_args, c1, c2, c3, kernel_oracle
+from .quad import QuadratureError, QuadSpec
 
 __all__ = [
     "TOOL_VERSION",
@@ -237,9 +238,9 @@ class SweepConfig:
     variant: str = "symmetric_corrected"
     seed: int = 0
     tol_identity: float = 1e-8
-    tol_slack: float = 1e-9
-    tol_quad_abs: float = 1e-11
-    tol_quad_rel: float = 1e-10
+    tol_slack: float = _SLACK_TOL
+    tol_quad_abs: float = QuadSpec.abs_tol
+    tol_quad_rel: float = QuadSpec.rel_tol
     checker_n: int = 15
     tol_scale: float = 1.0
 
@@ -586,7 +587,7 @@ def run_constants(alpha: float, lam: float, q: float, r: float, which: str = "al
     """
     if which not in _WHICH:
         raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
-    KernelArgs(alpha, lam, q, r)
+    _check_args(alpha, lam, q, r)
     results = {}
     if which in ("c1", "all"):
         results["c1"] = _delta_block(c1(alpha, lam), kernel_oracle(alpha, lam, 1.0, 1.0, 1.0))
@@ -640,7 +641,7 @@ def _compile(text: str) -> Callable[[float], float]:
 
 
 def _resolve_function(name_or_expr: str, domain: IntervalDomain) -> ScalarFunction:
-    for f in validate_corpus():
+    for f in corpus():
         if f.label == name_or_expr:
             return f
     return ScalarFunction(name_or_expr, domain, _compile(name_or_expr))

@@ -10,43 +10,36 @@ harmonic-interpolation denominator:
 Both c2 and c3 depend on the endpoints only through the ratio r in (0, 1].
 The closed forms split the integral at the kink t = lam^(1/alpha) and resolve
 each piece through 2F1; every identity here is pinned against `kernel_oracle`
-by the tests.
+by the tests.  Each function takes plain floats and checks them with
+`_check_args` (alpha > 0, lam in [0, 1], q >= 1, r in (0, 1]), the one check
+that `bounds.ParamPoint` and `harness.run_constants` call too.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .quad import QuadSpec, integrate
-from .specialfn import HypParams, hyp2f1
+from .specialfn import hyp2f1
 
-__all__ = ["KernelArgs", "c1", "c2", "c3", "kernel_oracle"]
+__all__ = ["c1", "c2", "c3", "kernel_oracle"]
 
 
-@dataclass(frozen=True)
-class KernelArgs:
-    """Validated moment arguments: alpha > 0, lam in [0,1], q >= 1, r in (0,1]."""
-
-    alpha: float
-    lam: float
-    q: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"require alpha > 0, got {self.alpha}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"require lam in [0, 1], got {self.lam}")
-        if not (math.isfinite(self.q) and self.q >= 1.0):
-            raise ValueError(f"require q >= 1, got {self.q}")
-        if not 0.0 < self.r <= 1.0:
-            raise ValueError(f"require r in (0, 1], got {self.r}")
+def _check_args(alpha: float, lam: float, q: float, r: float) -> None:
+    """Moment arguments: alpha > 0, lam in [0,1], q >= 1, r in (0,1]."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"require alpha > 0, got {alpha}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"require lam in [0, 1], got {lam}")
+    if not (math.isfinite(q) and q >= 1.0):
+        raise ValueError(f"require q >= 1, got {q}")
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"require r in (0, 1], got {r}")
 
 
 def c1(alpha: float, lam: float) -> float:
     """int_0^1 |t^alpha - lam| dt."""
-    KernelArgs(alpha, lam, 1.0, 1.0)
+    _check_args(alpha, lam, 1.0, 1.0)
     if lam == 0.0:
         return 1.0 / (alpha + 1.0)
     return (2.0 * alpha * lam ** (1.0 + 1.0 / alpha) + 1.0) / (alpha + 1.0) - lam
@@ -63,17 +56,17 @@ def _finite(name: str, value: float, alpha: float, lam: float, q: float, r: floa
 
 def c2(alpha: float, lam: float, q: float, r: float) -> float:
     """Closed form of the left-brace moment; r = a/x."""
-    KernelArgs(alpha, lam, q, r)
+    _check_args(alpha, lam, q, r)
     z1 = 1.0 - r
-    main = hyp2f1(HypParams(2.0 * q, alpha + 1.0, alpha + 2.0, z1)) / (alpha + 1.0)
+    main = hyp2f1(2.0 * q, alpha + 1.0, alpha + 2.0, z1) / (alpha + 1.0)
     if lam == 0.0:
         return _finite("c2", main, alpha, lam, q, r)
-    main -= lam * hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z1))
+    main -= lam * hyp2f1(2.0 * q, 1.0, 2.0, z1)
     m = lam ** (1.0 / alpha)
     z2 = m * (1.0 - r)
     corr = 2.0 * lam ** (1.0 + 1.0 / alpha) * (
-        hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z2))
-        - hyp2f1(HypParams(2.0 * q, alpha + 1.0, alpha + 2.0, z2)) / (alpha + 1.0)
+        hyp2f1(2.0 * q, 1.0, 2.0, z2)
+        - hyp2f1(2.0 * q, alpha + 1.0, alpha + 2.0, z2) / (alpha + 1.0)
     )
     return _finite("c2", main + corr, alpha, lam, q, r)
 
@@ -88,18 +81,18 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
     rescaling; tests/test_kernels.py keeps that form (`c3_as_stated`) and
     shows it diverging from kernel_oracle for 0 < lam < 1.
     """
-    KernelArgs(alpha, lam, q, r)
+    _check_args(alpha, lam, q, r)
     z1 = 1.0 - r
-    main = hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z1)) / (alpha + 1.0)
+    main = hyp2f1(2.0 * q, 1.0, alpha + 2.0, z1) / (alpha + 1.0)
     if lam == 0.0:
         return _finite("c3", main, alpha, lam, q, r)
-    main -= lam * hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z1))
+    main -= lam * hyp2f1(2.0 * q, 1.0, 2.0, z1)
     m = lam ** (1.0 / alpha)
     s = r + m * (1.0 - r)
     z3 = m * (1.0 - r) / s
     corr = 2.0 * lam ** (1.0 + 1.0 / alpha) * s ** (-2.0 * q) * (
-        hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z3))
-        - hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z3)) / (alpha + 1.0)
+        hyp2f1(2.0 * q, 1.0, 2.0, z3)
+        - hyp2f1(2.0 * q, 1.0, alpha + 2.0, z3) / (alpha + 1.0)
     )
     return _finite("c3", main + corr, alpha, lam, q, r)
 
@@ -113,7 +106,7 @@ def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> flo
     """
     if not (math.isfinite(u) and u > 0.0 and math.isfinite(v) and v > 0.0):
         raise ValueError(f"require positive endpoints, got u={u}, v={v}")
-    KernelArgs(alpha, lam, q, min(u, v) / max(u, v))
+    _check_args(alpha, lam, q, min(u, v) / max(u, v))
 
     two_q = 2.0 * q
 

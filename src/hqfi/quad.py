@@ -16,7 +16,9 @@ Integrands must stay finite on the closed interval: a panel whose result
 or error estimate is NaN or infinite raises QuadratureError.  Integrable endpoint
 weights (t - lo)^(g-1) or (hi - t)^(g-1) are not sampled: `integrate_singular`
 removes them exactly by substitution, which is the only reliable way to reach
-tight tolerances near an algebraic singularity in double precision.
+tight tolerances near an algebraic singularity in double precision.  It
+takes the weight as two plain arguments, the exponent g > 0 and the side
+('lower' or 'upper'), and checks them itself; `QuadSpec` checks the interval.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from typing import Callable
 
 __all__ = [
     "QuadSpec",
-    "SingularWeight",
     "QuadratureError",
     "gk15",
     "integrate",
@@ -93,20 +94,6 @@ class QuadSpec:
             raise ValueError(f"require lo < hi, got [{self.lo}, {self.hi}]")
         if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
             raise ValueError("require abs_tol > 0 and rel_tol >= 0")
-
-
-@dataclass(frozen=True)
-class SingularWeight:
-    """Endpoint weight (t - lo)^(exponent-1) (side='lower') or (hi - t)^(exponent-1) (side='upper')."""
-
-    exponent: float
-    side: str
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.exponent) and self.exponent > 0.0):
-            raise ValueError("weight exponent must be positive and finite")
-        if self.side not in ("lower", "upper"):
-            raise ValueError(f"weight side must be 'lower' or 'upper', got {self.side!r}")
 
 
 def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -265,11 +252,13 @@ def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
 
 def integrate_singular(
     f: Callable[[float], float],
-    weight: SingularWeight,
+    exponent: float,
+    side: str,
     spec: QuadSpec,
     cuts: tuple[float, ...] = (),
 ) -> float:
-    """Integrate f(t) * w(t) over [spec.lo, spec.hi] with w the declared endpoint weight.
+    """Integrate f(t) * w(t) over [spec.lo, spec.hi] with the endpoint weight
+    w(t) = (t - lo)^(exponent-1) (side 'lower') or (hi - t)^(exponent-1) (side 'upper').
 
     For exponent g < 1 the weight is removed exactly: with u = (t - lo)^g the
     lower-weighted integral becomes (1/g) * int_0^{(hi-lo)^g} f(lo + u^(1/g)) du,
@@ -281,9 +270,13 @@ def integrate_singular(
     singular end needs the substitution; the others sample w directly, since it
     is bounded away from that end.
     """
-    g = weight.exponent
+    if not (math.isfinite(exponent) and exponent > 0.0):
+        raise ValueError("weight exponent must be positive and finite")
+    if side not in ("lower", "upper"):
+        raise ValueError(f"weight side must be 'lower' or 'upper', got {side!r}")
+    g = exponent
     lo, hi = spec.lo, spec.hi
-    lower = weight.side == "lower"
+    lower = side == "lower"
     w = (lambda t: (t - lo) ** (g - 1.0)) if lower else (lambda t: (hi - t) ** (g - 1.0))
     interior = sorted({c for c in cuts if lo < c < hi})
     if interior:
@@ -292,7 +285,7 @@ def integrate_singular(
         for plo, phi in zip(edges, edges[1:]):
             piece = replace(spec, lo=plo, hi=phi)
             if (plo == lo) if lower else (phi == hi):
-                total += integrate_singular(f, weight, piece)
+                total += integrate_singular(f, g, side, piece)
             else:
                 total += integrate(lambda t: w(t) * f(t), piece)
         return total

@@ -7,16 +7,17 @@ the power series for z <= 0.9.  Above that it sums series in w = 1 - z < 0.1:
 the 1 - z connection formula (A&S 15.3.6, DLMF 15.8.4), written so that it
 stays exact as d = c - a - b nears an integer and becomes the log form of
 A&S 15.3.10-12 (DLMF 15.8.8-10) at one.  The Euler integral remains the route
-for a <= 0 and for the large parameters where those series cancel.
+for a <= 0 and for the large parameters where those series cancel.  Each
+route takes a, b, c and z as plain floats and checks them itself (`_check`):
+all finite, c > b > 0 and 0 <= z < 1.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .quad import QuadSpec, SingularWeight, integrate, integrate_singular
+from .quad import QuadSpec, integrate, integrate_singular
 
-__all__ = ["HypParams", "gamma", "beta", "hyp2f1", "hyp2f1_series", "hyp2f1_integral"]
+__all__ = ["gamma", "beta", "hyp2f1", "hyp2f1_series", "hyp2f1_integral"]
 
 _SERIES_TERM_CUTOFF = 1e-16
 _SERIES_MAX_TERMS = 10_000
@@ -34,25 +35,6 @@ _STIRLING_FROM = 12.0
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
-@dataclass(frozen=True)
-class HypParams:
-    """Arguments of 2F1(a, b; c; z) restricted to c > b > 0 and 0 <= z < 1."""
-
-    a: float
-    b: float
-    c: float
-    z: float
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"hyp2f1 parameter {name} must be finite")
-        if not self.c > self.b > 0.0:
-            raise ValueError(f"hyp2f1 requires c > b > 0, got b={self.b}, c={self.c}")
-        if not 0.0 <= self.z < 1.0:
-            raise ValueError(f"hyp2f1 defined for z in [0, 1), got z={self.z}")
-
-
 def gamma(x: float) -> float:
     """Gamma function for x > 0."""
     if not (math.isfinite(x) and x > 0.0):
@@ -67,26 +49,39 @@ def beta(x: float, y: float) -> float:
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
-def hyp2f1_series(p: HypParams) -> float:
+def _check(a: float, b: float, c: float, z: float) -> None:
+    """The arguments of every 2F1 route: finite, c > b > 0 and 0 <= z < 1."""
+    for name, value in (("a", a), ("b", b), ("c", c), ("z", z)):
+        if not math.isfinite(value):
+            raise ValueError(f"hyp2f1 parameter {name} must be finite")
+    if not c > b > 0.0:
+        raise ValueError(f"hyp2f1 requires c > b > 0, got b={b}, c={c}")
+    if not 0.0 <= z < 1.0:
+        raise ValueError(f"hyp2f1 defined for z in [0, 1), got z={z}")
+
+
+def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
     """2F1 by its power series; terms stop at 1e-16 relative."""
+    _check(a, b, c, z)
     term = 1.0
     total = 1.0
     for n in range(_SERIES_MAX_TERMS):
-        term *= (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1.0)) * p.z
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         if abs(term) <= _SERIES_TERM_CUTOFF * abs(total):
             return total
-    raise RuntimeError(f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms for {p}")
+    raise RuntimeError(f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms for {(a, b, c, z)}")
 
 
-def hyp2f1_integral(p: HypParams) -> float:
+def hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
     """2F1 by the Euler integral, split at 1/2 so each endpoint weight is declared.
 
     int_0^1 t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) dt / beta(b, c-b).  A weight
     exponent below 1 is integrable-singular and goes through the exact
     substitution; at or above 1 the factor is sampled directly.
     """
-    a, b, cb, z = p.a, p.b, p.c - p.b, p.z
+    _check(a, b, c, z)
+    cb = c - b
 
     def full(t: float) -> float:
         return t ** (b - 1.0) * (1.0 - t) ** (cb - 1.0) * (1.0 - z * t) ** (-a)
@@ -94,7 +89,8 @@ def hyp2f1_integral(p: HypParams) -> float:
     if b < 1.0:
         low = integrate_singular(
             lambda t: (1.0 - t) ** (cb - 1.0) * (1.0 - z * t) ** (-a),
-            SingularWeight(b, "lower"),
+            b,
+            "lower",
             QuadSpec(0.0, 0.5, **_INNER_SPEC_ARGS),
         )
     else:
@@ -102,7 +98,8 @@ def hyp2f1_integral(p: HypParams) -> float:
     if cb < 1.0:
         high = integrate_singular(
             lambda t: t ** (b - 1.0) * (1.0 - z * t) ** (-a),
-            SingularWeight(cb, "upper"),
+            cb,
+            "upper",
             QuadSpec(0.5, 1.0, **_INNER_SPEC_ARGS),
         )
     else:
@@ -110,7 +107,7 @@ def hyp2f1_integral(p: HypParams) -> float:
     return (low + high) / beta(b, cb)
 
 
-def hyp2f1(p: HypParams) -> float:
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """2F1(a, b; c; z): power series for z <= 0.9, series in w = 1 - z above.
 
     Above 0.9 the series of `_w_series` hold for every d = c - a - b,
@@ -119,21 +116,22 @@ def hyp2f1(p: HypParams) -> float:
     families of the kernel moments (a = 2q up to 32, alpha up to 10) they
     cancel at most 7-fold.
     """
-    if p.z <= _SERIES_Z_LIMIT:
-        return hyp2f1_series(p)
-    a, b, c, w = p.a, p.b, p.c, 1.0 - p.z
+    if z <= _SERIES_Z_LIMIT:
+        return hyp2f1_series(a, b, c, z)
+    _check(a, b, c, z)
+    w = 1.0 - z
     d = c - a - b
-    scale = 1.0
+    sa, sb, scale = a, b, 1.0
     if d < 0.0:
         # Euler's transformation 2F1(a, b; c; z) = w^d 2F1(c - a, c - b; c; z) makes d positive
-        scale, a, b, d = w**d, c - a, c - b, -d
+        scale, sa, sb, d = w**d, c - a, c - b, -d
     m = round(d)
     eps = d - m
-    if p.a <= 0.0 or p.a + p.b + c > _W_SERIES_MAX_PARAMS or min(a, b) + m + min(eps, 0.0) <= 0.0:
-        return hyp2f1_integral(p)
-    value, magnitude = _w_series(a, b, c, w, m, eps)
+    if a <= 0.0 or a + b + c > _W_SERIES_MAX_PARAMS or min(sa, sb) + m + min(eps, 0.0) <= 0.0:
+        return hyp2f1_integral(a, b, c, z)
+    value, magnitude = _w_series(sa, sb, c, w, m, eps)
     if magnitude > _W_SERIES_MAX_CANCELLATION * abs(value):
-        return hyp2f1_integral(p)
+        return hyp2f1_integral(a, b, c, z)
     return scale * value
 
 

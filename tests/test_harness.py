@@ -521,6 +521,20 @@ def test_checkfn_corpus_lookup():
     assert run_checkfn("piecewise_plateau", 0.1, 4.0, 30, "quasi")["status"] == "no_violation_found"
 
 
+def test_checkfn_looks_a_label_up_without_checking_the_corpus(monkeypatch):
+    # the corpus flags are the sweep's business; checkfn runs its one requested check
+    calls = []
+    monkeypatch.setattr(harness, "validate_corpus", lambda *a, **k: calls.append("validate_corpus"))
+    monkeypatch.setattr(
+        harness,
+        "check_harmonically_quasiconvex",
+        lambda *a, **k: calls.append("check") or check_harmonically_quasiconvex(*a, **k),
+    )
+    out = run_checkfn("square", 1.0, 2.0, 20, "quasi")
+    assert (out["function"], out["status"]) == ("square", "no_violation_found")
+    assert calls == ["check"]
+
+
 def test_checkfn_expression():
     out = run_checkfn("(x-2)^2", 1.0, 4.0, 15, "quasi")
     assert out["status"] == "no_violation_found"  # valley shape is quasi-convex

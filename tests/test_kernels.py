@@ -1,6 +1,7 @@
 """Closed-form kernel moments vs the independent quadrature oracle."""
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,10 @@ import hqfi.quad as quad
 from hqfi.bounds import ParamPoint, identity_lhs, identity_rhs
 from hqfi.fracint import rl_left, rl_right
 from hqfi.harmonic import corpus
-from hqfi.kernels import KernelArgs, c1, c2, c3, integrate_kinked, kernel_oracle
+from hqfi.harness import run_constants
+from hqfi.kernels import c1, c2, c3, integrate_kinked, kernel_oracle
 from hqfi.quad import QuadSpec, integrate
-from hqfi.specialfn import HypParams, hyp2f1
+from hqfi.specialfn import hyp2f1
 
 
 def test_c1_closed_forms():
@@ -90,15 +92,14 @@ def c3_as_stated(alpha: float, lam: float, q: float, r: float) -> float:
     r=1/2: 0.38629 here vs 0.52887 from the integral); agrees at lam in {0,1}.
     Kept here as a record of the erratum; kernels.c3 is the form the bounds use.
     """
-    KernelArgs(alpha, lam, q, r)
     z1 = 1.0 - r
-    main = hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z1)) / (alpha + 1.0)
+    main = hyp2f1(2.0 * q, 1.0, alpha + 2.0, z1) / (alpha + 1.0)
     if lam == 0.0:
         return main
-    main -= lam * hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z1))
+    main -= lam * hyp2f1(2.0 * q, 1.0, 2.0, z1)
     corr = 2.0 * lam ** (1.0 + 1.0 / alpha) * (
-        hyp2f1(HypParams(2.0 * q, 1.0, 2.0, z1))
-        - hyp2f1(HypParams(2.0 * q, 1.0, alpha + 2.0, z1)) / (alpha + 1.0)
+        hyp2f1(2.0 * q, 1.0, 2.0, z1)
+        - hyp2f1(2.0 * q, 1.0, alpha + 2.0, z1) / (alpha + 1.0)
     )
     return main + corr
 
@@ -130,21 +131,48 @@ def test_moments_positive_and_ordered(alpha, lam, q, r):
         assert v <= base / r ** (2.0 * q) * (1.0 + 1e-10) + 1e-9
 
 
+# (bad argument, alpha, lam, q, r, message); the first bad argument in (alpha, lam, q, r) order is named
+_BAD_MOMENT_ARGS = [
+    ("alpha", 0.0, 0.5, 2.0, 0.5, "require alpha > 0, got 0.0"),
+    ("alpha", -1.0, 0.5, 2.0, 0.5, "require alpha > 0, got -1.0"),
+    ("alpha", math.nan, 0.5, 2.0, 0.5, "require alpha > 0, got nan"),
+    ("alpha", math.inf, 0.5, 2.0, 0.5, "require alpha > 0, got inf"),
+    ("alpha", 0.0, 1.5, 0.5, -1.0, "require alpha > 0, got 0.0"),
+    ("lam", 1.0, -0.1, 2.0, 0.5, "require lam in [0, 1], got -0.1"),
+    ("lam", 1.0, 1.5, 2.0, 0.5, "require lam in [0, 1], got 1.5"),
+    ("lam", 1.0, math.nan, 2.0, 0.5, "require lam in [0, 1], got nan"),
+    ("lam", 1.0, 1.5, 0.5, -1.0, "require lam in [0, 1], got 1.5"),
+    ("q", 1.0, 0.5, 0.9, 0.5, "require q >= 1, got 0.9"),
+    ("q", 1.0, 0.5, math.inf, 0.5, "require q >= 1, got inf"),
+    ("q", 1.0, 0.5, math.nan, 0.5, "require q >= 1, got nan"),
+    ("q", 1.0, 0.5, 0.2, -3.0, "require q >= 1, got 0.2"),
+    ("r", 1.0, 0.5, 2.0, 0.0, "require r in (0, 1], got 0.0"),
+    ("r", 1.0, 0.5, 2.0, -0.2, "require r in (0, 1], got -0.2"),
+    ("r", 1.0, 0.5, 2.0, 1.1, "require r in (0, 1], got 1.1"),
+    ("r", 1.0, 0.5, 2.0, math.nan, "require r in (0, 1], got nan"),
+]
+
+# each caller of the moment check, and the arguments it takes from (alpha, lam, q, r)
+_MOMENT_CALLERS = [
+    (lambda alpha, lam, q, r: c1(alpha, lam), {"alpha", "lam"}),
+    (c2, {"alpha", "lam", "q", "r"}),
+    (c3, {"alpha", "lam", "q", "r"}),
+    # kernel_oracle's r = min(u, v) / max(u, v) is in (0, 1] for every pair of positive endpoints
+    (lambda alpha, lam, q, r: kernel_oracle(alpha, lam, q, 0.5, 1.0), {"alpha", "lam", "q"}),
+    (lambda alpha, lam, q, r: run_constants(alpha, lam, q, r, "c1"), {"alpha", "lam", "q", "r"}),
+    (lambda alpha, lam, q, r: ParamPoint(1.0, 2.0, 1.5, lam, alpha, q), {"alpha", "lam", "q"}),
+]
+
+
 def test_domain_validation():
-    with pytest.raises(ValueError):
-        c1(0.0, 0.5)
-    with pytest.raises(ValueError):
-        c2(1.0, 1.5, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        c2(1.0, 0.5, 0.9, 0.5)
-    with pytest.raises(ValueError):
-        c3(1.0, 0.5, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        c3(1.0, 0.5, 1.0, 1.1)
-    with pytest.raises(ValueError):
+    # every caller of the one moment check rejects what it takes, with the same message
+    for call, takes in _MOMENT_CALLERS:
+        for bad, *args, message in _BAD_MOMENT_ARGS:
+            if bad in takes:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call(*args)
+    with pytest.raises(ValueError, match="require positive endpoints"):
         kernel_oracle(1.0, 0.5, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        KernelArgs(1.0, 0.5, 1.0, -0.2)
 
 
 # --- integrate_kinked: cuts and the t = s^k substitution ---

@@ -1,5 +1,6 @@
 """Adaptive Gauss-Kronrod engine: closed-form goldens, tolerance behaviour, weights."""
 import math
+import re
 import time
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from hqfi import quad
 from hqfi.bounds import ParamPoint, identity_lhs
+from hqfi.fracint import rl_left, rl_right
 from hqfi.harmonic import IntervalDomain, ScalarFunction
-from hqfi.quad import QuadratureError, QuadSpec, SingularWeight, gk15, integrate, integrate_singular
+from hqfi.quad import QuadratureError, QuadSpec, gk15, integrate, integrate_singular
 
 
 def test_gk15_polynomial_exactness():
@@ -243,33 +245,54 @@ def test_quadspec_validation():
         QuadSpec(0.0, math.inf)
 
 
+# (exponent, side, message); the exponent is checked before the side
+_BAD_WEIGHTS = [
+    (0.0, "lower", "weight exponent must be positive and finite"),
+    (-0.5, "upper", "weight exponent must be positive and finite"),
+    (math.inf, "lower", "weight exponent must be positive and finite"),
+    (math.nan, "upper", "weight exponent must be positive and finite"),
+    (0.0, "left", "weight exponent must be positive and finite"),
+    (0.5, "left", "weight side must be 'lower' or 'upper', got 'left'"),
+    (1.0, "", "weight side must be 'lower' or 'upper', got ''"),
+]
+
+# each caller of the weight check; rl_left puts the weight on the upper end, rl_right on the lower
+_WEIGHT_CALLERS = {
+    integrate_singular: lambda g, side: integrate_singular(lambda t: 1.0, g, side, QuadSpec(0.0, 1.0)),
+    rl_left: lambda g, side: rl_left(lambda t: 1.0, 0.0, g, 1.0),
+    rl_right: lambda g, side: rl_right(lambda t: 1.0, 1.0, g, 0.0),
+}
+
+
 def test_singular_weight_validation():
-    with pytest.raises(ValueError):
-        SingularWeight(0.0, "lower")
-    with pytest.raises(ValueError):
-        SingularWeight(0.5, "left")
+    # rl_left and rl_right fix the side, so only the exponent cases reach them
+    for caller, call in _WEIGHT_CALLERS.items():
+        for g, side, message in _BAD_WEIGHTS:
+            if caller is integrate_singular or "exponent" in message:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call(g, side)
 
 
 def test_integrate_singular_lower_exact():
     # int_0^1 t^{-1/2} dt = 2, integrand constant after substitution
-    got = integrate_singular(lambda t: 1.0, SingularWeight(0.5, "lower"), QuadSpec(0.0, 1.0))
+    got = integrate_singular(lambda t: 1.0, 0.5, "lower", QuadSpec(0.0, 1.0))
     assert got == pytest.approx(2.0, rel=1e-13)
 
 
 def test_integrate_singular_upper_beta_golden():
     # int_0^1 t (1-t)^{-1/2} dt = B(2, 1/2) = 4/3
-    got = integrate_singular(lambda t: t, SingularWeight(0.5, "upper"), QuadSpec(0.0, 1.0))
+    got = integrate_singular(lambda t: t, 0.5, "upper", QuadSpec(0.0, 1.0))
     assert got == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_integrate_singular_exponent_above_one():
     # int_0^1 t^{1.5} dt = 2/5 via the continuous-weight branch (g = 2.5)
-    got = integrate_singular(lambda t: 1.0, SingularWeight(2.5, "lower"), QuadSpec(0.0, 1.0))
+    got = integrate_singular(lambda t: 1.0, 2.5, "lower", QuadSpec(0.0, 1.0))
     assert got == pytest.approx(0.4, rel=1e-12)
 
 
 def test_integrate_singular_plain_reduction():
-    got = integrate_singular(math.exp, SingularWeight(1.0, "lower"), QuadSpec(0.0, 1.0))
+    got = integrate_singular(math.exp, 1.0, "lower", QuadSpec(0.0, 1.0))
     assert got == pytest.approx(math.e - 1.0, rel=1e-12)
 
 
@@ -277,7 +300,7 @@ def test_integrate_singular_offset_interval():
     # int_1^3 (t-1)^{-0.7} t dt: substitve u = (t-1)^{0.3}; closed form via B-pieces
     # = int_0^2 s^{-0.7} (s+1) ds = [s^{0.3}/0.3 + s^{1.3}/1.3]_0^2
     expected = 2.0**0.3 / 0.3 + 2.0**1.3 / 1.3
-    got = integrate_singular(lambda t: t, SingularWeight(0.3, "lower"), QuadSpec(1.0, 3.0))
+    got = integrate_singular(lambda t: t, 0.3, "lower", QuadSpec(1.0, 3.0))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -301,7 +324,7 @@ def test_integrate_matches_antiderivative(c0, c1, c2, c3, hi):
 def test_integrate_singular_power_rule(g, p):
     # int_0^1 t^p (1-t)^{g-1} dt = B(p+1, g)
     expected = math.exp(math.lgamma(p + 1.0) + math.lgamma(g) - math.lgamma(p + 1.0 + g))
-    got = integrate_singular(lambda t: t**p, SingularWeight(g, "upper"), QuadSpec(0.0, 1.0))
+    got = integrate_singular(lambda t: t**p, g, "upper", QuadSpec(0.0, 1.0))
     assert got == pytest.approx(expected, rel=1e-9)
 
 
@@ -318,5 +341,5 @@ def test_integrate_singular_cut_at_a_kink(g, side, c):
     expected -= d * (span**g - d**g) / g
     spec = QuadSpec(lo, hi, abs_tol=1e-13, rel_tol=1e-13)
     f = lambda t: abs(t - c)
-    got = integrate_singular(f, SingularWeight(g, side), spec, cuts=(c, 0.5, 3.0))
+    got = integrate_singular(f, g, side, spec, cuts=(c, 0.5, 3.0))
     assert got == pytest.approx(expected, rel=1e-12)

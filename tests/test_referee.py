@@ -10,7 +10,7 @@ import pytest
 from hqfi.bounds import ParamPoint, identity_lhs, identity_rhs
 from hqfi.harmonic import corpus
 from hqfi.kernels import c2, c3, kernel_oracle
-from hqfi.specialfn import HypParams, hyp2f1
+from hqfi.specialfn import hyp2f1
 
 mp = pytest.importorskip("mpmath")
 
@@ -38,7 +38,7 @@ def _families(alpha, q):
 
 def _hyp_rel_err(a, b, c, z):
     ref = mp.hyp2f1(a, b, c, z)
-    return abs((hyp2f1(HypParams(a, b, c, z)) - ref) / ref)
+    return abs((hyp2f1(a, b, c, z) - ref) / ref)
 
 
 @pytest.mark.parametrize("z", [0.9 + 1e-7, 0.95, 0.99, 0.999])

@@ -1,14 +1,15 @@
 """Gamma/beta and the dual-route Gauss hypergeometric implementation."""
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqfi import kernels, specialfn
-from hqfi.quad import QuadSpec, SingularWeight, integrate_singular
-from hqfi.specialfn import HypParams, _lgamma_slope, beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
+from hqfi.quad import QuadSpec, integrate_singular
+from hqfi.specialfn import _lgamma_slope, beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -21,9 +22,7 @@ def test_gamma_goldens():
 
 def test_gamma_against_truncated_euler_integral():
     # int_0^50 e^{-t} t^{-1/2} dt misses Gamma(1/2) by less than e^{-50}
-    got = integrate_singular(
-        lambda t: math.exp(-t), SingularWeight(0.5, "lower"), QuadSpec(0.0, 50.0)
-    )
+    got = integrate_singular(lambda t: math.exp(-t), 0.5, "lower", QuadSpec(0.0, 50.0))
     assert got == pytest.approx(gamma(0.5), abs=1e-9)
 
 
@@ -52,33 +51,47 @@ def test_beta_symmetry(x, y):
     assert beta(x, y) == pytest.approx(beta(y, x), rel=1e-12)
 
 
-def test_hypparams_validation():
-    with pytest.raises(ValueError):
-        HypParams(1.0, 2.0, 2.0, 0.5)  # c == b
-    with pytest.raises(ValueError):
-        HypParams(1.0, 0.0, 1.0, 0.5)  # b == 0
-    with pytest.raises(ValueError):
-        HypParams(1.0, 1.0, 2.0, 1.0)  # z == 1
-    with pytest.raises(ValueError):
-        HypParams(1.0, 1.0, 2.0, -0.1)
+# (a, b, c, z, message): finiteness is checked first, then c > b > 0, then z
+_BAD_HYP_ARGS = [
+    (1.0, 2.0, 2.0, 0.5, "hyp2f1 requires c > b > 0, got b=2.0, c=2.0"),  # c == b
+    (1.0, 0.0, 1.0, 0.5, "hyp2f1 requires c > b > 0, got b=0.0, c=1.0"),  # b == 0
+    (1.0, -1.0, 2.0, 0.95, "hyp2f1 requires c > b > 0, got b=-1.0, c=2.0"),
+    (1.0, 1.0, 2.0, 1.0, "hyp2f1 defined for z in [0, 1), got z=1.0"),
+    (1.0, 1.0, 2.0, -0.1, "hyp2f1 defined for z in [0, 1), got z=-0.1"),
+    (1.0, 1.0, 2.0, 1.5, "hyp2f1 defined for z in [0, 1), got z=1.5"),
+    (math.nan, 1.0, 2.0, 0.5, "hyp2f1 parameter a must be finite"),
+    (1.0, math.inf, 2.0, 0.95, "hyp2f1 parameter b must be finite"),
+    (1.0, 1.0, math.inf, 0.5, "hyp2f1 parameter c must be finite"),
+    (1.0, 1.0, 2.0, math.nan, "hyp2f1 parameter z must be finite"),
+    (1.0, 1.0, 2.0, -math.inf, "hyp2f1 parameter z must be finite"),
+    (math.inf, 0.0, 2.0, 2.0, "hyp2f1 parameter a must be finite"),
+]
+
+
+def test_hyp2f1_argument_validation():
+    # every route checks its own arguments, with the same messages
+    for route in (hyp2f1, hyp2f1_series, hyp2f1_integral):
+        for *args, message in _BAD_HYP_ARGS:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                route(*args)
 
 
 def test_hyp2f1_at_zero_is_one():
-    assert hyp2f1(HypParams(3.2, 1.1, 2.7, 0.0)) == 1.0
+    assert hyp2f1(3.2, 1.1, 2.7, 0.0) == 1.0
 
 
 def test_hyp2f1_goldens():
     # 2F1(2,2;3;1/2) = 8(1 - ln 2)
-    assert hyp2f1(HypParams(2.0, 2.0, 3.0, 0.5)) == pytest.approx(
+    assert hyp2f1(2.0, 2.0, 3.0, 0.5) == pytest.approx(
         8.0 * (1.0 - math.log(2.0)), rel=1e-10
     )
     # 2F1(1,1;2;z) = -ln(1-z)/z at z = 1/2 gives 2 ln 2
-    assert hyp2f1(HypParams(1.0, 1.0, 2.0, 0.5)) == pytest.approx(2.0 * math.log(2.0), rel=1e-10)
+    assert hyp2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-10)
 
 
 def test_hyp2f1_binomial_identity():
     # 2F1(a,b;b;z) = (1-z)^{-a}; c > b forces a nearby c, use the Euler route
-    got = hyp2f1_integral(HypParams(1.5, 2.0, 2.0 + 1e-12, 0.4))
+    got = hyp2f1_integral(1.5, 2.0, 2.0 + 1e-12, 0.4)
     assert got == pytest.approx((1.0 - 0.4) ** -1.5, rel=1e-9)
 
 
@@ -86,7 +99,7 @@ def test_hyp2f1_binomial_identity():
 @given(z=st.floats(0.0, 0.9))
 def test_hyp2f1_log_family(z):
     expected = 1.0 if z == 0.0 else -math.log1p(-z) / z
-    assert hyp2f1(HypParams(1.0, 1.0, 2.0, z)) == pytest.approx(expected, rel=1e-11)
+    assert hyp2f1(1.0, 1.0, 2.0, z) == pytest.approx(expected, rel=1e-11)
 
 
 def test_series_vs_integral_on_random_admissible_points():
@@ -98,9 +111,8 @@ def test_series_vs_integral_on_random_admissible_points():
         b = rng.uniform(0.3, 4.0)
         c = b + rng.uniform(0.3, 4.0)
         z = rng.uniform(0.0, 0.9)
-        p = HypParams(a, b, c, z)
-        s = hyp2f1_series(p)
-        i = hyp2f1_integral(p)
+        s = hyp2f1_series(a, b, c, z)
+        i = hyp2f1_integral(a, b, c, z)
         rel = abs(s - i) / max(abs(i), 1e-300)
         worst = max(worst, rel)
     assert worst <= 1e-10
@@ -108,8 +120,8 @@ def test_series_vs_integral_on_random_admissible_points():
 
 def test_dispatcher_matches_integral_above_switch():
     # above z = 0.9 hyp2f1 sums series in 1 - z, a route independent of the Euler integral
-    p = HypParams(2.0, 1.5, 3.0, 0.97)
-    assert hyp2f1(p) == pytest.approx(hyp2f1_integral(p), rel=1e-12)
+    p = (2.0, 1.5, 3.0, 0.97)
+    assert hyp2f1(*p) == pytest.approx(hyp2f1_integral(*p), rel=1e-12)
 
 
 @settings(deadline=None, max_examples=80)
@@ -117,7 +129,7 @@ def test_dispatcher_matches_integral_above_switch():
 def test_hyp2f1_elementary_family_above_switch(a, z):
     # 2F1(a, 1; 2; z) = ((1-z)^(1-a) - 1) / ((a-1) z); c - a - b = 1 - a spans integers and non-integers
     expected = ((1.0 - z) ** (1.0 - a) - 1.0) / ((a - 1.0) * z)
-    assert hyp2f1(HypParams(a, 1.0, 2.0, z)) == pytest.approx(expected, rel=1e-13)
+    assert hyp2f1(a, 1.0, 2.0, z) == pytest.approx(expected, rel=1e-13)
 
 
 def test_digamma_goldens():
@@ -156,9 +168,9 @@ def test_hyp2f1_continuous_across_integer_d(a, b, c):
     # d = c - a - b is an integer here; 1e-12 away the value may move only by about
     # 1e-12 * |d ln F / dc|, never by the 1/sin(pi d) of the connection formula's terms
     for z in (0.95, 0.999):
-        at = hyp2f1(HypParams(a, b, c, z))
+        at = hyp2f1(a, b, c, z)
         for dc in (1e-12, -1e-12, 1e-9, -1e-9):
-            near = hyp2f1(HypParams(a, b, c + dc, z))
+            near = hyp2f1(a, b, c + dc, z)
             assert near == pytest.approx(at, rel=20.0 * abs(dc) + 1e-14)
 
 
@@ -187,15 +199,14 @@ def test_moments_near_z_one_run_without_quadrature(monkeypatch):
     ],
 )
 def test_fallback_points_reach_the_integral(params, monkeypatch):
-    p = HypParams(*params)
-    expected = hyp2f1_integral(p)
+    expected = hyp2f1_integral(*params)
     seen = []
-    monkeypatch.setattr(specialfn, "hyp2f1_integral", lambda p: seen.append(p) or expected)
-    assert hyp2f1(p) == expected
-    assert seen == [p]
+    monkeypatch.setattr(specialfn, "hyp2f1_integral", lambda *p: seen.append(p) or expected)
+    assert hyp2f1(*params) == expected
+    assert seen == [params]
 
 
 def test_integral_route_with_singular_endpoint_weights():
     # b < 1 and c - b < 1 puts integrable singularities at both endpoints
-    p = HypParams(0.8, 0.4, 1.1, 0.6)
-    assert hyp2f1_integral(p) == pytest.approx(hyp2f1_series(p), rel=1e-10)
+    p = (0.8, 0.4, 1.1, 0.6)
+    assert hyp2f1_integral(*p) == pytest.approx(hyp2f1_series(*p), rel=1e-10)
