@@ -31,7 +31,7 @@ from .harmonic import (
 )
 from .harness import TOOL_VERSION, CampaignReport, SweepConfig, run_checkfn, run_constants, run_verify
 from .kernels import c1, c2, c3, kernel_oracle
-from .quad import QuadratureError, QuadSpec, integrate, integrate_singular
+from .quad import QuadratureError, integrate, integrate_singular
 from .specialfn import beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
 
 __version__ = TOOL_VERSION
@@ -40,7 +40,6 @@ __all__ = [
     "__version__",
     "TOOL_VERSION",
     # quadrature
-    "QuadSpec",
     "QuadratureError",
     "integrate",
     "integrate_singular",

@@ -173,7 +173,7 @@ def identity_lhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
     The fractional part does not depend on lam, so a sweep over lam computes
     it once (`_lhs_parts`) and assembles each lam's boundary term on top of it
     (`_lhs_at`); this function is that composition at one point.  The
-    `abs_tol` and `rel_tol` keywords are passed on to QuadSpec.
+    `abs_tol` and `rel_tol` keywords are passed on to `integrate`.
     """
     return _lhs_at(_lhs_parts(f, p.a, p.b, p.x, p.alpha, tol), p.lam)
 
@@ -263,7 +263,7 @@ def identity_rhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
     point.  Q stays a quadrature: its closed form (f(end) - f(x))/(end x (end - x))
     would make the lam part of the identity hold by construction, where the
     quadrature still checks f' against f.  The `abs_tol` and `rel_tol`
-    keywords are passed on to QuadSpec.
+    keywords are passed on to `integrate`.
     """
     qs = _rhs_qs(f, p.a, p.b, p.x, tol)
     return _rhs_at(_rhs_parts(f, p.a, p.b, p.x, p.alpha, qs, tol), p.lam)

@@ -8,15 +8,15 @@ scope); alpha = 1 reduces both to plain integration.  The weight singularity
 for alpha < 1 sits at the evaluation point `at` and is removed analytically by
 the quadrature layer, never sampled.  `cuts` are interior points where f is
 not smooth; the quadrature layer integrates between them piece by piece.
-The quadrature layer also checks the inputs (`integrate_singular` the order,
-`QuadSpec` the interval) and owns the tolerance defaults: `abs_tol` and
-`rel_tol` keywords are passed on to `QuadSpec`.
+The quadrature layer also checks the inputs (`integrate_singular` the
+interval, the tolerances and then the order) and owns the tolerance
+defaults: `abs_tol` and `rel_tol` keywords are passed on to it.
 """
 from __future__ import annotations
 
 from typing import Callable
 
-from .quad import QuadSpec, integrate_singular
+from .quad import integrate_singular
 from .specialfn import gamma
 
 __all__ = ["rl_left", "rl_right"]
@@ -26,13 +26,11 @@ def rl_left(
     f: Callable[[float], float], base: float, alpha: float, at: float, *, cuts: tuple[float, ...] = (), **tol
 ) -> float:
     """Left-sided operator J_{base+}^alpha f evaluated at `at`; requires base < at."""
-    spec = QuadSpec(base, at, **tol)
-    return integrate_singular(f, alpha, "upper", spec, cuts) / gamma(alpha)
+    return integrate_singular(f, alpha, "upper", base, at, cuts, **tol) / gamma(alpha)
 
 
 def rl_right(
     f: Callable[[float], float], base: float, alpha: float, at: float, *, cuts: tuple[float, ...] = (), **tol
 ) -> float:
     """Right-sided operator J_{base-}^alpha f evaluated at `at`; requires at < base."""
-    spec = QuadSpec(at, base, **tol)
-    return integrate_singular(f, alpha, "lower", spec, cuts) / gamma(alpha)
+    return integrate_singular(f, alpha, "lower", at, base, cuts, **tol) / gamma(alpha)

@@ -75,7 +75,7 @@ from .harmonic import (
     validate_corpus,
 )
 from .kernels import _check_args, c1, c2, c3, kernel_oracle
-from .quad import QuadratureError, QuadSpec
+from .quad import _ABS_TOL, _REL_TOL, QuadratureError
 
 __all__ = [
     "TOOL_VERSION",
@@ -239,8 +239,8 @@ class SweepConfig:
     seed: int = 0
     tol_identity: float = 1e-8
     tol_slack: float = _SLACK_TOL
-    tol_quad_abs: float = QuadSpec.abs_tol
-    tol_quad_rel: float = QuadSpec.rel_tol
+    tol_quad_abs: float = _ABS_TOL
+    tol_quad_rel: float = _REL_TOL
     checker_n: int = 15
     tol_scale: float = 1.0
 
@@ -278,6 +278,11 @@ class SweepConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be a positive real, got {v!r}")
+        # the run uses each tolerance times tol_scale: inf would pass every check, 0 none
+        for name in ("tol_identity", "tol_slack", "tol_quad_abs", "tol_quad_rel"):
+            scaled = getattr(self, name) * self.tol_scale
+            if not (math.isfinite(scaled) and scaled > 0.0):
+                raise ValueError(f"{name} * tol_scale must be a positive finite real, got {scaled!r}")
         if self.checker_n < 2:
             raise ValueError(f"checker_n must be >= 2, got {self.checker_n}")
         # a repeated value would repeat every record of its grid points

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .quad import QuadSpec, integrate
+from .quad import integrate
 from .specialfn import hyp2f1
 
 __all__ = ["c1", "c2", "c3", "kernel_oracle"]
@@ -102,7 +102,7 @@ def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> flo
 
     Independent of the closed forms: no 2F1 involved.  The integrand has a
     kink at t = lam^(1/alpha), where `integrate_kinked` splits it.  Every
-    piece runs at QuadSpec's default tolerances.
+    piece runs at `integrate`'s default tolerances.
     """
     if not (math.isfinite(u) and u > 0.0 and math.isfinite(v) and v > 0.0):
         raise ValueError(f"require positive endpoints, got u={u}, v={v}")
@@ -133,7 +133,7 @@ def integrate_kinked(
     s^(k*alpha) then has a bounded derivative, the Jacobian k*s^(k-1) is a
     polynomial, and every cut moves to s = t^(1/k).  For alpha >= 1, k = 1
     and f is integrated in t as given.  k stops at _MAX_POWER.  The `abs_tol`
-    and `rel_tol` keywords are passed on to each piece's QuadSpec.
+    and `rel_tol` keywords are passed on to each piece's `integrate`.
     """
     k = math.ceil(1.0 / max(alpha, 1.0 / _MAX_POWER))
     # t in (0, 1) maps into (0, 1]; a cut that rounds onto s = 1 is no cut
@@ -142,7 +142,7 @@ def integrate_kinked(
         g = f
         f = lambda s: k * s ** (k - 1) * g(s**k)
     edges = [0.0, *inner, 1.0]
-    total = integrate(f, QuadSpec(edges[0], edges[1], **tol))
+    total = integrate(f, edges[0], edges[1], **tol)
     for lo, hi in zip(edges[1:-1], edges[2:]):
-        total += integrate(f, QuadSpec(lo, hi, **tol))
+        total += integrate(f, lo, hi, **tol)
     return total

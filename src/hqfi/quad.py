@@ -3,14 +3,16 @@
 The base rule is the nested 7/15 Gauss-Kronrod pair.  The driver keeps a
 worst-first heap of subintervals and bisects until the summed error estimate
 meets the requested tolerance, so results are deterministic for a given
-integrand and spec; a first panel that already meets it is the result.  A
-spec sets only the interval and the tolerances: no panel is bisected past
-depth 60, and no run holds more than 10,000 panels.  A run whose panels all
-sit at their roundoff floor, 50*eps times the panel's integral of |f|, fails
-at once when their sum is above the tolerance, since no bisection lowers it.
-A panel wider than one ulp samples only points strictly inside it, and
-clamps its nodes only when an outer node rounds onto an endpoint, as on a
-panel a few ulps wide.
+integrand, interval and tolerances; a first panel that already meets it is
+the result.  A call sets only those, as plain arguments: `lo`, `hi` and the
+`abs_tol`/`rel_tol` keywords, whose defaults _ABS_TOL and _REL_TOL are the
+package's only quadrature defaults.  No panel is bisected past depth 60, and
+no run holds more than 10,000 panels.  A run whose panels all sit at their
+roundoff floor, 50*eps times the panel's integral of |f|, fails at once when
+their sum is above the tolerance, since no bisection lowers it.  A panel
+wider than one ulp samples only points strictly inside it, and clamps its
+nodes only when an outer node rounds onto an endpoint, as on a panel a few
+ulps wide.
 
 Integrands must stay finite on the closed interval: a panel whose result
 or error estimate is NaN or infinite raises QuadratureError.  Integrable endpoint
@@ -18,17 +20,16 @@ weights (t - lo)^(g-1) or (hi - t)^(g-1) are not sampled: `integrate_singular`
 removes them exactly by substitution, which is the only reliable way to reach
 tight tolerances near an algebraic singularity in double precision.  It
 takes the weight as two plain arguments, the exponent g > 0 and the side
-('lower' or 'upper'), and checks them itself; `QuadSpec` checks the interval.
+('lower' or 'upper'), and checks them after the interval and the tolerances,
+which both entry points check first (`_check`).
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
 from typing import Callable
 
 __all__ = [
-    "QuadSpec",
     "QuadratureError",
     "gk15",
     "integrate",
@@ -38,6 +39,9 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _MAX_PANELS = 10_000
 _MAX_DEPTH = 60
+# every layer above passes its `abs_tol` and `rel_tol` keywords on to here
+_ABS_TOL = 1e-11
+_REL_TOL = 1e-10
 
 # QUADPACK dqk15 table, positive abscissae only; the Gauss-7 nodes are the
 # odd-indexed rows and node 0.  Exactness through degree 22 is pinned by tests.
@@ -73,27 +77,17 @@ class QuadratureError(RuntimeError):
     or on a panel whose result or error estimate is not finite."""
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Integration request: interval plus tolerances.
-
-    The package's only quadrature defaults: every layer above passes its
-    `abs_tol` and `rel_tol` keywords on to here.  The depth limit and the
-    panel budget are fixed (_MAX_DEPTH, _MAX_PANELS).
-    """
-
-    lo: float
-    hi: float
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("quadrature interval must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"require lo < hi, got [{self.lo}, {self.hi}]")
-        if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
-            raise ValueError("require abs_tol > 0 and rel_tol >= 0")
+def _check(lo: float, hi: float, abs_tol: float, rel_tol: float) -> None:
+    """An integration request: a finite interval with lo < hi, then finite tolerances abs_tol > 0, rel_tol >= 0."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("quadrature interval must be finite")
+    if not lo < hi:
+        raise ValueError(f"require lo < hi, got [{lo}, {hi}]")
+    if abs_tol <= 0.0 or rel_tol < 0.0:
+        raise ValueError("require abs_tol > 0 and rel_tol >= 0")
+    # a NaN tolerance fails every comparison and an infinite one passes every panel
+    if not (math.isfinite(abs_tol) and math.isfinite(rel_tol)):
+        raise ValueError(f"quadrature tolerances must be finite, got abs_tol={abs_tol}, rel_tol={rel_tol}")
 
 
 def gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -190,55 +184,58 @@ def _at_floor(res: float, err: float) -> bool:
     return err == 50.0 * _EPS * abs(res)
 
 
-def _nonfinite(spec: QuadSpec, lo: float, hi: float, res: float, err: float) -> QuadratureError:
+def _nonfinite(lo: float, hi: float, plo: float, phi: float, res: float, err: float) -> QuadratureError:
     # a NaN error estimate fails every comparison, so the loop would stop and return the NaN
     return QuadratureError(
-        f"non-finite integrand on [{spec.lo}, {spec.hi}]: panel [{lo}, {hi}] gives {res!r} with error {err!r}"
+        f"non-finite integrand on [{lo}, {hi}]: panel [{plo}, {phi}] gives {res!r} with error {err!r}"
     )
 
 
-def integrate(f: Callable[[float], float], spec: QuadSpec) -> float:
-    """Integrate f over [spec.lo, spec.hi] to max(abs_tol, rel_tol*|I|)."""
-    res, err = gk15(f, spec.lo, spec.hi)
+def integrate(
+    f: Callable[[float], float], lo: float, hi: float, *, abs_tol: float = _ABS_TOL, rel_tol: float = _REL_TOL
+) -> float:
+    """Integrate f over [lo, hi] to max(abs_tol, rel_tol*|I|)."""
+    _check(lo, hi, abs_tol, rel_tol)
+    res, err = gk15(f, lo, hi)
     if not (math.isfinite(res) and math.isfinite(err)):
-        raise _nonfinite(spec, spec.lo, spec.hi, res, err)
-    if err <= max(spec.abs_tol, spec.rel_tol * abs(res)):
+        raise _nonfinite(lo, hi, lo, hi, res, err)
+    if err <= max(abs_tol, rel_tol * abs(res)):
         # what the loop below returns when it runs zero times: fsum([res]) == res + 0.0
         return res + 0.0
     # heap entries: (-err, tiebreak, lo, hi, depth, result, err)
-    heap = [(-err, 0, spec.lo, spec.hi, 0, res, err)]
+    heap = [(-err, 0, lo, hi, 0, res, err)]
     seq = 1
     total_err = err
     result = res
     live = 0 if _at_floor(res, err) else 1  # panels whose error bisection can still lower
-    while total_err > (tol := max(spec.abs_tol, spec.rel_tol * abs(result))):
+    while total_err > (tol := max(abs_tol, rel_tol * abs(result))):
         if not live:
             raise QuadratureError(
-                f"no convergence on [{spec.lo}, {spec.hi}]: error {total_err:.3e} is the roundoff floor "
+                f"no convergence on [{lo}, {hi}]: error {total_err:.3e} is the roundoff floor "
                 f"50*eps*resabs of all {len(heap)} panels, above the tolerance {tol:.3e}"
             )
         _, _, plo, phi, depth, pres, perr = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
             raise QuadratureError(
-                f"no convergence on [{spec.lo}, {spec.hi}]: error {total_err:.3e} "
+                f"no convergence on [{lo}, {hi}]: error {total_err:.3e} "
                 f"after depth {depth}, worst interval [{plo}, {phi}]"
             )
         mid = 0.5 * (plo + phi)
         if not plo < mid < phi:
             raise QuadratureError(
-                f"no convergence on [{spec.lo}, {spec.hi}]: interval [{plo}, {phi}] "
+                f"no convergence on [{lo}, {hi}]: interval [{plo}, {phi}] "
                 f"hit the roundoff limit with error {total_err:.3e}"
             )
         if len(heap) + 2 > _MAX_PANELS:
             raise QuadratureError(
-                f"no convergence on [{spec.lo}, {spec.hi}]: panel budget {_MAX_PANELS} exhausted"
+                f"no convergence on [{lo}, {hi}]: panel budget {_MAX_PANELS} exhausted"
             )
         rl, el = gk15(f, plo, mid)
         rr, er = gk15(f, mid, phi)
         if not (math.isfinite(rl) and math.isfinite(el)):
-            raise _nonfinite(spec, plo, mid, rl, el)
+            raise _nonfinite(lo, hi, plo, mid, rl, el)
         if not (math.isfinite(rr) and math.isfinite(er)):
-            raise _nonfinite(spec, mid, phi, rr, er)
+            raise _nonfinite(lo, hi, mid, phi, rr, er)
         live += (not _at_floor(rl, el)) + (not _at_floor(rr, er)) - (not _at_floor(pres, perr))
         heapq.heappush(heap, (-el, seq, plo, mid, depth + 1, rl, el))
         heapq.heappush(heap, (-er, seq + 1, mid, phi, depth + 1, rr, er))
@@ -254,10 +251,14 @@ def integrate_singular(
     f: Callable[[float], float],
     exponent: float,
     side: str,
-    spec: QuadSpec,
+    lo: float,
+    hi: float,
     cuts: tuple[float, ...] = (),
+    *,
+    abs_tol: float = _ABS_TOL,
+    rel_tol: float = _REL_TOL,
 ) -> float:
-    """Integrate f(t) * w(t) over [spec.lo, spec.hi] with the endpoint weight
+    """Integrate f(t) * w(t) over [lo, hi] with the endpoint weight
     w(t) = (t - lo)^(exponent-1) (side 'lower') or (hi - t)^(exponent-1) (side 'upper').
 
     For exponent g < 1 the weight is removed exactly: with u = (t - lo)^g the
@@ -270,12 +271,12 @@ def integrate_singular(
     singular end needs the substitution; the others sample w directly, since it
     is bounded away from that end.
     """
+    _check(lo, hi, abs_tol, rel_tol)
     if not (math.isfinite(exponent) and exponent > 0.0):
         raise ValueError("weight exponent must be positive and finite")
     if side not in ("lower", "upper"):
         raise ValueError(f"weight side must be 'lower' or 'upper', got {side!r}")
     g = exponent
-    lo, hi = spec.lo, spec.hi
     lower = side == "lower"
     w = (lambda t: (t - lo) ** (g - 1.0)) if lower else (lambda t: (hi - t) ** (g - 1.0))
     interior = sorted({c for c in cuts if lo < c < hi})
@@ -283,22 +284,20 @@ def integrate_singular(
         edges = [lo, *interior, hi]
         total = 0.0
         for plo, phi in zip(edges, edges[1:]):
-            piece = replace(spec, lo=plo, hi=phi)
             if (plo == lo) if lower else (phi == hi):
-                total += integrate_singular(f, g, side, piece)
+                total += integrate_singular(f, g, side, plo, phi, abs_tol=abs_tol, rel_tol=rel_tol)
             else:
-                total += integrate(lambda t: w(t) * f(t), piece)
+                total += integrate(lambda t: w(t) * f(t), plo, phi, abs_tol=abs_tol, rel_tol=rel_tol)
         return total
     if g == 1.0:
-        return integrate(f, spec)
+        return integrate(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol)
     if g > 1.0:
         # weight is continuous (0 at the endpoint); sample it directly
-        return integrate(lambda t: w(t) * f(t), spec)
+        return integrate(lambda t: w(t) * f(t), lo, hi, abs_tol=abs_tol, rel_tol=rel_tol)
     span_g = (hi - lo) ** g
-    inner = replace(spec, lo=0.0, hi=span_g, abs_tol=spec.abs_tol * g)
     inv_g = 1.0 / g
     if lower:
         sub = lambda u: f(min(lo + u**inv_g, hi))
     else:
         sub = lambda u: f(max(hi - u**inv_g, lo))
-    return integrate(sub, inner) / g
+    return integrate(sub, 0.0, span_g, abs_tol=abs_tol * g, rel_tol=rel_tol) / g

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 
-from .quad import QuadSpec, integrate, integrate_singular
+from .quad import integrate, integrate_singular
 
 __all__ = ["gamma", "beta", "hyp2f1", "hyp2f1_series", "hyp2f1_integral"]
 
 _SERIES_TERM_CUTOFF = 1e-16
 _SERIES_MAX_TERMS = 10_000
 _SERIES_Z_LIMIT = 0.9
-_INNER_SPEC_ARGS = {"abs_tol": 1e-14, "rel_tol": 1e-12}
+_INNER_TOL = {"abs_tol": 1e-14, "rel_tol": 1e-12}
 # Keeps every gamma argument of the w = 1 - z series far below the overflow at 171.
 _W_SERIES_MAX_PARAMS = 150.0
 # The w = 1 - z series loses about 1e-15 times the ratio of the summed magnitudes of
@@ -88,22 +88,16 @@ def hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
 
     if b < 1.0:
         low = integrate_singular(
-            lambda t: (1.0 - t) ** (cb - 1.0) * (1.0 - z * t) ** (-a),
-            b,
-            "lower",
-            QuadSpec(0.0, 0.5, **_INNER_SPEC_ARGS),
+            lambda t: (1.0 - t) ** (cb - 1.0) * (1.0 - z * t) ** (-a), b, "lower", 0.0, 0.5, **_INNER_TOL
         )
     else:
-        low = integrate(full, QuadSpec(0.0, 0.5, **_INNER_SPEC_ARGS))
+        low = integrate(full, 0.0, 0.5, **_INNER_TOL)
     if cb < 1.0:
         high = integrate_singular(
-            lambda t: t ** (b - 1.0) * (1.0 - z * t) ** (-a),
-            cb,
-            "upper",
-            QuadSpec(0.5, 1.0, **_INNER_SPEC_ARGS),
+            lambda t: t ** (b - 1.0) * (1.0 - z * t) ** (-a), cb, "upper", 0.5, 1.0, **_INNER_TOL
         )
     else:
-        high = integrate(full, QuadSpec(0.5, 1.0, **_INNER_SPEC_ARGS))
+        high = integrate(full, 0.5, 1.0, **_INNER_TOL)
     return (low + high) / beta(b, cb)
 
 

@@ -30,7 +30,7 @@ from hqfi.bounds import (
 from hqfi.harmonic import IntervalDomain, ScalarFunction, corpus
 from hqfi.harness import SweepConfig, run_verify
 from hqfi.kernels import c1, c2, c3
-from hqfi.quad import QuadSpec, integrate
+from hqfi.quad import integrate
 
 FNS = {f.label: f for f in corpus()}
 WORKED = ParamPoint(1.0, 2.0, 4.0 / 3.0, 0.0, 1.0, 1.0)
@@ -138,7 +138,7 @@ def test_identity_alpha_one_displayed_form():
             x = rng.uniform(a, b)
             lam = rng.uniform(0.0, 1.0)
             pt = ParamPoint(a, b, x, lam, 1.0, 1.0)
-            mean = integrate(lambda u: f(u) / (u * u), QuadSpec(a, b))
+            mean = integrate(lambda u: f(u) / (u * u), a, b)
             displayed = (b - a) / (a * b) * (
                 (1.0 - lam) * f(x)
                 + lam * (b * (x - a) * f(a) + a * (b - x) * f(b)) / (x * (b - a))

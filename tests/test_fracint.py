@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqfi.fracint import rl_left, rl_right
-from hqfi.quad import QuadSpec, integrate
+from hqfi.quad import integrate
 from hqfi.specialfn import gamma
 
 
@@ -61,7 +61,7 @@ def test_alpha_one_reduces_to_plain_integration():
         for _ in range(5):
             u = rng.uniform(0.5, 1.5)
             b = u + rng.uniform(0.3, 1.5)
-            plain = integrate(f, QuadSpec(u, b))
+            plain = integrate(f, u, b)
             assert rl_left(f, u, 1.0, b) == pytest.approx(plain, rel=1e-10, abs=1e-12)
             assert rl_right(f, b, 1.0, u) == pytest.approx(plain, rel=1e-10, abs=1e-12)
 

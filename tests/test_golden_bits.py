@@ -1,16 +1,21 @@
 """Exact bits of the numeric layers, pinned as float.hex.
 
-A change that reorders the arithmetic of 2F1, the kernel moments or the
-weighted quadrature fails here, not only in a benchmark's report hash.  A
+A change that reorders the arithmetic of 2F1, the kernel moments or any
+quadrature layer (integrate, integrate_kinked, kernel_oracle, the
+fractional integrals and the two sides of the identity) fails here, not only
+in a benchmark's report hash.  A
 change that moves these bits on purpose updates the pins and says why.
 """
 import math
 
 import pytest
 
-from hqfi import specialfn
-from hqfi.kernels import c1, c2, c3
-from hqfi.quad import QuadSpec, integrate_singular
+from hqfi import quad, specialfn
+from hqfi.bounds import ParamPoint, identity_lhs, identity_rhs
+from hqfi.fracint import rl_left, rl_right
+from hqfi.harmonic import corpus
+from hqfi.kernels import c1, c2, c3, integrate_kinked, kernel_oracle
+from hqfi.quad import integrate, integrate_singular
 from hqfi.specialfn import hyp2f1, hyp2f1_integral
 
 # the public routes each hyp2f1 route must not reach
@@ -73,9 +78,59 @@ def test_c2_c3_bits(lam, r, c2_bits, c3_bits):
 
 
 def test_integrate_singular_bits_lower_weight():
-    assert integrate_singular(math.exp, 0.3, "lower", QuadSpec(1.0, 3.0)).hex() == "0x1.550c1a7dfc67bp+4"
+    assert integrate_singular(math.exp, 0.3, "lower", 1.0, 3.0).hex() == "0x1.550c1a7dfc67bp+4"
+
+
+def test_integrate_singular_bits_where_the_scaled_absolute_tolerance_decides():
+    # |I| is near 0.02, so abs_tol decides, and the substituted integral in u runs to abs_tol * g
+    got = integrate_singular(lambda t: 0.01 * math.cos(3.0 * t), 0.3, "lower", 1.0, 3.0)
+    assert got.hex() == "-0x1.3cd1c74296e9cp-6"
 
 
 def test_integrate_singular_bits_upper_weight_with_a_cut():
-    got = integrate_singular(lambda t: abs(t - 1.2), 0.7, "upper", QuadSpec(0.5, 2.0), cuts=(1.2,))
+    got = integrate_singular(lambda t: abs(t - 1.2), 0.7, "upper", 0.5, 2.0, cuts=(1.2,))
     assert got.hex() == "0x1.9bb2dfdb2eee7p-1"
+
+
+def test_integrate_bits_through_the_heap_loop(monkeypatch):
+    # the kink at 1/3 is no panel edge, so the first panel misses the tolerance and bisection runs
+    panels = [0]
+    inner = quad.gk15
+
+    def counted(*args):
+        panels[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(quad, "gk15", counted)
+    assert integrate(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0).hex() == "0x1.1c71c71c71f38p-2"
+    assert panels[0] > 1
+
+
+def test_integrate_kinked_bits_with_substitution_and_a_cut():
+    # alpha = 0.4 integrates in s = t^(1/3); the kink 0.5^(1/0.4) and the cut 0.7 both move into s
+    got = integrate_kinked(lambda t: abs(t**0.4 - 0.5) + abs(t - 0.7), 0.4, 0.5, cuts=(0.7,))
+    assert got.hex() == "0x1.1c0ddf73ad308p-1"
+
+
+def test_kernel_oracle_bits_at_an_interior_kink():
+    assert kernel_oracle(1.5, 1.0 / 3.0, 2.0, 0.6, 1.0).hex() == "0x1.fd567afe327e1p-1"
+
+
+def test_rl_bits_with_a_cut():
+    f = lambda t: abs(t - 1.2)
+    assert rl_left(f, 0.5, 0.7, 2.0, cuts=(1.2,)).hex() == "0x1.3d2a705de8a6ep-1"
+    assert rl_right(f, 2.0, 0.7, 0.5, cuts=(1.2,)).hex() == "0x1.2be184015b13bp-1"
+
+
+@pytest.mark.parametrize(
+    "x, lam, alpha, lhs_bits, rhs_bits",
+    [
+        # the break u = 1 of piecewise_plateau lies in the right brace at x = 0.8, in the left one at x = 1.5
+        (0.8, 1.0 / 3.0, 0.5, "0x1.b871591ad2260p-3", "0x1.b871591ad225ep-3"),
+        (1.5, 0.5, 2.0, "-0x1.798a94ffd53a4p-2", "-0x1.798a94ffd53a7p-2"),
+    ],
+)
+def test_identity_bits_across_a_break(x, lam, alpha, lhs_bits, rhs_bits):
+    f = {g.label: g for g in corpus()}["piecewise_plateau"]
+    p = ParamPoint(0.5, 2.0, x, lam, alpha)
+    assert (identity_lhs(f, p).hex(), identity_rhs(f, p).hex()) == (lhs_bits, rhs_bits)

@@ -99,6 +99,13 @@ def test_config_validation():
         SweepConfig(x_mode="explicit")
     with pytest.raises(ValueError):
         SweepConfig(tol_scale=0.0)
+    # the run uses each tolerance times tol_scale: a product that overflows to inf would pass
+    # every check, and one that underflows to 0 none
+    for name in ("tol_identity", "tol_slack", "tol_quad_abs", "tol_quad_rel"):
+        for value, scale, scaled in ((1e10, 1e300, "inf"), (1e-30, 1e-300, "0.0")):
+            message = f"{name} * tol_scale must be a positive finite real, got {scaled}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SweepConfig(**{name: value, "tol_scale": scale})
     # bool is an int to Python, but JSON true is no number
     bools = ({"tol_identity": True}, {"lambdas": [True]}, {"seed": True}, {"x_count": True}, {"intervals": [[True, 2]]})
     # float() reads "0.5", but a quoted number is no number either
@@ -672,6 +679,15 @@ def test_cli_tol_scale_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HQFI_TOL_SCALE", "soft")
     assert main(["verify"]) == 2
     capsys.readouterr()
+
+
+def test_cli_overflowing_scaled_tolerance_exits_2(tmp_path, monkeypatch, capsys):
+    # the verbatim run has violations and exits 1; an infinite slack tolerance would hide them all
+    monkeypatch.setenv("HQFI_TOL_SCALE", "1e300")
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--variant", "verbatim", "--tol-slack", "1e10", "--out", str(out)]) == 2
+    assert "tol_slack * tol_scale must be a positive finite real, got inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_csv_output(tmp_path):

@@ -13,7 +13,7 @@ from hqfi.fracint import rl_left, rl_right
 from hqfi.harmonic import corpus
 from hqfi.harness import run_constants
 from hqfi.kernels import c1, c2, c3, integrate_kinked, kernel_oracle
-from hqfi.quad import QuadSpec, integrate
+from hqfi.quad import integrate
 from hqfi.specialfn import hyp2f1
 
 
@@ -81,7 +81,7 @@ def test_oracle_split_vs_unsplit():
     # kink handling is a convergence aid, not a value change
     alpha, lam, q, u, v = 1.3, 0.4, 2.0, 0.6, 1.0
     split = kernel_oracle(alpha, lam, q, u, v)
-    unsplit = integrate(lambda t: abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** (2.0 * q), QuadSpec(0.0, 1.0))
+    unsplit = integrate(lambda t: abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** (2.0 * q), 0.0, 1.0)
     assert split == pytest.approx(unsplit, rel=1e-9)
 
 
@@ -177,7 +177,7 @@ def test_domain_validation():
 
 # --- integrate_kinked: cuts and the t = s^k substitution ---
 
-_SPEC_ARGS = {"abs_tol": 1e-11, "rel_tol": 1e-10}
+_TOL = {"abs_tol": 1e-11, "rel_tol": 1e-10}
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
@@ -189,10 +189,10 @@ def test_integrate_kinked_at_alpha_one_or_more_is_the_plain_split(alpha, lam):
 
     kink = lam ** (1.0 / alpha)
     if 0.0 < kink < 1.0:
-        expected = integrate(f, QuadSpec(0.0, kink, **_SPEC_ARGS)) + integrate(f, QuadSpec(kink, 1.0, **_SPEC_ARGS))
+        expected = integrate(f, 0.0, kink, **_TOL) + integrate(f, kink, 1.0, **_TOL)
     else:
-        expected = integrate(f, QuadSpec(0.0, 1.0, **_SPEC_ARGS))
-    assert integrate_kinked(f, alpha, lam, **_SPEC_ARGS) == expected
+        expected = integrate(f, 0.0, 1.0, **_TOL)
+    assert integrate_kinked(f, alpha, lam, **_TOL) == expected
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 1e-4, 0.05, 0.1, 0.3, 0.5, 0.99])
@@ -203,7 +203,7 @@ def test_integrate_kinked_substitution_keeps_the_value(alpha):
     for lam in (0.0, 1.0 / 3.0, 0.5, 1.0):
         f = lambda t: abs(t**alpha - lam)
         for cuts in ((), (0.25,), (0.7, 1e-3)):
-            assert integrate_kinked(f, alpha, lam, cuts=cuts, **_SPEC_ARGS) == pytest.approx(c1(alpha, lam), rel=1e-12)
+            assert integrate_kinked(f, alpha, lam, cuts=cuts, **_TOL) == pytest.approx(c1(alpha, lam), rel=1e-12)
 
 
 def _panels(monkeypatch):
@@ -240,7 +240,7 @@ _TOLERANCE_FORWARDERS = {
 
 
 @pytest.mark.parametrize("name", sorted(_TOLERANCE_FORWARDERS))
-def test_tolerance_keywords_reach_quadspec(monkeypatch, name):
+def test_tolerance_keywords_reach_integrate(monkeypatch, name):
     # a misspelled keyword is an error, not a silent fall-back to the defaults
     run = _TOLERANCE_FORWARDERS[name]
     with pytest.raises(TypeError):

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqfi import quad
-from hqfi.bounds import ParamPoint, identity_lhs
+from hqfi.bounds import ParamPoint, identity_lhs, identity_rhs
 from hqfi.fracint import rl_left, rl_right
-from hqfi.harmonic import IntervalDomain, ScalarFunction
-from hqfi.quad import QuadratureError, QuadSpec, gk15, integrate, integrate_singular
+from hqfi.harmonic import IntervalDomain, ScalarFunction, corpus
+from hqfi.kernels import integrate_kinked
+from hqfi.quad import QuadratureError, gk15, integrate, integrate_singular
 
 
 def test_gk15_polynomial_exactness():
@@ -124,7 +125,7 @@ def test_gk15_clamps_panels_a_few_ulps_wide(lo, ulps):
 
 
 def test_integrate_negative_zero_panel_is_positive_zero():
-    got = integrate(lambda t: -0.0, QuadSpec(0.0, 1.0))
+    got = integrate(lambda t: -0.0, 0.0, 1.0)
     assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
@@ -141,47 +142,44 @@ def test_integrate_stops_after_a_panel_whose_error_meets_the_tolerance(monkeypat
         return gk15(f, lo, hi)
 
     monkeypatch.setattr(quad, "gk15", counted)
-    got = integrate(f, QuadSpec(0.0, 1.0, abs_tol=err, rel_tol=0.0))
+    got = integrate(f, 0.0, 1.0, abs_tol=err, rel_tol=0.0)
     assert calls == [(0.0, 1.0)]
     assert got.hex() == (res + 0.0).hex()
     calls.clear()
-    integrate(f, QuadSpec(0.0, 1.0, abs_tol=math.nextafter(err, 0.0), rel_tol=0.0))
+    integrate(f, 0.0, 1.0, abs_tol=math.nextafter(err, 0.0), rel_tol=0.0)
     assert len(calls) > 1
 
 
 def test_integrate_smooth_goldens():
-    assert integrate(math.exp, QuadSpec(0.0, 1.0)) == pytest.approx(math.e - 1.0, rel=1e-12)
-    assert integrate(math.sin, QuadSpec(0.0, math.pi)) == pytest.approx(2.0, rel=1e-12)
+    assert integrate(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert integrate(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
     # int_0^1 1/(1+t^2) = pi/4
-    assert integrate(lambda t: 1.0 / (1.0 + t * t), QuadSpec(0.0, 1.0)) == pytest.approx(
+    assert integrate(lambda t: 1.0 / (1.0 + t * t), 0.0, 1.0) == pytest.approx(
         math.pi / 4.0, rel=1e-12
     )
 
 
 def test_integrate_interior_kink():
     # int_0^1 |t - 1/3| dt = 5/18
-    got = integrate(lambda t: abs(t - 1.0 / 3.0), QuadSpec(0.0, 1.0))
+    got = integrate(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0)
     assert got == pytest.approx(5.0 / 18.0, abs=1e-11)
 
 
 def test_integrate_jump_discontinuity():
-    got = integrate(lambda t: 0.0 if t < 0.5 else 1.0, QuadSpec(0.0, 1.0, abs_tol=1e-9, rel_tol=1e-8))
+    got = integrate(lambda t: 0.0 if t < 0.5 else 1.0, 0.0, 1.0, abs_tol=1e-9, rel_tol=1e-8)
     assert got == pytest.approx(0.5, abs=1e-8)
 
 
 def test_integrate_undeclared_endpoint_singularity_depth_wall():
     # hidden integrable singularities stop at the double-precision bisection
     # wall near the endpoint: ~1e-8 absolute is the documented limit, not 1e-11
-    got = integrate(
-        lambda u: 1.0 / math.sqrt(1.0 - u * u),
-        QuadSpec(-1.0, 1.0, abs_tol=1e-9, rel_tol=1e-9),
-    )
+    got = integrate(lambda u: 1.0 / math.sqrt(1.0 - u * u), -1.0, 1.0, abs_tol=1e-9, rel_tol=1e-9)
     assert got == pytest.approx(math.pi, abs=1e-6)
 
 
 def test_integrate_nonintegrable_raises():
     with pytest.raises(QuadratureError):
-        integrate(lambda t: 1.0 / t, QuadSpec(0.0, 1.0))
+        integrate(lambda t: 1.0 / t, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +193,7 @@ def test_integrate_nonintegrable_raises():
 def test_integrate_nonfinite_panel_raises(f):
     # a NaN error estimate fails both tolerance tests, so the loop used to stop and return the NaN
     with pytest.raises(QuadratureError, match=r"non-finite integrand on \[0.0, 1.0\]"):
-        integrate(f, QuadSpec(0.0, 1.0))
+        integrate(f, 0.0, 1.0)
 
 
 def test_integrate_nonfinite_child_panel_raises(monkeypatch):
@@ -209,7 +207,7 @@ def test_integrate_nonfinite_child_panel_raises(monkeypatch):
 
     monkeypatch.setattr(quad, "gk15", nan_on_third)
     with pytest.raises(QuadratureError, match=r"on \[0.0, 1.0\]: panel \[0.5, 1.0\] gives nan"):
-        integrate(math.sqrt, QuadSpec(0.0, 1.0))
+        integrate(math.sqrt, 0.0, 1.0)
 
 
 def test_identity_lhs_of_a_partly_nan_function_raises():
@@ -231,18 +229,53 @@ def test_integrate_below_the_roundoff_floor_raises_at_once(monkeypatch):
     monkeypatch.setattr(quad, "gk15", counted)
     start = time.perf_counter()
     with pytest.raises(QuadratureError, match="roundoff floor"):
-        integrate(math.exp, QuadSpec(0.0, 1.0, abs_tol=math.nextafter(err, 0.0), rel_tol=0.0))
+        integrate(math.exp, 0.0, 1.0, abs_tol=math.nextafter(err, 0.0), rel_tol=0.0)
     assert time.perf_counter() - start < 1.0
     assert panels[0] == 1
 
 
-def test_quadspec_validation():
-    with pytest.raises(ValueError):
-        QuadSpec(1.0, 1.0)
-    with pytest.raises(ValueError):
-        QuadSpec(0.0, 1.0, abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(0.0, math.inf)
+_INTERVAL = "quadrature interval must be finite"
+_SIGNS = "require abs_tol > 0 and rel_tol >= 0"
+
+# (lo, hi, abs_tol, rel_tol, message); the interval is checked before its order, then the tolerances
+_BAD_REQUESTS = [
+    (1.0, 1.0, 1e-11, 1e-10, "require lo < hi, got [1.0, 1.0]"),
+    (0.0, 1.0, 0.0, 1e-10, _SIGNS),
+    (0.0, math.inf, 1e-11, 1e-10, _INTERVAL),
+    (math.nan, 1.0, 0.0, math.nan, _INTERVAL),
+    (2.0, 1.0, math.nan, 1e-10, "require lo < hi, got [2.0, 1.0]"),
+    (0.0, 1.0, -math.inf, 1e-10, _SIGNS),
+    (0.0, 1.0, 1e-11, -1e-10, _SIGNS),
+    (0.0, 1.0, math.nan, 1e-10, "quadrature tolerances must be finite, got abs_tol=nan, rel_tol=1e-10"),
+    (0.0, 1.0, math.inf, 1e-10, "quadrature tolerances must be finite, got abs_tol=inf, rel_tol=1e-10"),
+    (0.0, 1.0, 1e-11, math.nan, "quadrature tolerances must be finite, got abs_tol=1e-11, rel_tol=nan"),
+    (0.0, 1.0, 1e-11, math.inf, "quadrature tolerances must be finite, got abs_tol=1e-11, rel_tol=inf"),
+]
+
+_PLATEAU = {g.label: g for g in corpus()}["piecewise_plateau"]
+
+# each caller of the request check; the last three fix their intervals, so only the tolerance cases reach them
+_REQUEST_CALLERS = {
+    "integrate": lambda lo, hi, **tol: integrate(math.exp, lo, hi, **tol),
+    "integrate_singular": lambda lo, hi, **tol: integrate_singular(math.exp, 0.5, "lower", lo, hi, **tol),
+    "rl_left": lambda lo, hi, **tol: rl_left(math.exp, lo, 0.5, hi, **tol),
+    "rl_right": lambda lo, hi, **tol: rl_right(math.exp, hi, 0.5, lo, **tol),
+    "integrate_kinked": lambda lo, hi, **tol: integrate_kinked(math.exp, 0.5, 0.5, **tol),
+    "identity_lhs": lambda lo, hi, **tol: identity_lhs(_PLATEAU, ParamPoint(0.5, 2.0, 0.8, 0.5, 0.5), **tol),
+    "identity_rhs": lambda lo, hi, **tol: identity_rhs(_PLATEAU, ParamPoint(0.5, 2.0, 0.8, 0.5, 0.5), **tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REQUEST_CALLERS))
+def test_quadrature_request_validation(name):
+    # a NaN tolerance fails every accuracy test and an infinite one passes every panel: both are refused
+    call = _REQUEST_CALLERS[name]
+    fixed = name in ("integrate_kinked", "identity_lhs", "identity_rhs")
+    for lo, hi, abs_tol, rel_tol, message in _BAD_REQUESTS:
+        if fixed and not message.startswith(("quadrature tolerances", _SIGNS)):
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(lo, hi, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 # (exponent, side, message); the exponent is checked before the side
@@ -258,7 +291,7 @@ _BAD_WEIGHTS = [
 
 # each caller of the weight check; rl_left puts the weight on the upper end, rl_right on the lower
 _WEIGHT_CALLERS = {
-    integrate_singular: lambda g, side: integrate_singular(lambda t: 1.0, g, side, QuadSpec(0.0, 1.0)),
+    integrate_singular: lambda g, side: integrate_singular(lambda t: 1.0, g, side, 0.0, 1.0),
     rl_left: lambda g, side: rl_left(lambda t: 1.0, 0.0, g, 1.0),
     rl_right: lambda g, side: rl_right(lambda t: 1.0, 1.0, g, 0.0),
 }
@@ -275,24 +308,24 @@ def test_singular_weight_validation():
 
 def test_integrate_singular_lower_exact():
     # int_0^1 t^{-1/2} dt = 2, integrand constant after substitution
-    got = integrate_singular(lambda t: 1.0, 0.5, "lower", QuadSpec(0.0, 1.0))
+    got = integrate_singular(lambda t: 1.0, 0.5, "lower", 0.0, 1.0)
     assert got == pytest.approx(2.0, rel=1e-13)
 
 
 def test_integrate_singular_upper_beta_golden():
     # int_0^1 t (1-t)^{-1/2} dt = B(2, 1/2) = 4/3
-    got = integrate_singular(lambda t: t, 0.5, "upper", QuadSpec(0.0, 1.0))
+    got = integrate_singular(lambda t: t, 0.5, "upper", 0.0, 1.0)
     assert got == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_integrate_singular_exponent_above_one():
     # int_0^1 t^{1.5} dt = 2/5 via the continuous-weight branch (g = 2.5)
-    got = integrate_singular(lambda t: 1.0, 2.5, "lower", QuadSpec(0.0, 1.0))
+    got = integrate_singular(lambda t: 1.0, 2.5, "lower", 0.0, 1.0)
     assert got == pytest.approx(0.4, rel=1e-12)
 
 
 def test_integrate_singular_plain_reduction():
-    got = integrate_singular(math.exp, 1.0, "lower", QuadSpec(0.0, 1.0))
+    got = integrate_singular(math.exp, 1.0, "lower", 0.0, 1.0)
     assert got == pytest.approx(math.e - 1.0, rel=1e-12)
 
 
@@ -300,7 +333,7 @@ def test_integrate_singular_offset_interval():
     # int_1^3 (t-1)^{-0.7} t dt: substitve u = (t-1)^{0.3}; closed form via B-pieces
     # = int_0^2 s^{-0.7} (s+1) ds = [s^{0.3}/0.3 + s^{1.3}/1.3]_0^2
     expected = 2.0**0.3 / 0.3 + 2.0**1.3 / 1.3
-    got = integrate_singular(lambda t: t, 0.3, "lower", QuadSpec(1.0, 3.0))
+    got = integrate_singular(lambda t: t, 0.3, "lower", 1.0, 3.0)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -315,7 +348,7 @@ def test_integrate_singular_offset_interval():
 def test_integrate_matches_antiderivative(c0, c1, c2, c3, hi):
     f = lambda t: c0 + c1 * t + c2 * t * t + c3 * t**3
     F = lambda t: c0 * t + c1 * t * t / 2.0 + c2 * t**3 / 3.0 + c3 * t**4 / 4.0
-    got = integrate(f, QuadSpec(0.0, hi))
+    got = integrate(f, 0.0, hi)
     assert got == pytest.approx(F(hi), rel=1e-10, abs=1e-10)
 
 
@@ -324,7 +357,7 @@ def test_integrate_matches_antiderivative(c0, c1, c2, c3, hi):
 def test_integrate_singular_power_rule(g, p):
     # int_0^1 t^p (1-t)^{g-1} dt = B(p+1, g)
     expected = math.exp(math.lgamma(p + 1.0) + math.lgamma(g) - math.lgamma(p + 1.0 + g))
-    got = integrate_singular(lambda t: t**p, g, "upper", QuadSpec(0.0, 1.0))
+    got = integrate_singular(lambda t: t**p, g, "upper", 0.0, 1.0)
     assert got == pytest.approx(expected, rel=1e-9)
 
 
@@ -339,7 +372,6 @@ def test_integrate_singular_cut_at_a_kink(g, side, c):
     span = hi - lo
     expected = d ** (g + 1.0) / (g * (g + 1.0)) + (span ** (g + 1.0) - d ** (g + 1.0)) / (g + 1.0)
     expected -= d * (span**g - d**g) / g
-    spec = QuadSpec(lo, hi, abs_tol=1e-13, rel_tol=1e-13)
     f = lambda t: abs(t - c)
-    got = integrate_singular(f, g, side, spec, cuts=(c, 0.5, 3.0))
+    got = integrate_singular(f, g, side, lo, hi, cuts=(c, 0.5, 3.0), abs_tol=1e-13, rel_tol=1e-13)
     assert got == pytest.approx(expected, rel=1e-12)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqfi import kernels, specialfn
-from hqfi.quad import QuadSpec, integrate_singular
+from hqfi.quad import integrate_singular
 from hqfi.specialfn import _lgamma_slope, beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
 
 EULER_GAMMA = 0.5772156649015329
@@ -22,7 +22,7 @@ def test_gamma_goldens():
 
 def test_gamma_against_truncated_euler_integral():
     # int_0^50 e^{-t} t^{-1/2} dt misses Gamma(1/2) by less than e^{-50}
-    got = integrate_singular(lambda t: math.exp(-t), 0.5, "lower", QuadSpec(0.0, 50.0))
+    got = integrate_singular(lambda t: math.exp(-t), 0.5, "lower", 0.0, 50.0)
     assert got == pytest.approx(gamma(0.5), abs=1e-9)
 
 
