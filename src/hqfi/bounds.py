@@ -43,7 +43,9 @@ given.  `bound` passes it one row; the sweep builds its rows once per run
 
 The brace moments c2(...)^(1/kq) and c3(...)^(1/kq) do not depend on f, so
 `_brace_moment` memoizes them per (alpha, lam, kq, r) for the process
-lifetime, in a cache of fixed size (`_BRACE_CACHE_SIZE`).
+lifetime.  Each is the kernels' lam step on a lam-free part at (alpha, kq, r),
+which `_brace_part` memoizes in turn, so a sweep over lam computes each part's
+2F1 values once.  Both caches have the same fixed size (`_BRACE_CACHE_SIZE`).
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ from typing import Callable, NamedTuple
 
 from .fracint import rl_left, rl_right
 from .harmonic import IntervalDomain, ScalarFunction
-from .kernels import _check_args, c1, c2, c3, integrate_kinked
+from .kernels import _c2_at, _c2_part, _c3_at, _c3_part, _check_args, _finite, c1, integrate_kinked
 from .specialfn import gamma
 
 __all__ = [
@@ -288,16 +290,25 @@ _FAMILIES = {
     Theorem.T24: _Family(_conjugate, lambda q: 1.0 / q, lambda q: 2.0 * _conjugate(q), True),
 }
 
-# Each entry is a distinct brace moment backing at least one bound record the
-# caller already holds; the 9-function dense sweep needs 960.  The fixed size
-# keeps a long-lived library process from growing without limit.
+# Each entry is a distinct brace moment, or its lam-free part, backing at least one
+# bound record the caller already holds; the 9-function dense sweep needs 960
+# moments on 240 parts.  The fixed size keeps a long-lived library process from
+# growing without limit.
 _BRACE_CACHE_SIZE = 2**16
 
 
 @functools.lru_cache(maxsize=_BRACE_CACHE_SIZE)
+def _brace_part(right: bool, alpha: float, kq: float, r: float) -> tuple[float, float]:
+    """The lam-free part of c3 at (alpha, kq, r) for the right brace, else that of c2."""
+    return (_c3_part if right else _c2_part)(alpha, kq, r)
+
+
+@functools.lru_cache(maxsize=_BRACE_CACHE_SIZE)
 def _brace_moment(right: bool, alpha: float, lam: float, kq: float, r: float) -> float:
-    """c3(alpha, lam, kq, r)^(1/kq) for the right brace, else the same for c2."""
-    return (c3 if right else c2)(alpha, lam, kq, r) ** (1.0 / kq)
+    """c3(alpha, lam, kq, r)^(1/kq) for the right brace, else the same for c2: the lam step on the memoized part."""
+    name, step = ("c3", _c3_at) if right else ("c2", _c2_at)
+    value = step(_brace_part(right, alpha, kq, r), alpha, lam, kq, r)
+    return _finite(name, value, alpha, lam, kq, r) ** (1.0 / kq)
 
 
 class _Row(NamedTuple):

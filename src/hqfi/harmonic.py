@@ -129,7 +129,8 @@ def _samples(f: ScalarFunction, d: IntervalDomain, n: int, seed: int) -> tuple[l
 
 def _scan(f: ScalarFunction, d: IntervalDomain, n: int, seed: int, convex: bool) -> ConvexityVerdict:
     # quasi: g_j against the smallest g on each side; convex: g_j against its
-    # neighbours' chord (non-decreasing consecutive slopes bound every wider chord)
+    # neighbours' chord (non-decreasing consecutive slopes bound every wider chord);
+    # in both, the margin scales with the three samples, as their roundoff does
     s, u, g = _samples(f, d, n, seed)
     m = len(s)
     # right_min[j]: index of the smallest g among samples j+1 .. m-1
@@ -145,13 +146,12 @@ def _scan(f: ScalarFunction, d: IntervalDomain, n: int, seed: int, convex: bool)
             i, k = j - 1, j + 1
             lam = (s[j] - s[i]) / (s[k] - s[i])
             rhs = lam * g[k] + (1.0 - lam) * g[i]
-            margin = _VIOLATION_MARGIN * max(1.0, abs(g[i]), abs(g[j]), abs(g[k]))
         else:
             i, k = left_min, right_min[j]
-            rhs, margin = max(g[i], g[k]), _VIOLATION_MARGIN
+            rhs = max(g[i], g[k])
             if g[j] < g[left_min]:
                 left_min = j
-        if g[j] > rhs + margin:
+        if g[j] > rhs + _VIOLATION_MARGIN * max(1.0, abs(g[i]), abs(g[j]), abs(g[k])):
             lam = (s[j] - s[i]) / (s[k] - s[i])
             return ConvexityVerdict(VIOLATED, (u[i], u[k], lam), checked)
     return ConvexityVerdict(NO_VIOLATION, None, checked)

@@ -10,9 +10,16 @@ harmonic-interpolation denominator:
 Both c2 and c3 depend on the endpoints only through the ratio r in (0, 1].
 The closed forms split the integral at the kink t = lam^(1/alpha) and resolve
 each piece through 2F1; every identity here is pinned against `kernel_oracle`
-by the tests.  Each function takes plain floats and checks them with
-`_check_args` (alpha > 0, lam in [0, 1], q >= 1, r in (0, 1]), the one check
-that `bounds.ParamPoint` and `harness.run_constants` call too.
+by the tests.  With A = 2q and z1 = 1 - r, c2 rests on
+D(z) = 2F1(A, 1; 2; z) - 2F1(A, alpha+1; alpha+2; z)/(alpha+1)
+     = (2F1(A-1, alpha; alpha+1; z) - 1) / ((A-1) z),
+summed without the subtraction, and c3 on the elementary
+2F1(A, 1; 2; z) = ((1-z)^(1-A) - 1) / ((A-1) z).  Each moment is a lam-free
+part at (alpha, q, r) (`_c2_part`, `_c3_part`) and a lam step on top of it
+(`_c2_at`, `_c3_at`); the bounds memoize the part, and the public c2 and c3
+compose the two at one point.  Each public function takes plain floats and
+checks them with `_check_args` (alpha > 0, lam in [0, 1], q >= 1, r in (0, 1]),
+the one check that `bounds.ParamPoint` and `harness.run_constants` call too.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ import math
 from typing import Callable
 
 from .quad import integrate
-from .specialfn import hyp2f1
+from .specialfn import _hyp2f1_tail, hyp2f1
 
 __all__ = ["c1", "c2", "c3", "kernel_oracle"]
 
@@ -54,47 +61,97 @@ def _finite(name: str, value: float, alpha: float, lam: float, q: float, r: floa
     return value
 
 
-def c2(alpha: float, lam: float, q: float, r: float) -> float:
-    """Closed form of the left-brace moment; r = a/x."""
-    _check_args(alpha, lam, q, r)
-    z1 = 1.0 - r
-    main = hyp2f1(2.0 * q, alpha + 1.0, alpha + 2.0, z1) / (alpha + 1.0)
+def _hyp_a12(a: float, z: float) -> float:
+    """2F1(a, 1; 2; z) = ((1-z)^(1-a) - 1) / ((a-1) z) for a > 1: 1 at z = 0, inf past the double range."""
+    if z == 0.0:
+        return 1.0
+    try:
+        return math.expm1((1.0 - a) * math.log1p(-z)) / ((a - 1.0) * z)
+    except OverflowError:
+        return math.inf
+
+
+def _d(a: float, alpha: float, z: float) -> float:
+    """D(z) = 2F1(a, 1; 2; z) - 2F1(a, alpha+1; alpha+2; z)/(alpha+1) = (2F1(a-1, alpha; alpha+1; z) - 1) / ((a-1) z).
+
+    The second form comes from integration by parts and subtracts nothing large.
+    """
+    return _hyp2f1_tail(a - 1.0, alpha, alpha + 1.0, z) / (a - 1.0)
+
+
+def _c2_part(alpha: float, q: float, r: float) -> tuple[float, float]:
+    """The lam-free part of c2 at (alpha, q, r): 2F1(2q, alpha+1; alpha+2; z1)/(alpha+1) and D(z1), z1 = 1 - r."""
+    a, z1 = 2.0 * q, 1.0 - r
+    return hyp2f1(a, alpha + 1.0, alpha + 2.0, z1) / (alpha + 1.0), _d(a, alpha, z1)
+
+
+def _c2_at(part: tuple[float, float], alpha: float, lam: float, q: float, r: float) -> float:
+    """c2 at one lam from `_c2_part`: (1-lam) F1 - lam D(z1) + 2 lam^(1+1/alpha) D(z2), z2 = lam^(1/alpha) z1."""
+    main, d1 = part
     if lam == 0.0:
-        return _finite("c2", main, alpha, lam, q, r)
-    main -= lam * hyp2f1(2.0 * q, 1.0, 2.0, z1)
+        return main
+    if lam == 1.0:
+        return d1  # z2 = z1, and -D(z1) + 2 D(z1) = D(z1)
+    d2 = _d(2.0 * q, alpha, lam ** (1.0 / alpha) * (1.0 - r))
+    return (1.0 - lam) * main - lam * d1 + 2.0 * lam ** (1.0 + 1.0 / alpha) * d2
+
+
+def c2(alpha: float, lam: float, q: float, r: float) -> float:
+    """Closed form of the left-brace moment; r = a/x.
+
+    With z1 = 1 - r, F1 = 2F1(2q, alpha+1; alpha+2; z1)/(alpha+1) and
+    D(z) = (2F1(2q-1, alpha; alpha+1; z) - 1) / ((2q-1) z),
+        c2 = (1-lam) F1 - lam D(z1) + 2 lam^(1+1/alpha) D(lam^(1/alpha) z1).
+    F1 and D(z1) do not depend on lam (`_c2_part`); the lam step on top of
+    them (`_c2_at`) needs one more 2F1 value for 0 < lam < 1 and none at
+    lam = 0 or 1.  The sweep memoizes the part; this function composes the two.
+    """
+    _check_args(alpha, lam, q, r)
+    return _finite("c2", _c2_at(_c2_part(alpha, q, r), alpha, lam, q, r), alpha, lam, q, r)
+
+
+def _c3_part(alpha: float, q: float, r: float) -> tuple[float, float]:
+    """The lam-free part of c3 at (alpha, q, r): 2F1(2q, 1; alpha+2; z1)/(alpha+1) and 2F1(2q, 1; 2; z1), z1 = 1 - r."""
+    a, z1 = 2.0 * q, 1.0 - r
+    return hyp2f1(a, 1.0, alpha + 2.0, z1) / (alpha + 1.0), _hyp_a12(a, z1)
+
+
+def _c3_at(part: tuple[float, float], alpha: float, lam: float, q: float, r: float) -> float:
+    """c3 at one lam from `_c3_part`; the interior-lam correction is taken at z3 = m(1-r)/s."""
+    main, e1 = part
+    if lam == 0.0:
+        return main
+    if lam == 1.0:
+        return e1 - main  # m = 1, so s = 1, z3 = z1 and G - E + 2 (E - G) = E - G
+    a = 2.0 * q
     m = lam ** (1.0 / alpha)
-    z2 = m * (1.0 - r)
-    corr = 2.0 * lam ** (1.0 + 1.0 / alpha) * (
-        hyp2f1(2.0 * q, 1.0, 2.0, z2)
-        - hyp2f1(2.0 * q, alpha + 1.0, alpha + 2.0, z2) / (alpha + 1.0)
-    )
-    return _finite("c2", main + corr, alpha, lam, q, r)
+    s = r + m * (1.0 - r)
+    z3 = m * (1.0 - r) / s
+    g3, e3 = hyp2f1(a, 1.0, alpha + 2.0, z3) / (alpha + 1.0), _hyp_a12(a, z3)
+    try:
+        rescale = s ** (-a)
+    except OverflowError:  # left to `_finite` to name
+        rescale = math.inf
+    return main - lam * e1 + 2.0 * lam ** (1.0 + 1.0 / alpha) * rescale * (e3 - g3)
 
 
 def c3(alpha: float, lam: float, q: float, r: float) -> float:
     """Closed form of the right-brace moment; r = x/b.
 
-    The interior-lam correction rescales the denominator to the kink point:
-    with m = lam^(1/alpha) and s = r + m(1-r), the correction is
-    2 lam^(1+1/alpha) s^{-2q} [2F1(2q,1;2;z3) - 2F1(2q,1;alpha+2;z3)/(alpha+1)],
-    z3 = m(1-r)/s.  The source text prints the correction without the
-    rescaling; tests/test_kernels.py keeps that form (`c3_as_stated`) and
-    shows it diverging from kernel_oracle for 0 < lam < 1.
+    With z1 = 1 - r, m = lam^(1/alpha), s = r + m(1-r) and z3 = m(1-r)/s,
+        c3 = G(z1) - lam E(z1) + 2 lam^(1+1/alpha) s^{-2q} [E(z3) - G(z3)],
+    where G(z) = 2F1(2q, 1; alpha+2; z)/(alpha+1) and E(z) = 2F1(2q, 1; 2; z)
+    takes the elementary form ((1-z)^(1-2q) - 1) / ((2q-1) z), evaluated with
+    expm1 and log1p, so c3 needs two 2F1 series values.  The interior-lam
+    correction rescales the denominator to the kink point.  The source text
+    prints it without the rescaling; tests/test_kernels.py keeps that form
+    (`c3_as_stated`) and shows it diverging from kernel_oracle for
+    0 < lam < 1.  G(z1) and E(z1) do not depend on lam (`_c3_part`); the lam
+    step (`_c3_at`) adds G(z3) and E(z3).  The sweep memoizes the part; this
+    function composes the two.
     """
     _check_args(alpha, lam, q, r)
-    z1 = 1.0 - r
-    main = hyp2f1(2.0 * q, 1.0, alpha + 2.0, z1) / (alpha + 1.0)
-    if lam == 0.0:
-        return _finite("c3", main, alpha, lam, q, r)
-    main -= lam * hyp2f1(2.0 * q, 1.0, 2.0, z1)
-    m = lam ** (1.0 / alpha)
-    s = r + m * (1.0 - r)
-    z3 = m * (1.0 - r) / s
-    corr = 2.0 * lam ** (1.0 + 1.0 / alpha) * s ** (-2.0 * q) * (
-        hyp2f1(2.0 * q, 1.0, 2.0, z3)
-        - hyp2f1(2.0 * q, 1.0, alpha + 2.0, z3) / (alpha + 1.0)
-    )
-    return _finite("c3", main + corr, alpha, lam, q, r)
+    return _finite("c3", _c3_at(_c3_part(alpha, q, r), alpha, lam, q, r), alpha, lam, q, r)
 
 
 def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> float:

@@ -9,7 +9,8 @@ stays exact as d = c - a - b nears an integer and becomes the log form of
 A&S 15.3.10-12 (DLMF 15.8.8-10) at one.  The Euler integral remains the route
 for a <= 0 and for the large parameters where those series cancel.  Each
 route takes a, b, c and z as plain floats and checks them itself (`_check`):
-all finite, c > b > 0 and 0 <= z < 1.
+all finite, c > b > 0 and 0 <= z < 1.  `_hyp2f1_tail` gives (2F1 - 1)/z, the
+power series from its n = 1 term, for the kernel moments.
 """
 from __future__ import annotations
 
@@ -73,6 +74,24 @@ def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
     raise RuntimeError(f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms for {(a, b, c, z)}")
 
 
+def _hyp2f1_tail(a: float, b: float, c: float, z: float) -> float:
+    """(2F1(a, b; c; z) - 1) / z, summed from the n = 1 term of the power series; ab/c at z = 0.
+
+    Nothing is subtracted, so the result keeps its relative precision as z -> 0.
+    Above z = 0.9 it is (hyp2f1 - 1) / z, where 2F1 is well away from 1.
+    """
+    if z > _SERIES_Z_LIMIT:
+        return (hyp2f1(a, b, c, z) - 1.0) / z
+    _check(a, b, c, z)
+    term = total = a * b / c
+    for n in range(1, _SERIES_MAX_TERMS):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        total += term
+        if abs(term) <= _SERIES_TERM_CUTOFF * abs(total):
+            return total
+    raise RuntimeError(f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms for {(a, b, c, z)}")
+
+
 def hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
     """2F1 by the Euler integral, split at 1/2 so each endpoint weight is declared.
 
@@ -106,9 +125,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
     Above 0.9 the series of `_w_series` hold for every d = c - a - b,
     integer or not.  The Euler integral takes the rest: a <= 0, a + b + c > 150,
-    and points where those series cancel more than 100-fold.  On the three
+    and points where those series cancel more than 100-fold.  On the four
     families of the kernel moments (a = 2q up to 32, alpha up to 10) they
-    cancel at most 7-fold.
+    cancel at most 9-fold.
     """
     if z <= _SERIES_Z_LIMIT:
         return hyp2f1_series(a, b, c, z)
@@ -121,6 +140,10 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         scale, sa, sb, d = w**d, c - a, c - b, -d
     m = round(d)
     eps = d - m
+    if eps > 0.0 and min(sa, sb) + m <= 0.0:
+        # the split index m must keep a + m and b + m positive; one more term does,
+        # whenever a + d and b + d are, with eps in (-1, 0)
+        m, eps = m + 1, eps - 1.0
     if a <= 0.0 or a + b + c > _W_SERIES_MAX_PARAMS or min(sa, sb) + m + min(eps, 0.0) <= 0.0:
         return hyp2f1_integral(a, b, c, z)
     value, magnitude = _w_series(sa, sb, c, w, m, eps)
@@ -159,7 +182,7 @@ def _lgamma_slope(x: float, e: float) -> float:
 
 
 def _w_series(a: float, b: float, c: float, w: float, m: int, eps: float) -> tuple[float, float]:
-    """2F1(a, b; c; 1 - w) for c - a - b = d = m + eps, m >= 0 an integer, |eps| <= 1/2.
+    """2F1(a, b; c; 1 - w) for c - a - b = d = m + eps, m >= 0 an integer, -1 < eps <= 1/2.
 
     Both terms of A&S 15.3.6 have poles at integer d.  Split the first one's
     series at n = m: its m leading terms stay finite (`finite`), and each later

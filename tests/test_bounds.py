@@ -261,21 +261,30 @@ def test_every_theorem_variant_row_matches_hand_assembly():
 
 
 def test_brace_moments_computed_once_per_argument(monkeypatch):
-    calls = Counter()
+    parts, steps = Counter(), Counter()
 
-    def counting(name, fn):
-        def wrapped(*args):
-            calls[(name, *args)] += 1
-            return fn(*args)
+    def counting_part(side, fn):
+        def wrapped(alpha, kq, r):
+            parts[(side, alpha, kq, r)] += 1
+            return fn(alpha, kq, r)
 
         return wrapped
 
+    def counting_step(side, fn):
+        def wrapped(part, alpha, lam, kq, r):
+            steps[(side, alpha, lam, kq, r)] += 1
+            return fn(part, alpha, lam, kq, r)
+
+        return wrapped
+
+    hqfi.bounds._brace_part.cache_clear()
     hqfi.bounds._brace_moment.cache_clear()
-    monkeypatch.setattr(hqfi.bounds, "c2", counting("c2", c2))
-    monkeypatch.setattr(hqfi.bounds, "c3", counting("c3", c3))
+    for side in ("c2", "c3"):
+        monkeypatch.setattr(hqfi.bounds, f"_{side}_part", counting_part(side, getattr(hqfi.kernels, f"_{side}_part")))
+        monkeypatch.setattr(hqfi.bounds, f"_{side}_at", counting_step(side, getattr(hqfi.kernels, f"_{side}_at")))
     cfg = SweepConfig.from_dict(
         {
-            "lambdas": [0.0, 0.5],
+            "lambdas": [0.0, 0.5, 1.0],
             "alphas": [0.5, 1.0],
             "qs": [1.0, 2.0],
             "functions": ["identity", "square", "reciprocal"],
@@ -284,10 +293,14 @@ def test_brace_moments_computed_once_per_argument(monkeypatch):
     )
     rep = run_verify(cfg)
     assert len({r["function"] for r in rep.records}) >= 2
-    # every function, theorem and variant shares the same braces, yet each
-    # distinct (alpha, lam, kq, r) reaches the closed forms exactly once
-    assert calls and set(calls.values()) == {1}
-    assert sum(calls.values()) < len(rep.records)
+    # every function, theorem and variant shares the same braces, yet each distinct
+    # (side, alpha, kq, r) reaches a lam-free part exactly once, and each distinct
+    # (side, alpha, lam, kq, r) its lam step exactly once
+    assert parts and set(parts.values()) == {1}
+    assert steps and set(steps.values()) == {1}
+    assert {key[:2] + key[3:] for key in steps} == set(parts)
+    assert len(steps) == len(cfg.lambdas) * len(parts)
+    assert len(steps) < len(rep.records)
     for r in rep.records:
         pt = ParamPoint(r["a"], r["b"], r["x"], r["lam"], r["alpha"], r["q"])
         want = _hand_bound(FNS[r["function"]], pt, Theorem(r["theorem"]), Variant(r["variant"]))

@@ -66,14 +66,14 @@ def test_c1_bits(lam, bits):
     [
         (0.0, 0.6, "0x1.bd9faeae6ea50p+0", "0x1.73c8e98aebd65p-1"),
         (0.0, 0.05, "0x1.51696723b9733p+11", "0x1.33da282897e9ep+4"),
-        (1.0 / 3.0, 0.6, "0x1.fd567afe32766p-1", "0x1.72d5ba644e76fp-1"),
-        (1.0 / 3.0, 0.05, "0x1.b90e0187fd3fap+10", "0x1.ca91b5e4f61eep+9"),
-        (1.0, 0.6, "0x1.48b27d90c715cp+0", "0x1.2636dbbcdfe7dp+1"),
-        (1.0, 0.05, "0x1.ad7dc6337c240p+6", "0x1.5c6da10504248p+11"),
+        (1.0 / 3.0, 0.6, "0x1.fd567afe32762p-1", "0x1.72d5ba644e76fp-1"),
+        (1.0 / 3.0, 0.05, "0x1.b90e0187fd3fap+10", "0x1.ca91b5e4f6209p+9"),
+        (1.0, 0.6, "0x1.48b27d90c715dp+0", "0x1.2636dbbcdfe7bp+1"),
+        (1.0, 0.05, "0x1.ad7dc6337c22dp+6", "0x1.5c6da10504243p+11"),
     ],
 )
 def test_c2_c3_bits(lam, r, c2_bits, c3_bits):
-    # r = 0.05 puts z = 1 - r above 0.9, on the w-series
+    # r = 0.05 puts z = 1 - r above 0.9, on the w-series; every pin is within 3.3e-15 of a 30-digit referee
     assert (c2(1.5, lam, 2.0, r).hex(), c3(1.5, lam, 2.0, r).hex()) == (c2_bits, c3_bits)
 
 

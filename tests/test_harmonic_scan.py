@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hqfi.harmonic as harmonic
@@ -29,10 +29,9 @@ def _brute_force_violated(f, d, n, seed, mode):
                 if mode == "convex":
                     lam = (s[j] - s[i]) / (s[k] - s[i])
                     rhs = lam * g[k] + (1.0 - lam) * g[i]
-                    margin = 1e-12 * max(1.0, abs(g[i]), abs(g[j]), abs(g[k]))
                 else:
-                    rhs, margin = max(g[i], g[k]), 1e-12
-                if g[j] > rhs + margin:
+                    rhs = max(g[i], g[k])
+                if g[j] > rhs + 1e-12 * max(1.0, abs(g[i]), abs(g[j]), abs(g[k])):
                     return True
     return False
 
@@ -110,6 +109,9 @@ def test_corpus_witnesses_replay_against_definition(mode):
 
 
 @settings(deadline=None, max_examples=40)
+# a roundoff-level g on a flat knot at scale 1e6: an unscaled quasi margin reported it,
+# and the witness did not replay
+@example(lo=1.90625, ratio=2.0, values=[0, 0, 0, -2, 4, 0], scale=1e6, n=4, seed=0, mode="quasi")
 @given(
     lo=st.floats(0.2, 2.0),
     ratio=st.floats(1.2, 20.0),

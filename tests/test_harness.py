@@ -312,6 +312,12 @@ def test_nonfinite_kernel_moments_fail_loudly():
             moment(1, 0, 1000, 0.5)
 
 
+def test_nonfinite_interior_lam_c3_fails_loudly():
+    # the kink rescaling s^(-2q), s = r + lam^(1/alpha) (1-r) near 0.1, is past the double range
+    with pytest.raises(OverflowError, match=r"c3\(alpha=0.1, lam=0.5, q=200, r=0.1\) = nan is not finite"):
+        c3(0.1, 0.5, 200, 0.1)
+
+
 def test_verify_hypothesis_gate_skips_bounds():
     # on [0.5, 3] the plateau function's |f'|^q has split sublevel sets,
     # so only identity records appear; each skipped (point, q) is counted

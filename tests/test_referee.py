@@ -7,6 +7,7 @@ no code with the GK15 engine it checks, and takes 2F1 from mpmath.hyp2f1.
 """
 import pytest
 
+from hqfi import specialfn
 from hqfi.bounds import ParamPoint, identity_lhs, identity_rhs
 from hqfi.harmonic import corpus
 from hqfi.kernels import c2, c3, kernel_oracle
@@ -32,8 +33,8 @@ def _kernel_ref(alpha, lam, q, u, v):
 
 
 def _families(alpha, q):
-    """The three 2F1 parameter triples of c2 and c3."""
-    return ((2 * q, alpha + 1, alpha + 2), (2 * q, 1.0, alpha + 2), (2 * q, 1.0, 2.0))
+    """The 2F1 parameter triples of c2 and c3: F1, G, the elementary E, and D's (2q-1, alpha; alpha+1)."""
+    return ((2 * q, alpha + 1, alpha + 2), (2 * q, 1.0, alpha + 2), (2 * q, 1.0, 2.0), (2 * q - 1, alpha, alpha + 1))
 
 
 def _hyp_rel_err(a, b, c, z):
@@ -81,6 +82,33 @@ def test_moments_near_z_one_against_referee(r, q):
                 ref = _kernel_ref(alpha, lam, q, u, v)
                 got = closed(alpha, lam, q, r)
                 assert abs(got - ref) <= 1e-11 * abs(ref), (closed.__name__, alpha, lam)
+
+
+@pytest.mark.parametrize("r", [0.01, 0.05, 0.1])
+@pytest.mark.parametrize("q", [1.0, 3.7, 8.0])
+def test_moments_at_lam_one_against_referee(r, q):
+    # at lam = 1, c2 is D(1 - r) and c3 is E - G at 1 - r: no two large values cancel
+    for alpha in (0.1, 0.5, 2.0, 10.0):
+        for closed, (u, v) in ((c2, (r, 1.0)), (c3, (1.0, r))):
+            ref = _kernel_ref(alpha, 1.0, q, u, v)
+            got = closed(alpha, 1.0, q, r)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (closed.__name__, alpha)
+
+
+def test_d_family_where_round_d_leaves_a_plus_m_negative_against_referee(monkeypatch):
+    # 2F1(2q-1, alpha; alpha+1; z) above z = 0.9 has d = 2q - 2 after Euler's transformation,
+    # whose a + round(d) = alpha - 0.19 < 0 at this jittered q; the w-series splits one term
+    # later instead of falling back to the Euler integral
+    alpha, q, r = 0.1, 2.093918885249338, 0.01
+    monkeypatch.setattr(specialfn, "hyp2f1_integral", _refuse_integral)
+    assert _hyp_rel_err(2 * q - 1, alpha, alpha + 1, 1 - r) <= 1e-12
+    for lam in (1.0 / 3.0, 1.0):
+        ref = _kernel_ref(alpha, lam, q, r, 1.0)
+        assert abs(c2(alpha, lam, q, r) - ref) <= 1e-13 * abs(ref), lam
+
+
+def _refuse_integral(*args):
+    raise AssertionError(f"Euler integral reached for {args}")
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
