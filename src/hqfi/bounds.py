@@ -52,12 +52,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .fracint import rl_left, rl_right
-from .harmonic import IntervalDomain, ScalarFunction
-from .kernels import _c2_at, _c2_part, _c3_at, _c3_part, _check_args, _finite, c1, integrate_kinked
+from .harmonic import IntervalDomain, ScalarFunction, _Record
+from .kernels import _c2_at, _c2_part, _c3_at, _c3_part, _check_args, _moment, c1, integrate_kinked
 from .specialfn import gamma
 
 __all__ = [
@@ -91,23 +90,18 @@ class Variant(str, enum.Enum):
 SPECIAL_KINDS = ("simpson", "midpoint", "trapezoid", "ostrowski", "hadamard_weighted")
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class ParamPoint(_Record):
     """Evaluation point (a, b, x, lam, alpha, q) with 0 < a <= x <= b, a < b."""
 
-    a: float
-    b: float
-    x: float
-    lam: float
-    alpha: float
-    q: float = 1.0
+    __slots__ = _fields = ("a", "b", "x", "lam", "alpha", "q")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and 0.0 < self.a < self.b):
-            raise ValueError(f"require 0 < a < b, got a={self.a}, b={self.b}")
-        if not self.a <= self.x <= self.b:
-            raise ValueError(f"require x in [a, b], got x={self.x} outside [{self.a}, {self.b}]")
-        _check_args(self.alpha, self.lam, self.q, 1.0)
+    def __init__(self, a: float, b: float, x: float, lam: float, alpha: float, q: float = 1.0) -> None:
+        if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a < b):
+            raise ValueError(f"require 0 < a < b, got a={a}, b={b}")
+        if not a <= x <= b:
+            raise ValueError(f"require x in [a, b], got x={x} outside [{a}, {b}]")
+        _check_args(alpha, lam, q, 1.0)
+        self._init(a, b, x, lam, alpha, q)
 
     @property
     def h_point(self) -> float:
@@ -115,25 +109,14 @@ class ParamPoint:
         return 2.0 * self.a * self.b / (self.a + self.b)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "theorem variant lhs_abs bound slack holds")):
     """One bound evaluation: |identity lhs| against a theorem bound."""
 
-    theorem: Theorem
-    variant: Variant
-    lhs_abs: float
-    bound: float
-    slack: float
-    holds: bool
+    __slots__ = ()
 
 
-class _LhsParts(NamedTuple):
-    """The lam-free pieces of identity_lhs at one (f, a, b, x, alpha)."""
-
-    weights: float  # wa + wb
-    fx: float  # f(x)
-    ends: float  # wa f(a) + wb f(b)
-    fractional: float  # Gamma(alpha+1) [J_{1/x+}^alpha (f o inv)(1/a) + J_{1/x-}^alpha (f o inv)(1/b)]
+# The lam-free pieces of identity_lhs at one (f, a, b, x, alpha): wa + wb, f(x), wa f(a) + wb f(b), fractional part
+_LhsParts = namedtuple("_LhsParts", "weights fx ends fractional")
 
 
 def _lhs_parts(f: ScalarFunction, a: float, b: float, x: float, alpha: float, tol: dict) -> _LhsParts:
@@ -211,12 +194,8 @@ def _kernel_q(f: ScalarFunction, end: float, x: float, tol: dict) -> float:
     return integrate_kinked(g, 1.0, 0.0, cuts=_brace_cuts(f, end, x), **tol)
 
 
-class _Side(NamedTuple):
-    """One brace of identity_rhs at one (f, end, x, alpha): its value at lam is pref (P - lam Q)."""
-
-    pref: float  # |end - x|^(alpha+1) / (end x)^(alpha-1)
-    p: float
-    q: float
+# identity_rhs's brace at (f, end, x, alpha): pref (P - lam Q) at lam, pref = |end - x|^(alpha+1) / (end x)^(alpha-1)
+_Side = namedtuple("_Side", "pref p q")
 
 
 def _rhs_qs(f: ScalarFunction, a: float, b: float, x: float, tol: dict) -> tuple[float | None, float | None]:
@@ -271,13 +250,10 @@ def identity_rhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
     return _rhs_at(_rhs_parts(f, p.a, p.b, p.x, p.alpha, qs, tol), p.lam)
 
 
-class _Family(NamedTuple):
-    """One row of the theorem table; every entry is a function of the point's q."""
-
-    moment: Callable[[float], float]  # kernel-moment exponent kq of the C2/C3 braces
-    c1_power: Callable[[float], float]
-    stated_den: Callable[[float], float]  # as_stated denominators x^e, b^e
-    stated_far_is_b: bool  # as_stated second sup over {f'(x), f'(b)}, else {f'(x), f'(a)}
+# One row of the theorem table: kq (the C2/C3 kernel-moment exponent), the c1 power and the as_stated
+# denominator exponent e (x^e, b^e), each a function of the point's q; and whether the as_stated second
+# sup is over {f'(x), f'(b)}, else {f'(x), f'(a)}.
+_Family = namedtuple("_Family", "moment c1_power stated_den stated_far_is_b")
 
 
 def _conjugate(q: float) -> float:
@@ -307,20 +283,12 @@ def _brace_part(right: bool, alpha: float, kq: float, r: float) -> tuple[float, 
 def _brace_moment(right: bool, alpha: float, lam: float, kq: float, r: float) -> float:
     """c3(alpha, lam, kq, r)^(1/kq) for the right brace, else the same for c2: the lam step on the memoized part."""
     name, step = ("c3", _c3_at) if right else ("c2", _c2_at)
-    value = step(_brace_part(right, alpha, kq, r), alpha, lam, kq, r)
-    return _finite(name, value, alpha, lam, kq, r) ** (1.0 / kq)
+    return _moment(name, step, functools.partial(_brace_part, right), alpha, lam, kq, r) ** (1.0 / kq)
 
 
-class _Row(NamedTuple):
-    """One (q, theorem, variant) bound formula, with its constants."""
-
-    q: float
-    theorem: str
-    variant: str
-    kq: float  # kernel-moment exponent of the C2/C3 braces
-    c1_power: float
-    den_exp: float | None  # denominators x^den_exp, b^den_exp; None: the corrected x*x, b*b
-    far_is_b: bool  # second sup over {f'(x), f'(b)}, else {f'(x), f'(a)}
+# One (q, theorem, variant) bound formula: kq is the C2/C3 kernel-moment exponent, the denominators are x^den_exp,
+# b^den_exp (None: the corrected x*x, b*b), far_is_b: the second sup is over {f'(x), f'(b)}, else {f'(x), f'(a)}.
+_Row = namedtuple("_Row", "q theorem variant kq c1_power den_exp far_is_b")
 
 
 def _row(theorem: Theorem, variant: Variant, q: float) -> _Row:
@@ -409,16 +377,9 @@ def specialize(kind: str, base: ParamPoint) -> ParamPoint:
     trapezoid (x=H, lam=1), ostrowski (lam=0, x free), hadamard_weighted (x=H, lam kept)."""
     if kind not in SPECIAL_KINDS:
         raise ValueError(f"unknown specialization {kind!r}, expected one of {SPECIAL_KINDS}")
-    h = base.h_point
-    if kind == "simpson":
-        return replace(base, x=h, lam=1.0 / 3.0)
-    if kind == "midpoint":
-        return replace(base, x=h, lam=0.0)
-    if kind == "trapezoid":
-        return replace(base, x=h, lam=1.0)
-    if kind == "ostrowski":
-        return replace(base, lam=0.0)
-    return replace(base, x=h)
+    x = base.x if kind == "ostrowski" else base.h_point
+    lam = {"simpson": 1.0 / 3.0, "midpoint": 0.0, "trapezoid": 1.0, "ostrowski": 0.0}.get(kind, base.lam)
+    return ParamPoint(base.a, base.b, x, lam, base.alpha, base.q)
 
 
 def ostrowski_bound(

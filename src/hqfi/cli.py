@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from typing import Iterable
+from collections.abc import Iterable
 
 from .harness import _CHECK_MODES, _WHICH, _X_MODES, SweepConfig, run_checkfn, run_constants, run_verify
 from .quad import QuadratureError

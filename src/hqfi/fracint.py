@@ -14,7 +14,7 @@ defaults: `abs_tol` and `rel_tol` keywords are passed on to it.
 """
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .quad import integrate_singular
 from .specialfn import gamma

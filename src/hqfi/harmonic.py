@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 __all__ = [
     "NO_VIOLATION",
@@ -38,28 +38,60 @@ _CBRT_EPS = 6.0554544523933395e-06  # cube root of 2^-52, central-difference ste
 _RANDOM_FACTOR = 10  # seeded uniform samples per grid point: 10*n
 
 
-@dataclass(frozen=True)
-class IntervalDomain:
+class _Record:
+    """An immutable record, compared, hashed, shown and pickled by `_fields`: its constructor's arguments.
+
+    A subclass's `__init__` validates, then stores its `__slots__` once with
+    `_init`; setting or deleting an attribute afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # for pickle and copy: rebuilt, and validated again, by __init__
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+
+class IntervalDomain(_Record):
     """Closed positive interval [lo, hi] with 0 < lo < hi."""
 
-    lo: float
-    hi: float
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __init__(self, lo: float, hi: float) -> None:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("domain endpoints must be finite")
-        if not 0.0 < self.lo < self.hi:
-            raise ValueError(f"require 0 < lo < hi, got [{self.lo}, {self.hi}]")
+        if not 0.0 < lo < hi:
+            raise ValueError(f"require 0 < lo < hi, got [{lo}, {hi}]")
+        self._init(lo, hi)
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def encloses(self, other: "IntervalDomain") -> bool:
+    def encloses(self, other: IntervalDomain) -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarFunction:
+class ScalarFunction(_Record):
     """A labelled real function on a positive interval.
 
     `df` is f', set once: `derivative` itself when given, else a central
@@ -68,28 +100,31 @@ class ScalarFunction:
     For q >= 1, |f'|^q has the sublevel sets of |f'|, so the one flag covers
     every q; `validate_corpus` checks it against the checker.  `breaks`
     lists, in increasing order, the points of `domain` where f or f' is not
-    smooth; the identity's integrals are cut there.
+    smooth; the identity's integrals are cut there.  Two ScalarFunctions are
+    equal only when they are the same object.
     """
 
-    label: str
-    domain: IntervalDomain
-    value: Callable[[float], float]
-    derivative: Callable[[float], float] | None = None
-    quasi: bool | None = None
-    breaks: tuple[float, ...] = ()
-    df: Callable[[float], float] = field(init=False, repr=False)
+    __slots__ = ("label", "domain", "value", "derivative", "quasi", "breaks", "df")
+    _fields = __slots__[:-1]  # df is derived from the others
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        breaks = tuple(float(u) for u in self.breaks)
-        if not all(math.isfinite(u) and self.domain.contains(u) for u in breaks):
-            raise ValueError(
-                f"{self.label}: breaks {breaks} must be finite and inside [{self.domain.lo}, {self.domain.hi}]"
-            )
+    def __init__(
+        self,
+        label: str,
+        domain: IntervalDomain,
+        value: Callable[[float], float],
+        derivative: Callable[[float], float] | None = None,
+        quasi: bool | None = None,
+        breaks: tuple[float, ...] = (),
+    ) -> None:
+        breaks = tuple(float(u) for u in breaks)
+        if not all(math.isfinite(u) and domain.contains(u) for u in breaks):
+            raise ValueError(f"{label}: breaks {breaks} must be finite and inside [{domain.lo}, {domain.hi}]")
         if any(u >= v for u, v in zip(breaks, breaks[1:])):
-            raise ValueError(f"{self.label}: breaks {breaks} must be strictly increasing")
-        object.__setattr__(self, "breaks", breaks)
-        df = self.derivative
-        object.__setattr__(self, "df", functools.partial(_central_difference, self.value) if df is None else df)
+            raise ValueError(f"{label}: breaks {breaks} must be strictly increasing")
+        df = functools.partial(_central_difference, value) if derivative is None else derivative
+        self._init(label, domain, value, derivative, quasi, breaks, df)
 
     def __call__(self, x: float) -> float:
         return self.value(x)
@@ -100,13 +135,10 @@ def _central_difference(value: Callable[[float], float], x: float) -> float:
     return (value(x + h) - value(x - h)) / (2.0 * h)
 
 
-@dataclass(frozen=True)
-class ConvexityVerdict:
+class ConvexityVerdict(namedtuple("ConvexityVerdict", "status witness samples_checked")):
     """Checker outcome: status, first witness triple (x, y, l) if violated, sample count."""
 
-    status: str
-    witness: tuple[float, float, float] | None
-    samples_checked: int
+    __slots__ = ()
 
     @property
     def violated(self) -> bool:

@@ -35,7 +35,8 @@ the memo in `bounds`.
 oracles; `run_checkfn` exposes the convexity checkers over corpus names or
 arithmetic expressions in x (Python syntax, `^` as `**`, ln/exp/sqrt).  All
 three return plain dicts/records so the CLI can serialize them; runs are
-deterministic given the config, apart from the generated_at timestamp.
+deterministic given the config, apart from the generated_at timestamp: the
+UTC time from `time.time_ns`, in the `datetime.isoformat` shape (`_utc_isoformat`).
 
 `CampaignReport.to_json` writes the exact bytes of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"`: it is the join of
@@ -55,19 +56,19 @@ JSON scalar raises ValueError instead.
 """
 from __future__ import annotations
 
-import ast
 import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, fields
-from datetime import datetime, timezone
-from typing import Callable, Iterator, NamedTuple
+import time
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 
 from .bounds import _SLACK_TOL, Variant, _bounds, _lhs_at, _lhs_parts, _rhs_at, _rhs_parts, _rhs_qs, _rows
 from .harmonic import (
     IntervalDomain,
     ScalarFunction,
+    _Record,
     abs_derivative_power,
     check_harmonically_convex,
     check_harmonically_quasiconvex,
@@ -206,7 +207,7 @@ def _integer(v) -> int:
     return int(v)
 
 
-# how SweepConfig.__post_init__ reads each field that a JSON config or a caller may give in another type
+# how SweepConfig.__init__ reads each field that a JSON config or a caller may give in another type
 _CONVERT = {
     "intervals": lambda v: tuple((_real(a), _real(b)) for a, b in v),
     "functions": _labels,
@@ -215,8 +216,7 @@ _CONVERT = {
 }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Record):
     """Grid and tolerance settings for one verification campaign.
 
     `functions` is either the string "all" or a tuple of corpus labels.
@@ -227,24 +227,34 @@ class SweepConfig:
     the CLI wires HQFI_TOL_SCALE into it.
     """
 
-    intervals: tuple[tuple[float, float], ...] = ((1.0, 2.0),)
-    x_mode: str = "h_point"
-    x_count: int = 5
-    x_values: tuple[float, ...] = ()
-    lambdas: tuple[float, ...] = (0.0, 1.0 / 3.0, 0.5, 1.0)
-    alphas: tuple[float, ...] = (0.5, 1.0, 2.0)
-    qs: tuple[float, ...] = (1.0, 2.0)
-    functions: tuple[str, ...] | str = "all"
-    variant: str = "symmetric_corrected"
-    seed: int = 0
-    tol_identity: float = 1e-8
-    tol_slack: float = _SLACK_TOL
-    tol_quad_abs: float = _ABS_TOL
-    tol_quad_rel: float = _REL_TOL
-    checker_n: int = 15
-    tol_scale: float = 1.0
+    __slots__ = _fields = (
+        "intervals", "x_mode", "x_count", "x_values", "lambdas", "alphas", "qs", "functions",
+        "variant", "seed", "tol_identity", "tol_slack", "tol_quad_abs", "tol_quad_rel", "checker_n", "tol_scale",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        intervals: tuple[tuple[float, float], ...] = ((1.0, 2.0),),
+        x_mode: str = "h_point",
+        x_count: int = 5,
+        x_values: tuple[float, ...] = (),
+        lambdas: tuple[float, ...] = (0.0, 1.0 / 3.0, 0.5, 1.0),
+        alphas: tuple[float, ...] = (0.5, 1.0, 2.0),
+        qs: tuple[float, ...] = (1.0, 2.0),
+        functions: tuple[str, ...] | str = "all",
+        variant: str = "symmetric_corrected",
+        seed: int = 0,
+        tol_identity: float = 1e-8,
+        tol_slack: float = _SLACK_TOL,
+        tol_quad_abs: float = _ABS_TOL,
+        tol_quad_rel: float = _REL_TOL,
+        checker_n: int = 15,
+        tol_scale: float = 1.0,
+    ) -> None:
+        self._init(
+            intervals, x_mode, x_count, x_values, lambdas, alphas, qs, functions,
+            variant, seed, tol_identity, tol_slack, tol_quad_abs, tol_quad_rel, checker_n, tol_scale,
+        )
         # a JSON config can hold any type: one that does not convert is a bad value too
         for name, convert in _CONVERT.items():
             value = getattr(self, name)
@@ -295,35 +305,29 @@ class SweepConfig:
     def from_dict(cls, d: dict) -> "SweepConfig":
         if not isinstance(d, dict):
             raise ValueError(f"a config is a JSON object of SweepConfig fields, got {type(d).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
+        unknown = sorted(set(d) - set(cls._fields))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         return cls(**d)
 
     def to_dict(self) -> dict:
         """Every field, in JSON shapes: each tuple, at any depth, becomes a list."""
-        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}
+        return {name: _as_lists(getattr(self, name)) for name in self._fields}
 
 
 def _as_lists(value):
     return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
-@dataclass(frozen=True)
-class CampaignReport:
+class CampaignReport(
+    namedtuple("CampaignReport", "version generated_at config records identity_records violations summary")
+):
     """One run_verify result: records plus a self-consistent summary block."""
 
-    version: str
-    generated_at: str
-    config: dict
-    records: list
-    identity_records: list
-    violations: list
-    summary: dict
+    __slots__ = ()
 
     def to_payload(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
     def json_chunks(self) -> Iterator[str]:
         """The text of `to_json`, in pieces: a top-level list one item at a time.
@@ -397,17 +401,8 @@ def _case_error(exc: QuadratureError, **ctx) -> QuadratureError:
     return QuadratureError(f"{exc} [case: {detail}]")
 
 
-class _Plan(NamedTuple):
-    """What every (function, interval) of one run shares, worked out once from the config."""
-
-    cfg: SweepConfig
-    fns: list[ScalarFunction]
-    variants: tuple[Variant, ...]
-    quad_args: dict
-    id_tol: float
-    slack_tol: float
-    rows: tuple  # every (q, theorem, variant) bound row, in record order
-    c1: dict  # (alpha, lam) -> c1(alpha, lam)
+# What every (function, interval) of one run shares, worked out once from the config; c1 maps (alpha, lam) to c1
+_Plan = namedtuple("_Plan", "cfg fns variants quad_args id_tol slack_tol rows c1")
 
 
 def _setup(cfg: SweepConfig) -> _Plan:
@@ -562,13 +557,19 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
                 _bound_stage(plan, f, identity, records, violations)
     return CampaignReport(
         version=TOOL_VERSION,
-        generated_at=datetime.now(timezone.utc).isoformat(),
+        generated_at=_utc_isoformat(time.time_ns()),
         config=cfg.to_dict(),
         records=records,
         identity_records=identity_records,
         violations=violations,
         summary=_summary(plan.variants, records, identity_records, violations, bound_skips),
     )
+
+
+def _utc_isoformat(ns: int) -> str:
+    """UTC time `ns` nanoseconds after the epoch as `datetime.isoformat` writes it; no fraction at 0 microseconds."""
+    seconds, micros = divmod(ns // 1000, 1_000_000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + (f".{micros:06d}" if micros else "") + "+00:00"
 
 
 def _delta_block(closed: float, oracle: float) -> dict:
@@ -605,34 +606,37 @@ def run_constants(alpha: float, lam: float, q: float, r: float, which: str = "al
 
 # --- checkfn: corpus lookup plus Python arithmetic in x or u, `^` read as `**` ---
 _FUNCS: dict[str, Callable[[float], float]] = {"ln": math.log, "exp": math.exp, "sqrt": math.sqrt}
-_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv, ast.Pow: pow}
-
-
-def _closure(node: ast.AST) -> Callable[[float], float]:
-    match node:
-        case ast.Constant(v) if type(v) in (int, float):
-            val = float(str(v))  # via str, an integer past the float range reads as inf
-            return lambda u: val
-        case ast.Name("x" | "u"):
-            return lambda u: u
-        case ast.UnaryOp(ast.USub(), operand):
-            inner = _closure(operand)
-            return lambda u: -inner(u)
-        case ast.BinOp(left, op, right) if type(op) in _OPS:
-            op, left, right = _OPS[type(op)], _closure(left), _closure(right)
-            return lambda u: op(left(u), right(u))
-        case ast.Call(ast.Name(name), [arg], []) if name in _FUNCS:
-            fn, inner = _FUNCS[name], _closure(arg)
-            return lambda u: fn(inner(u))
-    raise ValueError(f"{ast.unparse(node)!r} is not allowed: use x or u, numbers, + - * / ^ ( ) and {', '.join(_FUNCS)}")
+_GRAMMAR = f"use x or u, numbers, + - * / ^ ( ) and {', '.join(_FUNCS)}"
 
 
 def _compile(text: str) -> Callable[[float], float]:
+    import ast  # here, not at the top: no other command parses Python, and ast is slow to import
+
+    ops = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv, ast.Pow: pow}
+
+    def closure(node: ast.AST) -> Callable[[float], float]:
+        match node:
+            case ast.Constant(v) if type(v) in (int, float):
+                val = float(str(v))  # via str, an integer past the float range reads as inf
+                return lambda u: val
+            case ast.Name("x" | "u"):
+                return lambda u: u
+            case ast.UnaryOp(ast.USub(), operand):
+                inner = closure(operand)
+                return lambda u: -inner(u)
+            case ast.BinOp(left, op, right) if type(op) in ops:
+                op, left, right = ops[type(op)], closure(left), closure(right)
+                return lambda u: op(left(u), right(u))
+            case ast.Call(ast.Name(name), [arg], []) if name in _FUNCS:
+                fn, inner = _FUNCS[name], closure(arg)
+                return lambda u: fn(inner(u))
+        raise ValueError(f"{ast.unparse(node)!r} is not allowed: {_GRAMMAR}")
+
     source = " ".join(text.split()).replace("^", "**")  # newlines and tabs too are just blanks
     try:
         if not source.isascii() or "," in source:  # Python reads a fullwidth x as x, and ln(x,) as ln(x)
             raise SyntaxError("only ASCII characters and no commas")
-        root = _closure(ast.parse(source, mode="eval").body)
+        root = closure(ast.parse(source, mode="eval").body)
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:  # too deep: Recursion- or MemoryError
         raise ValueError(f"cannot parse expression {text!r}: {exc}") from exc
 

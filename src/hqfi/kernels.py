@@ -24,7 +24,7 @@ the one check that `bounds.ParamPoint` and `harness.run_constants` call too.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .quad import integrate
 from .specialfn import _hyp2f1_tail, hyp2f1
@@ -52,12 +52,15 @@ def c1(alpha: float, lam: float) -> float:
     return (2.0 * alpha * lam ** (1.0 + 1.0 / alpha) + 1.0) / (alpha + 1.0) - lam
 
 
-def _finite(name: str, value: float, alpha: float, lam: float, q: float, r: float) -> float:
-    # an inf or nan moment would make every bound built on it hold, and is no JSON number
-    if not math.isfinite(value):
-        raise OverflowError(
-            f"{name}(alpha={alpha}, lam={lam}, q={q}, r={r}) = {value} is not finite in double precision"
-        )
+def _moment(name: str, step: Callable, part: Callable, alpha: float, lam: float, q: float, r: float) -> float:
+    """`step` at lam on the lam-free `part(alpha, q, r)`; an overflow or a non-finite value names the moment."""
+    point = f"{name}(alpha={alpha}, lam={lam}, q={q}, r={r})"
+    try:
+        value = step(part(alpha, q, r), alpha, lam, q, r)
+    except OverflowError as exc:  # a power past the double range, as in Euler's transformation of 2F1
+        raise OverflowError(f"{point} overflows double precision: {exc}") from exc
+    if not math.isfinite(value):  # an inf or nan moment would make every bound on it hold, and is no JSON number
+        raise OverflowError(f"{point} = {value} is not finite in double precision")
     return value
 
 
@@ -107,7 +110,7 @@ def c2(alpha: float, lam: float, q: float, r: float) -> float:
     lam = 0 or 1.  The sweep memoizes the part; this function composes the two.
     """
     _check_args(alpha, lam, q, r)
-    return _finite("c2", _c2_at(_c2_part(alpha, q, r), alpha, lam, q, r), alpha, lam, q, r)
+    return _moment("c2", _c2_at, _c2_part, alpha, lam, q, r)
 
 
 def _c3_part(alpha: float, q: float, r: float) -> tuple[float, float]:
@@ -130,7 +133,7 @@ def _c3_at(part: tuple[float, float], alpha: float, lam: float, q: float, r: flo
     g3, e3 = hyp2f1(a, 1.0, alpha + 2.0, z3) / (alpha + 1.0), _hyp_a12(a, z3)
     try:
         rescale = s ** (-a)
-    except OverflowError:  # left to `_finite` to name
+    except OverflowError:  # left to `_moment` to name
         rescale = math.inf
     return main - lam * e1 + 2.0 * lam ** (1.0 + 1.0 / alpha) * rescale * (e3 - g3)
 
@@ -151,7 +154,7 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
     function composes the two.
     """
     _check_args(alpha, lam, q, r)
-    return _finite("c3", _c3_at(_c3_part(alpha, q, r), alpha, lam, q, r), alpha, lam, q, r)
+    return _moment("c3", _c3_at, _c3_part, alpha, lam, q, r)
 
 
 def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> float:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
+from collections.abc import Callable
 
 __all__ = [
     "QuadratureError",

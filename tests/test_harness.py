@@ -1,6 +1,8 @@
 """Sweep configs, campaign reports, the CLI surface, and the expression grammar."""
+import copy
 import json
 import math
+import pickle
 import re
 
 import pytest
@@ -69,6 +71,58 @@ def test_config_to_dict_has_json_shapes():
     assert SweepConfig.from_dict(d) == cfg
     payload = run_verify(SweepConfig(**SMALL)).to_payload()
     assert set(payload) == {"version", "generated_at", "config", "records", "identity_records", "violations", "summary"}
+
+
+def test_generated_at_has_the_isoformat_shape():
+    from datetime import datetime, timedelta, timezone
+
+    # the formatter at fixed times, against datetime's own isoformat: a fraction of 6 digits, none at 0 microseconds
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    for ns in (0, 999, 1_000, 1_760_000_000_123_456_789, 1_760_000_000_000_000_999, 1_760_000_000_999_999_999):
+        assert harness._utc_isoformat(ns) == (epoch + timedelta(microseconds=ns // 1000)).isoformat(), ns
+    assert harness._utc_isoformat(1_760_000_000_000_000_999) == "2025-10-09T08:53:20+00:00"
+    stamp = run_verify(SweepConfig(**SMALL)).generated_at
+    parsed = datetime.fromisoformat(stamp)
+    assert parsed.utcoffset() == timedelta(0) and stamp.endswith("+00:00")
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00", stamp)
+    assert ("." in stamp) == (parsed.microsecond != 0)
+    assert abs(parsed - datetime.now(timezone.utc)) < timedelta(minutes=5)
+
+
+def test_public_records_are_immutable_values():
+    # assignment and deletion raise AttributeError; equal fields make equal, equally hashed records
+    f = corpus()[0]
+    records = (
+        ParamPoint(1.0, 2.0, 1.5, 0.5, 1.0),
+        f.domain,
+        f,
+        SweepConfig(**SMALL),
+        check_harmonically_quasiconvex(f),
+        bounds.evaluate_bound(f, ParamPoint(1.0, 2.0, 1.5, 0.5, 1.0), Theorem.T22),
+        run_verify(SweepConfig(**SMALL)),
+    )
+    for rec in records:
+        name = type(rec).__name__
+        for attr in ("label", "lo", "a", "qs", "status", "slack", "records", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(rec, attr, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(rec, {"ParamPoint": "a", "IntervalDomain": "lo", "ScalarFunction": "label"}.get(name, "qs"))
+    p = ParamPoint(1.0, 2.0, 1.5, 0.5, 1.0)
+    assert p == ParamPoint(a=1.0, b=2.0, x=1.5, lam=0.5, alpha=1.0, q=1.0) and hash(p) == hash(ParamPoint(1.0, 2.0, 1.5, 0.5, 1.0))
+    assert p != ParamPoint(1.0, 2.0, 1.5, 0.5, 1.0, 2.0) and p != (1.0, 2.0, 1.5, 0.5, 1.0, 1.0)
+    assert repr(p) == "ParamPoint(a=1.0, b=2.0, x=1.5, lam=0.5, alpha=1.0, q=1.0)"
+    assert SweepConfig(**SMALL) == SweepConfig.from_dict(SMALL) and len({SweepConfig(), SweepConfig()}) == 1
+    assert {f.domain: 1}[type(f.domain)(1.0, 2.0)] == 1 and repr(f.domain) == "IntervalDomain(lo=1.0, hi=2.0)"
+    # pickle and copy rebuild a record through its constructor
+    for rec in records[:2] + records[3:]:
+        assert pickle.loads(pickle.dumps(rec)) == rec and copy.deepcopy(rec) == rec, type(rec).__name__
+    assert copy.copy(f).value is f.value and copy.copy(f).df is f.df
+    # a ScalarFunction is equal only to itself, and its repr leaves out the derived df
+    twin = type(f)(f.label, f.domain, f.value, f.derivative, f.quasi, f.breaks)
+    assert f == f and f != twin and len({f, twin}) == 2
+    assert repr(f).startswith("ScalarFunction(label='const_zero', domain=IntervalDomain(lo=1.0, hi=2.0), value=")
+    assert "df=" not in repr(f)
 
 
 def test_config_rejects_unknown_keys():

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hqfi.kernels as kernels
 import hqfi.quad as quad
-from hqfi.bounds import ParamPoint, identity_lhs, identity_rhs
+from hqfi.bounds import ParamPoint, Theorem, bound, identity_lhs, identity_rhs
 from hqfi.fracint import rl_left, rl_right
-from hqfi.harmonic import corpus
+from hqfi.cli import main
+from hqfi.harmonic import IntervalDomain, ScalarFunction, corpus
 from hqfi.harness import run_constants
 from hqfi.kernels import c1, c2, c3, integrate_kinked, kernel_oracle
 from hqfi.quad import integrate
-from hqfi.specialfn import hyp2f1
+from hqfi.specialfn import hyp2f1, hyp2f1_integral
 
 
 def test_c1_closed_forms():
@@ -251,3 +253,41 @@ def test_tolerance_keywords_reach_integrate(monkeypatch, name):
     calls[0] = 0
     run(abs_tol=1e-4, rel_tol=1e-4)
     assert 0 < calls[0] < default_panels
+
+
+# At q = 400, r = 0.01, Euler's transformation of 2F1(800, b; c; 0.99) in hyp2f1 takes 0.01^(c - b - 800),
+# past the double range, before any route runs.
+_OVERFLOW_POINT = (1.0, 0.0, 400.0, 0.01)
+
+
+@pytest.mark.parametrize("name", ["c2", "c3"])
+def test_float_overflow_in_a_moment_names_the_point(name):
+    moment = {"c2": c2, "c3": c3}[name]
+    with pytest.raises(OverflowError, match=re.escape(f"{name}(alpha=1.0, lam=0.0, q=400.0, r=0.01) overflows")) as info:
+        moment(*_OVERFLOW_POINT)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+@pytest.mark.parametrize("name", ["c2", "c3"])
+def test_float_overflow_on_the_euler_integral_route_names_the_point(monkeypatch, name):
+    # the a + b + c > 150 route that hyp2f1 would take past the transformation overflows in (1 - zt)^(-a) alike
+    with pytest.raises(OverflowError):
+        hyp2f1_integral(800.0, 2.0, 3.0, 0.99)
+    monkeypatch.setattr(kernels, "hyp2f1", hyp2f1_integral)
+    moment = {"c2": c2, "c3": c3}[name]
+    with pytest.raises(OverflowError, match=re.escape(f"{name}(alpha=1.0, lam=0.0, q=400.0, r=0.01) overflows")):
+        moment(*_OVERFLOW_POINT)
+
+
+def test_float_overflow_in_a_bound_names_the_moment():
+    # the bounds reach c2 through their memo of its lam-free part; x = b leaves only the left brace, r = a/x = 0.01
+    f = ScalarFunction("linear", IntervalDomain(0.01, 1.0), lambda u: u, lambda u: 1.0)
+    with pytest.raises(OverflowError, match=re.escape("c2(alpha=1.0, lam=0.0, q=400.0, r=0.01) overflows")):
+        bound(f, ParamPoint(0.01, 1.0, 1.0, 0.0, 1.0, 400.0), Theorem.T22)
+
+
+def test_cli_float_overflow_in_a_moment_exits_3_naming_it(capsys):
+    assert main(["constants", "--alpha", "1", "--lambda", "0", "--q", "400", "--r", "0.01", "--which", "c2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: c2(alpha=1.0, lam=0.0, q=400.0, r=0.01) overflows")
