@@ -42,10 +42,10 @@ given.  `bound` passes it one row; the sweep builds its rows once per run
 (`_rows`), so each record holds the bits `bound` gives at its point.
 
 The brace moments c2(...)^(1/kq) and c3(...)^(1/kq) do not depend on f, so
-`_brace_moment` memoizes them per (alpha, lam, kq, r) for the process
-lifetime.  Each is the kernels' lam step on a lam-free part at (alpha, kq, r),
-which `_brace_part` memoizes in turn, so a sweep over lam computes each part's
-2F1 values once.  Both caches have the same fixed size (`_BRACE_CACHE_SIZE`).
+`_brace_moment` memoizes them per (alpha, lam, kq, r), in a cache of fixed
+size.  Each is the public `kernels.c2` or `kernels.c3`, which memoize their
+own lam-free parts per (alpha, kq, r), so a sweep over lam computes each
+part's 2F1 values once.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ from collections import namedtuple
 
 from .fracint import rl_left, rl_right
 from .harmonic import IntervalDomain, ScalarFunction, _Record
-from .kernels import _c2_at, _c2_part, _c3_at, _c3_part, _check_args, _moment, c1, integrate_kinked
+from .kernels import _check_args, c1, c2, c3, integrate_kinked
 from .specialfn import gamma
 
 __all__ = [
@@ -266,24 +266,13 @@ _FAMILIES = {
     Theorem.T24: _Family(_conjugate, lambda q: 1.0 / q, lambda q: 2.0 * _conjugate(q), True),
 }
 
-# Each entry is a distinct brace moment, or its lam-free part, backing at least one
-# bound record the caller already holds; the 9-function dense sweep needs 960
-# moments on 240 parts.  The fixed size keeps a long-lived library process from
-# growing without limit.
-_BRACE_CACHE_SIZE = 2**16
 
-
-@functools.lru_cache(maxsize=_BRACE_CACHE_SIZE)
-def _brace_part(right: bool, alpha: float, kq: float, r: float) -> tuple[float, float]:
-    """The lam-free part of c3 at (alpha, kq, r) for the right brace, else that of c2."""
-    return (_c3_part if right else _c2_part)(alpha, kq, r)
-
-
-@functools.lru_cache(maxsize=_BRACE_CACHE_SIZE)
+# One entry per distinct brace moment: the 9-function dense sweep needs 960.  Bounded
+# like the memos of the kernels' lam-free parts.
+@functools.lru_cache(maxsize=2**16)
 def _brace_moment(right: bool, alpha: float, lam: float, kq: float, r: float) -> float:
-    """c3(alpha, lam, kq, r)^(1/kq) for the right brace, else the same for c2: the lam step on the memoized part."""
-    name, step = ("c3", _c3_at) if right else ("c2", _c2_at)
-    return _moment(name, step, functools.partial(_brace_part, right), alpha, lam, kq, r) ** (1.0 / kq)
+    """c3(alpha, lam, kq, r)^(1/kq) for the right brace, else the same for c2."""
+    return (c3 if right else c2)(alpha, lam, kq, r) ** (1.0 / kq)
 
 
 # One (q, theorem, variant) bound formula: kq is the C2/C3 kernel-moment exponent, the denominators are x^den_exp,

@@ -29,7 +29,7 @@ The lhs, the rhs and the bounds go through the helpers `bounds.identity_lhs`,
 `bounds.identity_rhs` and `bounds.bound` are built from, in the same
 floating-point order, so each record holds the same bits those public
 functions give at its point.  The kernel moments are reused only through
-the memo in `bounds`.
+the memos in `bounds` (per moment) and `kernels` (per lam-free part).
 
 `run_constants` puts the closed-form kernel moments next to their quadrature
 oracles; `run_checkfn` exposes the convexity checkers over corpus names or
@@ -433,21 +433,22 @@ def _identity_stage(plan: _Plan, f: ScalarFunction, a: float, b: float, xs: tupl
     """One identity record per (x, lam, alpha), built on the lam-free parts of both sides.
 
     Per x, the rhs integrals Q; per (x, alpha), the fractional part of the lhs
-    and the rhs integrals P; per record, each side at its lam.
+    and the rhs integrals P; per record, each side at its lam.  A quadrature
+    failure names its case, and alpha only where the work depends on it.
     """
     cfg, tol, id_tol = plan.cfg, plan.quad_args, plan.id_tol
     out = []
     for x in xs:
-        qs = None
-        parts = {}
+        case = {"function": f.label, "a": a, "b": b, "x": x}
+        try:
+            qs = _rhs_qs(f, a, b, x, tol)
+            parts = {}
+            for alpha in cfg.alphas:
+                case["alpha"] = alpha
+                parts[alpha] = (_lhs_parts(f, a, b, x, alpha, tol), _rhs_parts(f, a, b, x, alpha, qs, tol))
+        except QuadratureError as exc:
+            raise _case_error(exc, **case) from exc
         for lam, alpha in itertools.product(cfg.lambdas, cfg.alphas):
-            try:
-                if alpha not in parts:
-                    if qs is None:
-                        qs = _rhs_qs(f, a, b, x, tol)
-                    parts[alpha] = (_lhs_parts(f, a, b, x, alpha, tol), _rhs_parts(f, a, b, x, alpha, qs, tol))
-            except QuadratureError as exc:
-                raise _case_error(exc, function=f.label, a=a, b=b, x=x, alpha=alpha) from exc
             lhs_parts, rhs_parts = parts[alpha]
             lhs = _lhs_at(lhs_parts, lam)
             rhs = _rhs_at(rhs_parts, lam)

@@ -15,14 +15,15 @@ D(z) = 2F1(A, 1; 2; z) - 2F1(A, alpha+1; alpha+2; z)/(alpha+1)
      = (2F1(A-1, alpha; alpha+1; z) - 1) / ((A-1) z),
 summed without the subtraction, and c3 on the elementary
 2F1(A, 1; 2; z) = ((1-z)^(1-A) - 1) / ((A-1) z).  Each moment is a lam-free
-part at (alpha, q, r) (`_c2_part`, `_c3_part`) and a lam step on top of it
-(`_c2_at`, `_c3_at`); the bounds memoize the part, and the public c2 and c3
-compose the two at one point.  Each public function takes plain floats and
+part at (alpha, q, r) (`_c2_part`, `_c3_part`, memoized here per point) and a
+lam step on top of it (`_c2_at`, `_c3_at`); c2 and c3 compose the two and are
+plain functions themselves.  Each public function takes plain floats and
 checks them with `_check_args` (alpha > 0, lam in [0, 1], q >= 1, r in (0, 1]),
 the one check that `bounds.ParamPoint` and `harness.run_constants` call too.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 
@@ -52,11 +53,11 @@ def c1(alpha: float, lam: float) -> float:
     return (2.0 * alpha * lam ** (1.0 + 1.0 / alpha) + 1.0) / (alpha + 1.0) - lam
 
 
-def _moment(name: str, step: Callable, part: Callable, alpha: float, lam: float, q: float, r: float) -> float:
-    """`step` at lam on the lam-free `part(alpha, q, r)`; an overflow or a non-finite value names the moment."""
+def _moment(name: str, step: Callable, alpha: float, lam: float, q: float, r: float) -> float:
+    """The moment's lam `step` at one point; an overflow or a non-finite value names the moment."""
     point = f"{name}(alpha={alpha}, lam={lam}, q={q}, r={r})"
     try:
-        value = step(part(alpha, q, r), alpha, lam, q, r)
+        value = step(alpha, lam, q, r)
     except OverflowError as exc:  # a power past the double range, as in Euler's transformation of 2F1
         raise OverflowError(f"{point} overflows double precision: {exc}") from exc
     if not math.isfinite(value):  # an inf or nan moment would make every bound on it hold, and is no JSON number
@@ -82,15 +83,21 @@ def _d(a: float, alpha: float, z: float) -> float:
     return _hyp2f1_tail(a - 1.0, alpha, alpha + 1.0, z) / (a - 1.0)
 
 
+# One entry per distinct (alpha, q, r): the 9-function dense sweep needs 240 over both
+# memos.  The fixed size keeps a long-lived library process from growing without limit.
+_PART_CACHE_SIZE = 2**16
+
+
+@functools.lru_cache(maxsize=_PART_CACHE_SIZE)
 def _c2_part(alpha: float, q: float, r: float) -> tuple[float, float]:
     """The lam-free part of c2 at (alpha, q, r): 2F1(2q, alpha+1; alpha+2; z1)/(alpha+1) and D(z1), z1 = 1 - r."""
     a, z1 = 2.0 * q, 1.0 - r
     return hyp2f1(a, alpha + 1.0, alpha + 2.0, z1) / (alpha + 1.0), _d(a, alpha, z1)
 
 
-def _c2_at(part: tuple[float, float], alpha: float, lam: float, q: float, r: float) -> float:
-    """c2 at one lam from `_c2_part`: (1-lam) F1 - lam D(z1) + 2 lam^(1+1/alpha) D(z2), z2 = lam^(1/alpha) z1."""
-    main, d1 = part
+def _c2_at(alpha: float, lam: float, q: float, r: float) -> float:
+    """c2 at one lam on `_c2_part`: (1-lam) F1 - lam D(z1) + 2 lam^(1+1/alpha) D(z2), z2 = lam^(1/alpha) z1."""
+    main, d1 = _c2_part(alpha, q, r)
     if lam == 0.0:
         return main
     if lam == 1.0:
@@ -107,21 +114,22 @@ def c2(alpha: float, lam: float, q: float, r: float) -> float:
         c2 = (1-lam) F1 - lam D(z1) + 2 lam^(1+1/alpha) D(lam^(1/alpha) z1).
     F1 and D(z1) do not depend on lam (`_c2_part`); the lam step on top of
     them (`_c2_at`) needs one more 2F1 value for 0 < lam < 1 and none at
-    lam = 0 or 1.  The sweep memoizes the part; this function composes the two.
+    lam = 0 or 1.  `_c2_part` is memoized; this function composes the two.
     """
     _check_args(alpha, lam, q, r)
-    return _moment("c2", _c2_at, _c2_part, alpha, lam, q, r)
+    return _moment("c2", _c2_at, alpha, lam, q, r)
 
 
+@functools.lru_cache(maxsize=_PART_CACHE_SIZE)
 def _c3_part(alpha: float, q: float, r: float) -> tuple[float, float]:
     """The lam-free part of c3 at (alpha, q, r): 2F1(2q, 1; alpha+2; z1)/(alpha+1) and 2F1(2q, 1; 2; z1), z1 = 1 - r."""
     a, z1 = 2.0 * q, 1.0 - r
     return hyp2f1(a, 1.0, alpha + 2.0, z1) / (alpha + 1.0), _hyp_a12(a, z1)
 
 
-def _c3_at(part: tuple[float, float], alpha: float, lam: float, q: float, r: float) -> float:
-    """c3 at one lam from `_c3_part`; the interior-lam correction is taken at z3 = m(1-r)/s."""
-    main, e1 = part
+def _c3_at(alpha: float, lam: float, q: float, r: float) -> float:
+    """c3 at one lam on `_c3_part`; the interior-lam correction is taken at z3 = m(1-r)/s."""
+    main, e1 = _c3_part(alpha, q, r)
     if lam == 0.0:
         return main
     if lam == 1.0:
@@ -131,11 +139,7 @@ def _c3_at(part: tuple[float, float], alpha: float, lam: float, q: float, r: flo
     s = r + m * (1.0 - r)
     z3 = m * (1.0 - r) / s
     g3, e3 = hyp2f1(a, 1.0, alpha + 2.0, z3) / (alpha + 1.0), _hyp_a12(a, z3)
-    try:
-        rescale = s ** (-a)
-    except OverflowError:  # left to `_moment` to name
-        rescale = math.inf
-    return main - lam * e1 + 2.0 * lam ** (1.0 + 1.0 / alpha) * rescale * (e3 - g3)
+    return main - lam * e1 + 2.0 * lam ** (1.0 + 1.0 / alpha) * s ** (-a) * (e3 - g3)
 
 
 def c3(alpha: float, lam: float, q: float, r: float) -> float:
@@ -150,11 +154,11 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
     prints it without the rescaling; tests/test_kernels.py keeps that form
     (`c3_as_stated`) and shows it diverging from kernel_oracle for
     0 < lam < 1.  G(z1) and E(z1) do not depend on lam (`_c3_part`); the lam
-    step (`_c3_at`) adds G(z3) and E(z3).  The sweep memoizes the part; this
+    step (`_c3_at`) adds G(z3) and E(z3).  `_c3_part` is memoized; this
     function composes the two.
     """
     _check_args(alpha, lam, q, r)
-    return _moment("c3", _c3_at, _c3_part, alpha, lam, q, r)
+    return _moment("c3", _c3_at, alpha, lam, q, r)
 
 
 def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> float:

@@ -64,9 +64,13 @@ def _check(a: float, b: float, c: float, z: float) -> None:
 def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
     """2F1 by its power series; terms stop at 1e-16 relative."""
     _check(a, b, c, z)
-    term = 1.0
-    total = 1.0
-    for n in range(_SERIES_MAX_TERMS):
+    return _series_from(a, b, c, z, 1.0, 0)
+
+
+def _series_from(a: float, b: float, c: float, z: float, term: float, start: int) -> float:
+    """The 2F1 power series summed from its term `term` at index `start` on; terms stop at 1e-16 relative."""
+    total = term
+    for n in range(start, _SERIES_MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         if abs(term) <= _SERIES_TERM_CUTOFF * abs(total):
@@ -83,13 +87,7 @@ def _hyp2f1_tail(a: float, b: float, c: float, z: float) -> float:
     if z > _SERIES_Z_LIMIT:
         return (hyp2f1(a, b, c, z) - 1.0) / z
     _check(a, b, c, z)
-    term = total = a * b / c
-    for n in range(1, _SERIES_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) <= _SERIES_TERM_CUTOFF * abs(total):
-            return total
-    raise RuntimeError(f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms for {(a, b, c, z)}")
+    return _series_from(a, b, c, z, a * b / c, 1)
 
 
 def hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:

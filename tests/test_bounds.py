@@ -7,7 +7,6 @@ transcription slip in either place breaks the 1e-12 agreement checks.
 import inspect
 import math
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -259,28 +258,8 @@ def test_every_theorem_variant_row_matches_hand_assembly():
                         )
 
 
-def test_brace_moments_computed_once_per_argument(monkeypatch):
-    parts, steps = Counter(), Counter()
-
-    def counting_part(side, fn):
-        def wrapped(alpha, kq, r):
-            parts[(side, alpha, kq, r)] += 1
-            return fn(alpha, kq, r)
-
-        return wrapped
-
-    def counting_step(side, fn):
-        def wrapped(part, alpha, lam, kq, r):
-            steps[(side, alpha, lam, kq, r)] += 1
-            return fn(part, alpha, lam, kq, r)
-
-        return wrapped
-
-    hqfi.bounds._brace_part.cache_clear()
-    hqfi.bounds._brace_moment.cache_clear()
-    for side in ("c2", "c3"):
-        monkeypatch.setattr(hqfi.bounds, f"_{side}_part", counting_part(side, getattr(hqfi.kernels, f"_{side}_part")))
-        monkeypatch.setattr(hqfi.bounds, f"_{side}_at", counting_step(side, getattr(hqfi.kernels, f"_{side}_at")))
+def test_brace_moments_computed_once_per_argument():
+    # the conftest empties every memo before the test
     cfg = SweepConfig.from_dict(
         {
             "lambdas": [0.0, 0.5, 1.0],
@@ -293,13 +272,15 @@ def test_brace_moments_computed_once_per_argument(monkeypatch):
     rep = run_verify(cfg)
     assert len({r["function"] for r in rep.records}) >= 2
     # every function, theorem and variant shares the same braces, yet each distinct
-    # (side, alpha, kq, r) reaches a lam-free part exactly once, and each distinct
-    # (side, alpha, lam, kq, r) its lam step exactly once
-    assert parts and set(parts.values()) == {1}
-    assert steps and set(steps.values()) == {1}
-    assert {key[:2] + key[3:] for key in steps} == set(parts)
-    assert len(steps) == len(cfg.lambdas) * len(parts)
-    assert len(steps) < len(rep.records)
+    # (side, alpha, lam, kq, r) misses the moment memo, and so runs its lam step, exactly
+    # once, and each distinct (side, alpha, kq, r) misses a part memo exactly once
+    moments = hqfi.bounds._brace_moment.cache_info()
+    parts = [memo.cache_info() for memo in (hqfi.kernels._c2_part, hqfi.kernels._c3_part)]
+    for info in (moments, *parts):
+        assert info.misses == info.currsize > 0 and info.hits > 0, info
+    # each lam step looks its part up once, and every part serves each lam
+    assert sum(info.hits + info.misses for info in parts) == moments.misses
+    assert moments.misses == len(cfg.lambdas) * sum(info.currsize for info in parts)
     for r in rep.records:
         pt = ParamPoint(r["a"], r["b"], r["x"], r["lam"], r["alpha"], r["q"])
         want = _hand_bound(FNS[r["function"]], pt, Theorem(r["theorem"]), Variant(r["variant"]))

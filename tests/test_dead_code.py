@@ -73,3 +73,15 @@ def test_every_private_helper_is_referenced():
             if name not in _reads(tree, skip=node) and (module, name) not in imported and name not in attributes:
                 dead.append(f"{module}.{name}")
     assert not dead, dead
+
+
+def test_bounds_reaches_the_kernel_moments_through_public_names():
+    # one route to each moment: the lam split of c2/c3 and the memo of its parts stay inside kernels
+    private = {
+        alias.name
+        for node in ast.walk(MODULES["bounds"])
+        if isinstance(node, ast.ImportFrom) and node.module == "kernels"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == {"_check_args"}

@@ -25,6 +25,7 @@ from hqfi.harness import (
     variants_for,
 )
 from hqfi.kernels import c1, c2, c3
+from hqfi.quad import QuadratureError
 
 SMALL = {
     "lambdas": [0.0, 0.5],
@@ -359,6 +360,26 @@ def test_verify_computes_rhs_integrals_once_where_they_vary(monkeypatch):
     assert counts[1, 3] == {"_kernel_p": 3 * 4, "_kernel_q": 4}
 
 
+def test_quadrature_failure_names_its_case(monkeypatch):
+    # Q depends on neither lam nor alpha, so its failure names (function, a, b, x) alone; P's names its alpha too
+    cfg = SweepConfig.from_dict({"lambdas": [0.5], "alphas": [0.5, 2.0], "qs": [1.0], "functions": ["expx"]})
+    case = "function=expx, a=1.0, b=2.0, x=1.3333333333333333"
+
+    def failing(*args):
+        raise QuadratureError("no convergence")
+
+    monkeypatch.setattr(bounds, "_kernel_q", failing)
+    with pytest.raises(QuadratureError) as info:
+        run_verify(cfg)
+    assert str(info.value) == f"no convergence [case: {case}]"
+
+    monkeypatch.undo()
+    monkeypatch.setattr(bounds, "_kernel_p", lambda f, end, x, alpha, tol: failing() if alpha == 2.0 else 0.0)
+    with pytest.raises(QuadratureError) as info:
+        run_verify(cfg)
+    assert str(info.value) == f"no convergence [case: {case}, alpha=2.0]"
+
+
 def test_nonfinite_kernel_moments_fail_loudly():
     # 2F1(2000, 2; 3; 0.5) is past the double range: a bound of inf would hold, and is no JSON number
     for name, moment in (("c2", c2), ("c3", c3)):
@@ -368,7 +389,7 @@ def test_nonfinite_kernel_moments_fail_loudly():
 
 def test_nonfinite_interior_lam_c3_fails_loudly():
     # the kink rescaling s^(-2q), s = r + lam^(1/alpha) (1-r) near 0.1, is past the double range
-    with pytest.raises(OverflowError, match=r"c3\(alpha=0.1, lam=0.5, q=200, r=0.1\) = nan is not finite"):
+    with pytest.raises(OverflowError, match=r"c3\(alpha=0.1, lam=0.5, q=200, r=0.1\) overflows double precision: "):
         c3(0.1, 0.5, 200, 0.1)
 
 
@@ -801,7 +822,7 @@ def test_cli_checkfn_parse_error_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # ZeroDivisionError in kernel_oracle's integrand: (t*u + (1-t)*v)^2000 underflows to 0
+        # OverflowError for the inf that c2 would return: 2F1(2000, 2; 3; 0.5) is past the double range
         ["constants", "--alpha", "1", "--lambda", "0", "--q", "1000", "--r", "0.5"],
         # OverflowError at w**d in hyp2f1
         ["constants", "--alpha", "1", "--lambda", "0.5", "--q", "3000", "--r", "0.05"],

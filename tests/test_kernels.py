@@ -280,7 +280,8 @@ def test_float_overflow_on_the_euler_integral_route_names_the_point(monkeypatch,
 
 
 def test_float_overflow_in_a_bound_names_the_moment():
-    # the bounds reach c2 through their memo of its lam-free part; x = b leaves only the left brace, r = a/x = 0.01
+    # the bounds reach c2 through their brace-moment memo, and c2 its lam-free part through the kernels' memo;
+    # x = b leaves only the left brace, r = a/x = 0.01
     f = ScalarFunction("linear", IntervalDomain(0.01, 1.0), lambda u: u, lambda u: 1.0)
     with pytest.raises(OverflowError, match=re.escape("c2(alpha=1.0, lam=0.0, q=400.0, r=0.01) overflows")):
         bound(f, ParamPoint(0.01, 1.0, 1.0, 0.0, 1.0, 400.0), Theorem.T22)
