@@ -8,16 +8,17 @@ alpha > 0, the identity value is
       - Gamma(alpha+1) [ J_{1/x+}^alpha (f o inv)(1/a) + J_{1/x-}^alpha (f o inv)(1/b) ]
 
 with wa = ((x-a)/(ax))^alpha, wb = ((b-x)/(bx))^alpha and inv(t) = 1/t.
-`identity_lhs` assembles exactly that, in two parts: the lam-free pieces
-(`_lhs_parts`: the fractional term, which holds all of its quadrature, and
-wa + wb, f(x), wa f(a) + wb f(b)), then the boundary term at one lam
-(`_lhs_at`).  A sweep over lam computes the first part once per
-(f, a, b, x, alpha).  `identity_rhs` evaluates the equivalent kernel-integral
-form, and the pair is the residual check the harness sweeps.  Its kernel
-t^alpha - lam is linear in lam and has no kink, so each brace is
-pref (P - lam Q) with two kink-free integrals: Q per (f, a, b, x)
-(`_rhs_qs`), P per (f, a, b, x, alpha) (`_rhs_parts`), and the value at one
-lam on top (`_rhs_at`).  Only the bounds' |t^alpha - lam| has a kink.
+`identity_lhs` assembles exactly that; `_lhs` computes its lam-free pieces
+(the fractional term, which holds all of its quadrature, and wa + wb, f(x),
+wa f(a) + wb f(b)) once and returns the lhs as a function of lam.
+`identity_rhs` evaluates the equivalent kernel-integral form, and the pair
+is the residual check the harness sweeps.  Its kernel t^alpha - lam is
+linear in lam and has no kink, so each brace is pref (P - lam Q) with two
+kink-free integrals: Q per (f, a, b, x) (`_rhs_qs`), and P per
+(f, a, b, x, alpha) in `_rhs`, which returns the rhs as a function of lam.
+Only the bounds' |t^alpha - lam| has a kink.  `_identity_values` stages
+both sides at one x for the sweep (Q, each alpha's parts, then every
+(lam, alpha) value) and names the case of a failed quadrature.
 
 When |f'|^q is harmonically quasi-convex on [a, b], |I| is bounded by three
 families (T22: power-mean, T23: its q=1 reduction shape, T24: Holder).  All
@@ -53,10 +54,12 @@ import enum
 import functools
 import math
 from collections import namedtuple
+from collections.abc import Callable
 
 from .fracint import rl_left, rl_right
 from .harmonic import IntervalDomain, ScalarFunction, _Record
 from .kernels import _check_args, c1, c2, c3, integrate_kinked
+from .quad import QuadratureError
 from .specialfn import gamma
 
 __all__ = [
@@ -115,12 +118,8 @@ class BoundReport(namedtuple("BoundReport", "theorem variant lhs_abs bound slack
     __slots__ = ()
 
 
-# The lam-free pieces of identity_lhs at one (f, a, b, x, alpha): wa + wb, f(x), wa f(a) + wb f(b), fractional part
-_LhsParts = namedtuple("_LhsParts", "weights fx ends fractional")
-
-
-def _lhs_parts(f: ScalarFunction, a: float, b: float, x: float, alpha: float, tol: dict) -> _LhsParts:
-    """Everything identity_lhs needs except lam; the fractional integrals are all its quadrature.
+def _lhs(f: ScalarFunction, a: float, b: float, x: float, alpha: float, tol: dict) -> Callable[[float], float]:
+    """identity_lhs at (f, a, b, x, alpha) as a function of lam; the fractional integrals are all its quadrature.
 
     At x = a the left fractional interval [1/x, 1/a] is empty and its operator
     contributes 0 (mirrored at x = b); the weight wa (wb) vanishes with it.
@@ -144,23 +143,19 @@ def _lhs_parts(f: ScalarFunction, a: float, b: float, x: float, alpha: float, to
     if x < b:
         cuts = tuple(1.0 / u for u in f.breaks if x < u < b)
         frac += rl_right(recip, 1.0 / x, alpha, 1.0 / b, cuts=cuts, **tol)
-    return _LhsParts(wa + wb, fx, ends, gamma(alpha + 1.0) * frac)
-
-
-def _lhs_at(parts: _LhsParts, lam: float) -> float:
-    """identity_lhs at one lam: (1-lam) [wa + wb] f(x) + lam [wa f(a) + wb f(b)] minus the fractional part."""
-    return (1.0 - lam) * parts.weights * parts.fx + lam * parts.ends - parts.fractional
+    fractional = gamma(alpha + 1.0) * frac
+    return lambda lam: (1.0 - lam) * (wa + wb) * fx + lam * ends - fractional
 
 
 def identity_lhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
     """Boundary/fractional assembly of the identity value I(f; p).
 
-    The fractional part does not depend on lam, so a sweep over lam computes
-    it once (`_lhs_parts`) and assembles each lam's boundary term on top of it
-    (`_lhs_at`); this function is that composition at one point.  The
-    `abs_tol` and `rel_tol` keywords are passed on to `integrate`.
+    The fractional part does not depend on lam, so `_lhs` computes it once
+    and returns the lhs as a function of lam, which a sweep over lam calls
+    once per lam; this function calls it at p.lam.  The `abs_tol` and
+    `rel_tol` keywords are passed on to `integrate`.
     """
-    return _lhs_at(_lhs_parts(f, p.a, p.b, p.x, p.alpha, tol), p.lam)
+    return _lhs(f, p.a, p.b, p.x, p.alpha, tol)(p.lam)
 
 
 def _brace_cuts(f: ScalarFunction, end: float, x: float) -> tuple[float, ...]:
@@ -194,10 +189,6 @@ def _kernel_q(f: ScalarFunction, end: float, x: float, tol: dict) -> float:
     return integrate_kinked(g, 1.0, 0.0, cuts=_brace_cuts(f, end, x), **tol)
 
 
-# identity_rhs's brace at (f, end, x, alpha): pref (P - lam Q) at lam, pref = |end - x|^(alpha+1) / (end x)^(alpha-1)
-_Side = namedtuple("_Side", "pref p q")
-
-
 def _rhs_qs(f: ScalarFunction, a: float, b: float, x: float, tol: dict) -> tuple[float | None, float | None]:
     """The alpha- and lam-free Q of the left and right brace; None where the brace is absent (x = a, x = b)."""
     return (
@@ -206,30 +197,27 @@ def _rhs_qs(f: ScalarFunction, a: float, b: float, x: float, tol: dict) -> tuple
     )
 
 
-def _rhs_parts(
+def _rhs(
     f: ScalarFunction, a: float, b: float, x: float, alpha: float, qs: tuple[float | None, float | None], tol: dict
-) -> tuple[_Side | None, _Side | None]:
-    """The lam-free sides of identity_rhs at one (f, a, b, x, alpha), given `_rhs_qs` at (f, a, b, x)."""
-    q_left, q_right = qs
-    left = right = None
-    if q_left is not None:
-        pref = (x - a) ** (alpha + 1.0) / (a * x) ** (alpha - 1.0)
-        left = _Side(pref, _kernel_p(f, a, x, alpha, tol), q_left)
-    if q_right is not None:
-        pref = (b - x) ** (alpha + 1.0) / (b * x) ** (alpha - 1.0)
-        right = _Side(pref, _kernel_p(f, b, x, alpha, tol), q_right)
-    return left, right
+) -> Callable[[float], float]:
+    """identity_rhs at (f, a, b, x, alpha) as a function of lam, given `_rhs_qs` at (f, a, b, x).
 
+    Each brace is pref (P - lam Q), pref = |end - x|^(alpha+1) / (end x)^(alpha-1),
+    and the left brace counts plus, the right one minus (an exact sign flip).
+    """
+    braces = [
+        (sign * abs(end - x) ** (alpha + 1.0) / (end * x) ** (alpha - 1.0), _kernel_p(f, end, x, alpha, tol), q)
+        for sign, end, q in ((1.0, a, qs[0]), (-1.0, b, qs[1]))
+        if q is not None
+    ]
 
-def _rhs_at(sides: tuple[_Side | None, _Side | None], lam: float) -> float:
-    """identity_rhs at one lam: the left brace minus the right one, each pref (P - lam Q)."""
-    left, right = sides
-    total = 0.0
-    if left is not None:
-        total += left.pref * (left.p - lam * left.q)
-    if right is not None:
-        total -= right.pref * (right.p - lam * right.q)
-    return total
+    def at(lam: float) -> float:
+        total = 0.0
+        for pref, p, q in braces:
+            total += pref * (p - lam * q)
+        return total
+
+    return at
 
 
 def identity_rhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
@@ -238,16 +226,35 @@ def identity_rhs(f: ScalarFunction, p: ParamPoint, **tol) -> float:
     Each brace is pref * int_0^1 (t^alpha - lam) A^{-2} f'(end*x/A) dt, and
     the kernel t^alpha - lam is linear in lam and has no kink, so the brace is
     pref (P - lam Q) with P = int t^alpha A^{-2} f'(...) and Q = int A^{-2} f'(...).
-    Q depends on (f, end, x) only and P also on alpha, so a sweep computes Q
-    once per x (`_rhs_qs`), P once per (x, alpha) (`_rhs_parts`) and each
-    lam's value on top (`_rhs_at`); this function is that composition at one
-    point.  Q stays a quadrature: its closed form (f(end) - f(x))/(end x (end - x))
-    would make the lam part of the identity hold by construction, where the
-    quadrature still checks f' against f.  The `abs_tol` and `rel_tol`
-    keywords are passed on to `integrate`.
+    Q depends on (f, end, x) only and P also on alpha, so `_rhs_qs` computes
+    Q once per x and `_rhs` P once per (x, alpha), returning the rhs as a
+    function of lam; this function calls it at p.lam.  Q stays a quadrature:
+    its closed form (f(end) - f(x))/(end x (end - x)) would make the lam part
+    of the identity hold by construction, where the quadrature still checks
+    f' against f.  The `abs_tol` and `rel_tol` keywords are passed on to
+    `integrate`.
     """
-    qs = _rhs_qs(f, p.a, p.b, p.x, tol)
-    return _rhs_at(_rhs_parts(f, p.a, p.b, p.x, p.alpha, qs, tol), p.lam)
+    return _rhs(f, p.a, p.b, p.x, p.alpha, _rhs_qs(f, p.a, p.b, p.x, tol), tol)(p.lam)
+
+
+def _identity_values(
+    f: ScalarFunction, a: float, b: float, x: float, alphas: tuple[float, ...], lambdas: tuple[float, ...], tol: dict
+) -> list[tuple[float, float, float, float]]:
+    """(lam, alpha, lhs, rhs) for every (lam, alpha) at one (f, a, b, x), lam-major.
+
+    Q runs once, then per alpha in order the lhs's fractional part and P; each lam is a few products on top.
+    A `QuadratureError` names its case, with alpha only where the work depends on it.
+    """
+    where = ""
+    try:
+        qs = _rhs_qs(f, a, b, x, tol)
+        sides = []
+        for alpha in alphas:
+            where = f", alpha={alpha}"
+            sides.append((alpha, _lhs(f, a, b, x, alpha, tol), _rhs(f, a, b, x, alpha, qs, tol)))
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc} [case: function={f.label}, a={a}, b={b}, x={x}{where}]") from exc
+    return [(lam, alpha, lhs(lam), rhs(lam)) for lam in lambdas for alpha, lhs, rhs in sides]
 
 
 # One row of the theorem table: kq (the C2/C3 kernel-moment exponent), the c1 power and the as_stated

@@ -248,13 +248,16 @@ def corpus() -> list[ScalarFunction]:
     ]
 
 
-def validate_corpus(n: int = 25, seed: int = 0) -> list[ScalarFunction]:
+_CHECK_N, _CHECK_SEED = 25, 0  # the checker's sample count and seed when validate_corpus re-proves a flag
+
+
+def validate_corpus() -> list[ScalarFunction]:
     """Corpus with every `quasi` flag re-proven by the checker on |f'|; raises on mismatch."""
     fns = corpus()
     for f in fns:
         if f.quasi is None:
             continue
-        verdict = check_harmonically_quasiconvex(abs_derivative_power(f, 1.0), f.domain, n=n, seed=seed)
+        verdict = check_harmonically_quasiconvex(abs_derivative_power(f, 1.0), f.domain, n=_CHECK_N, seed=_CHECK_SEED)
         if verdict.violated == f.quasi:
             raise RuntimeError(
                 f"corpus flag mismatch: {f.label} quasi={f.quasi}, "

@@ -14,13 +14,13 @@ It runs in stages, and computes each piece of work once where it varies:
                            (q, theorem, variant) bound row in record order,
                            and c1(alpha, lam) per (alpha, lam)
   per (function, interval) (_gate) the hypothesis verdict
-  per x                    (_identity_stage) the rhs integrals Q of each
-                           brace, which depend on neither lam nor alpha
-  per (x, alpha)           (_identity_stage) the lam-free part of the lhs,
-                           with all of its fractional integrals, and the
-                           rhs integrals P
-  per identity record      (_identity_stage) the lhs and the rhs at its lam,
-                           with no quadrature; (_bound_stage) one
+  per x                    (_identity_stage) one `bounds._identity_values`
+                           call: the rhs integrals Q of each brace (free of
+                           lam and alpha), per alpha the lam-free part of
+                           the lhs, with all of its fractional integrals, and
+                           the rhs integrals P, then both sides at every
+                           (lam, alpha); it names a failed quadrature's case
+  per identity record      (_identity_stage) the record; (_bound_stage) one
                            `bounds._bounds` call, which evaluates every row
                            at that point
   once per run             (_summary) the summary block
@@ -64,7 +64,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 
-from .bounds import _SLACK_TOL, Variant, _bounds, _lhs_at, _lhs_parts, _rhs_at, _rhs_parts, _rhs_qs, _rows
+from .bounds import _SLACK_TOL, Variant, _bounds, _identity_values, _rows
 from .harmonic import (
     IntervalDomain,
     ScalarFunction,
@@ -76,7 +76,7 @@ from .harmonic import (
     validate_corpus,
 )
 from .kernels import _check_args, c1, c2, c3, kernel_oracle
-from .quad import _ABS_TOL, _REL_TOL, QuadratureError
+from .quad import _ABS_TOL, _REL_TOL
 
 __all__ = [
     "TOOL_VERSION",
@@ -396,11 +396,6 @@ def _x_points(cfg: SweepConfig, a: float, b: float) -> tuple[float, ...]:
     return cfg.x_values
 
 
-def _case_error(exc: QuadratureError, **ctx) -> QuadratureError:
-    detail = ", ".join(f"{k}={v}" for k, v in ctx.items())
-    return QuadratureError(f"{exc} [case: {detail}]")
-
-
 # What every (function, interval) of one run shares, worked out once from the config; c1 maps (alpha, lam) to c1
 _Plan = namedtuple("_Plan", "cfg fns variants quad_args id_tol slack_tol rows c1")
 
@@ -430,28 +425,10 @@ def _gate(cfg: SweepConfig, f: ScalarFunction, domain: IntervalDomain) -> bool:
 
 
 def _identity_stage(plan: _Plan, f: ScalarFunction, a: float, b: float, xs: tuple[float, ...]) -> list[dict]:
-    """One identity record per (x, lam, alpha), built on the lam-free parts of both sides.
-
-    Per x, the rhs integrals Q; per (x, alpha), the fractional part of the lhs
-    and the rhs integrals P; per record, each side at its lam.  A quadrature
-    failure names its case, and alpha only where the work depends on it.
-    """
-    cfg, tol, id_tol = plan.cfg, plan.quad_args, plan.id_tol
+    """One identity record per (x, lam, alpha), from the values `bounds._identity_values` gives at each x."""
     out = []
     for x in xs:
-        case = {"function": f.label, "a": a, "b": b, "x": x}
-        try:
-            qs = _rhs_qs(f, a, b, x, tol)
-            parts = {}
-            for alpha in cfg.alphas:
-                case["alpha"] = alpha
-                parts[alpha] = (_lhs_parts(f, a, b, x, alpha, tol), _rhs_parts(f, a, b, x, alpha, qs, tol))
-        except QuadratureError as exc:
-            raise _case_error(exc, **case) from exc
-        for lam, alpha in itertools.product(cfg.lambdas, cfg.alphas):
-            lhs_parts, rhs_parts = parts[alpha]
-            lhs = _lhs_at(lhs_parts, lam)
-            rhs = _rhs_at(rhs_parts, lam)
+        for lam, alpha, lhs, rhs in _identity_values(f, a, b, x, plan.cfg.alphas, plan.cfg.lambdas, plan.quad_args):
             residual = abs(lhs - rhs)
             scaled = residual / (1.0 + abs(lhs))
             out.append(
@@ -466,7 +443,7 @@ def _identity_stage(plan: _Plan, f: ScalarFunction, a: float, b: float, xs: tupl
                     "rhs": rhs,
                     "residual": residual,
                     "residual_scaled": scaled,
-                    "ok": scaled <= id_tol,
+                    "ok": scaled <= plan.id_tol,
                 }
             )
     return out

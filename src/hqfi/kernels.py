@@ -28,7 +28,7 @@ import math
 from collections.abc import Callable
 
 from .quad import integrate
-from .specialfn import _hyp2f1_tail, hyp2f1
+from .specialfn import _finite, _hyp2f1_tail, hyp2f1
 
 __all__ = ["c1", "c2", "c3", "kernel_oracle"]
 
@@ -51,18 +51,6 @@ def c1(alpha: float, lam: float) -> float:
     if lam == 0.0:
         return 1.0 / (alpha + 1.0)
     return (2.0 * alpha * lam ** (1.0 + 1.0 / alpha) + 1.0) / (alpha + 1.0) - lam
-
-
-def _moment(name: str, step: Callable, alpha: float, lam: float, q: float, r: float) -> float:
-    """The moment's lam `step` at one point; an overflow or a non-finite value names the moment."""
-    point = f"{name}(alpha={alpha}, lam={lam}, q={q}, r={r})"
-    try:
-        value = step(alpha, lam, q, r)
-    except OverflowError as exc:  # a power past the double range, as in Euler's transformation of 2F1
-        raise OverflowError(f"{point} overflows double precision: {exc}") from exc
-    if not math.isfinite(value):  # an inf or nan moment would make every bound on it hold, and is no JSON number
-        raise OverflowError(f"{point} = {value} is not finite in double precision")
-    return value
 
 
 def _hyp_a12(a: float, z: float) -> float:
@@ -117,7 +105,7 @@ def c2(alpha: float, lam: float, q: float, r: float) -> float:
     lam = 0 or 1.  `_c2_part` is memoized; this function composes the two.
     """
     _check_args(alpha, lam, q, r)
-    return _moment("c2", _c2_at, alpha, lam, q, r)
+    return _finite("c2", _c2_at, alpha=alpha, lam=lam, q=q, r=r)
 
 
 @functools.lru_cache(maxsize=_PART_CACHE_SIZE)
@@ -158,7 +146,7 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
     function composes the two.
     """
     _check_args(alpha, lam, q, r)
-    return _moment("c3", _c3_at, alpha, lam, q, r)
+    return _finite("c3", _c3_at, alpha=alpha, lam=lam, q=q, r=r)
 
 
 def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> float:

@@ -15,6 +15,7 @@ power series from its n = 1 term, for the kernel moments.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .quad import integrate, integrate_singular
 
@@ -118,6 +119,20 @@ def hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
     return (low + high) / beta(b, cb)
 
 
+def _finite(name: str, fn: Callable[..., float], **args: float) -> float:
+    """fn at the values of `args`, in order; an overflow or a non-finite value raises an OverflowError naming them."""
+    cause = None
+    try:
+        value = fn(*args.values())
+        if math.isfinite(value):
+            return value
+        # an inf or nan value would make every bound on it hold, and is no JSON number
+        detail = f"= {value} is not finite in double precision"
+    except OverflowError as exc:  # a power or a Gamma value past the double range
+        cause, detail = exc, f"overflows double precision: {exc}"
+    raise OverflowError(f"{name}({', '.join(f'{key}={v}' for key, v in args.items())}) {detail}") from cause
+
+
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """2F1(a, b; c; z): power series for z <= 0.9, series in w = 1 - z above.
 
@@ -125,8 +140,14 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     integer or not.  The Euler integral takes the rest: a <= 0, a + b + c > 150,
     and points where those series cancel more than 100-fold.  On the four
     families of the kernel moments (a = 2q up to 32, alpha up to 10) they
-    cancel at most 9-fold.
+    cancel at most 9-fold.  A value past the double range raises an
+    OverflowError that names hyp2f1(a, b, c, z), whichever route it takes.
     """
+    return _finite("hyp2f1", _hyp2f1_routes, a=a, b=b, c=c, z=z)
+
+
+def _hyp2f1_routes(a: float, b: float, c: float, z: float) -> float:
+    """`hyp2f1` without the overflow naming: the route choice and its value."""
     if z <= _SERIES_Z_LIMIT:
         return hyp2f1_series(a, b, c, z)
     _check(a, b, c, z)

@@ -145,6 +145,34 @@ def test_identity_alpha_one_displayed_form():
             assert identity_lhs(f, pt) == pytest.approx(displayed, abs=1e-9)
 
 
+def test_identity_sides_in_closed_form_for_the_reciprocal():
+    # f(u) = 1/u makes f o inv linear, so both fractional integrals are exact:
+    # Gamma(alpha+1) J_{1/x+}^alpha (f o inv)(1/a) = wa/a - alpha/(alpha+1) wa (x-a)/(ax), and
+    # Gamma(alpha+1) J_{1/x-}^alpha (f o inv)(1/b) = wb/b + alpha/(alpha+1) wb (b-x)/(bx).
+    # f'(end x/A) = -A^2/(end x)^2, so each brace has P = -1/((alpha+1)(end x)^2) and Q = -1/(end x)^2.
+    for a, b in ((1.0, 2.0), (0.5, 4.0), (0.1, 4.0), (0.01, 5.0)):
+        f = ScalarFunction("recip", IntervalDomain(a, b), lambda u: 1.0 / u, lambda u: -1.0 / (u * u))
+        for x in (a, (a + b) / 2.0, 2.0 * a * b / (a + b), b):
+            for alpha in (0.05, 0.5, 1.0, 4.0, 10.0):
+                wa = ((x - a) / (a * x)) ** alpha
+                wb = ((b - x) / (b * x)) ** alpha
+                k = alpha / (alpha + 1.0)
+                fractional = (wa / a, -k * wa * (x - a) / (a * x), wb / b, k * wb * (b - x) / (b * x))
+                for lam in (0.0, 1.0 / 3.0, 1.0):
+                    lhs_terms = [(1.0 - lam) * (wa + wb) / x, lam * (wa / a + wb / b), *(-t for t in fractional)]
+                    rhs_terms = []
+                    for sign, end in ((1.0, a), (-1.0, b)):  # the left brace minus the right one
+                        pref = abs(end - x) ** (alpha + 1.0) / (end * x) ** (alpha - 1.0)
+                        p, q = -1.0 / ((alpha + 1.0) * (end * x) ** 2), -1.0 / (end * x) ** 2
+                        rhs_terms += [sign * pref * p, -sign * lam * pref * q]
+                    pt = ParamPoint(a, b, x, lam, alpha)
+                    scale = 1.0 + sum(map(abs, lhs_terms)) + sum(map(abs, rhs_terms))
+                    case = (a, b, x, alpha, lam)
+                    assert abs(math.fsum(lhs_terms) - math.fsum(rhs_terms)) <= 1e-13 * scale, case
+                    for got, terms in ((identity_lhs(f, pt), lhs_terms), (identity_rhs(f, pt), rhs_terms)):
+                        assert abs(got - math.fsum(terms)) <= 1e-13 * (1.0 + sum(map(abs, terms))), case
+
+
 # --- bounds: goldens and variant behaviour ---
 
 

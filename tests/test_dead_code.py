@@ -85,3 +85,14 @@ def test_bounds_reaches_the_kernel_moments_through_public_names():
         if alias.name.startswith("_")
     }
     assert private == {"_check_args"}
+
+
+def test_harness_leaves_the_identity_staging_to_bounds():
+    # the lam/alpha staging of both sides and the naming of a failed quadrature stay inside bounds
+    imported = {
+        alias.name
+        for node in ast.walk(MODULES["harness"])
+        if isinstance(node, ast.ImportFrom) and node.module == "bounds"
+        for alias in node.names
+    }
+    assert imported == {"_SLACK_TOL", "Variant", "_bounds", "_identity_values", "_rows"}

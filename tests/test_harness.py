@@ -381,16 +381,18 @@ def test_quadrature_failure_names_its_case(monkeypatch):
 
 
 def test_nonfinite_kernel_moments_fail_loudly():
-    # 2F1(2000, 2; 3; 0.5) is past the double range: a bound of inf would hold, and is no JSON number
-    for name, moment in (("c2", c2), ("c3", c3)):
-        with pytest.raises(OverflowError, match=rf"{name}\(alpha=1, lam=0, q=1000, r=0.5\) = inf is not finite"):
+    # 2F1(2000, b; 3; 0.5) is past the double range: a bound of inf would hold, and is no JSON number
+    for name, moment, b in (("c2", c2, 2.0), ("c3", c3, 1.0)):
+        point = f"{name}(alpha=1, lam=0, q=1000, r=0.5) overflows double precision: hyp2f1(a=2000.0, b={b}, c=3.0"
+        with pytest.raises(OverflowError, match=re.escape(point)):
             moment(1, 0, 1000, 0.5)
 
 
 def test_nonfinite_interior_lam_c3_fails_loudly():
-    # the kink rescaling s^(-2q), s = r + lam^(1/alpha) (1-r) near 0.1, is past the double range
-    with pytest.raises(OverflowError, match=r"c3\(alpha=0.1, lam=0.5, q=200, r=0.1\) overflows double precision: "):
-        c3(0.1, 0.5, 200, 0.1)
+    # the lam-free part is finite (near 1.6e305), but the kink rescaling s^(-2q), with
+    # s = r + lam^(1/alpha) (1-r) just above r = 0.1, is past the double range
+    with pytest.raises(OverflowError, match=r"c3\(alpha=0.1, lam=0.45, q=154.5, r=0.1\) overflows double precision: \("):
+        c3(0.1, 0.45, 154.5, 0.1)
 
 
 def test_verify_hypothesis_gate_skips_bounds():

@@ -76,6 +76,21 @@ def test_hyp2f1_argument_validation():
                 route(*args)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # the power series sums to inf
+        ((2000, 2, 3, 0.5), "hyp2f1(a=2000, b=2, c=3, z=0.5) = inf is not finite in double precision"),
+        # w^d in Euler's transformation raises before any series runs
+        ((800.0, 2.0, 3.0, 0.99), "hyp2f1(a=800.0, b=2.0, c=3.0, z=0.99) overflows double precision: ("),
+    ],
+)
+def test_hyp2f1_names_its_overflow_on_every_route(args, message):
+    with pytest.raises(OverflowError) as info:
+        hyp2f1(*args)
+    assert str(info.value).startswith(message)
+
+
 def test_hyp2f1_at_zero_is_one():
     assert hyp2f1(3.2, 1.1, 2.7, 0.0) == 1.0
 
