@@ -22,8 +22,10 @@ It runs in stages, and computes each piece of work once where it varies:
                            (lam, alpha); it names a failed quadrature's case
   per identity record      (_identity_stage) the record; (_bound_stage) one
                            `bounds._bounds` call, which evaluates every row
-                           at that point
-  once per run             (_summary) the summary block
+                           at that point, kept as one group: the record, its
+                           |lhs| and the values in row order
+  once per run             (_summary) the violations and the summary block,
+                           in one pass over the groups
 
 The lhs, the rhs and the bounds go through the helpers `bounds.identity_lhs`,
 `bounds.identity_rhs` and `bounds.bound` are built from, in the same
@@ -38,21 +40,26 @@ three return plain dicts/records so the CLI can serialize them; runs are
 deterministic given the config, apart from the generated_at timestamp: the
 UTC time from `time.time_ns`, in the `datetime.isoformat` shape (`_utc_isoformat`).
 
+The bound records of `run_verify` are a read-only sequence over those groups
+(`_BoundRecords`), which builds each record dict when it is read.
+
 `CampaignReport.to_json` writes the exact bytes of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"`: it is the join of
 `CampaignReport.json_chunks`, the one encoder, which yields the report a
-record at a time so the CLI can write it as it is encoded.  The top-level
-lists are laid out by `_list_chunks`, not by the pure-Python `indent=2` path,
-which holds one string per token.  Records repeat most of their values: the
-bound records of one identity record hold its function, a, b, x, lam, alpha,
-lhs_abs and identity_residual as the very same objects, and their q, theorem
-and variant come from a few shared rows.  So a value that is the object the
-previous record held under the same key keeps that record's text, and only a
-new object is encoded (float repr, or the C encoder).  The test is `is`,
-never `==`: 0.0 == -0.0 and 1 == 1.0 == True, but each is written
-differently; and the memo keeps the object it compares, so no other object
-can take its id.  A top-level list item that is neither a flat dict nor a
-JSON scalar raises ValueError instead.
+record or a group at a time so the CLI can write it as it is encoded.  The
+top-level lists are laid out here, not by the pure-Python `indent=2` path,
+which holds one string per token.  The grouped bound records write
+themselves: the text of each row's q, theorem and variant is made once per
+run and that of the eight fields a group shares with its identity record
+once per group, so per record only the bound, the slack and holds are
+written.  Any other top-level list goes through `_list_chunks`, where a
+value that is the very object the previous record held under the same key
+keeps that record's text, and only a new object is encoded (float, int or
+bool repr, or the C encoder).  The test is `is`, never `==`: 0.0 == -0.0
+and 1 == 1.0 == True, but each is written differently; and the memo keeps
+the object it compares, so no other object can take its id.  A top-level
+list item that is neither a flat dict nor a JSON scalar raises ValueError
+instead.
 """
 from __future__ import annotations
 
@@ -62,7 +69,7 @@ import math
 import operator
 import time
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 
 from .bounds import _SLACK_TOL, Variant, _bounds, _identity_values, _rows
 from .harmonic import (
@@ -121,19 +128,25 @@ _CSV_COLUMNS = (
 
 # `json.dumps(..., indent=2)` runs the pure-Python encoder, which keeps one small
 # string per token until its final join: about a million for a 20k-record
-# report.  `_list_chunks` lays out the top-level lists itself, one record at a
-# time, and leaves the C encoder only the scalars and keys it meets for the
-# first time.
+# report.  `_list_chunks` and `_BoundRecords.json_chunks` lay out the top-level
+# lists themselves, a record or a group at a time, and leave the C encoder only
+# the strings and keys they meet for the first time.
 _ENCODER = json.JSONEncoder()
-_SCALARS = frozenset((str, int, float, bool, type(None)))
 _UNSET = object()  # what a key's memo cell holds before any record has the key
 
 
 def _scalar_text(value, item) -> str:
     """The JSON text of one value of a top-level list item, which must be a JSON scalar."""
-    if type(value) is float and math.isfinite(value):
+    kind = type(value)  # exact types: an IntEnum or a str subclass is no JSON scalar here
+    if kind is float and math.isfinite(value):
         return float.__repr__(value)
-    if type(value) in _SCALARS:
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is str or kind is float:  # a float here is a NaN or an infinity, which the encoder spells out
         return _ENCODER.encode(value)
     raise ValueError(f"top-level report lists hold flat dicts or JSON scalars, got {item!r}")
 
@@ -176,6 +189,108 @@ def _list_chunks(items: list) -> Iterator[str]:
             yield f"{sep}\n    {'{}' if type(item) is dict else _scalar_text(item, item)}"
         sep = ","
     yield "\n  ]"
+
+
+class _BoundRecords(Sequence):
+    """The bound records of a run, kept as one group per identity record.
+
+    A group is (identity record, |lhs|, the bound values `bounds._bounds`
+    gives at that point, in row order), and every group has one value per
+    row.  The view reads as the list of record dicts it stands for: `len`,
+    indexing (negative too; a slice gives a list), iteration and `==`
+    against a list see a fresh dict per record, with slack = bound - lhs_abs
+    and holds = slack >= -slack_tol.  Only `json_chunks` writes its text.
+    """
+
+    __slots__ = ("_rows", "_groups", "_slack_tol")
+
+    def __init__(self, rows: tuple, groups: list, slack_tol: float) -> None:
+        self._rows, self._groups, self._slack_tol = rows, groups, slack_tol
+
+    def __len__(self) -> int:
+        return len(self._groups) * len(self._rows)
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(n))]
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("bound record index out of range")
+        group, row = divmod(i, len(self._rows))
+        ident, lhs_abs, values = self._groups[group]
+        return self._record(ident, lhs_abs, self._rows[row], values[row])
+
+    def __iter__(self) -> Iterator[dict]:
+        for ident, lhs_abs, values in self._groups:
+            for row, value in zip(self._rows, values):
+                yield self._record(ident, lhs_abs, row, value)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _BoundRecords)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def _record(self, ident: dict, lhs_abs: float, row, value: float) -> dict:
+        slack = value - lhs_abs
+        return {
+            "function": ident["function"],
+            "a": ident["a"],
+            "b": ident["b"],
+            "x": ident["x"],
+            "lam": ident["lam"],
+            "alpha": ident["alpha"],
+            "q": row.q,
+            "theorem": row.theorem,
+            "variant": row.variant,
+            "lhs_abs": lhs_abs,
+            "bound": value,
+            "slack": slack,
+            "holds": slack >= -self._slack_tol,
+            "identity_residual": ident["residual_scaled"],
+        }
+
+    def json_chunks(self) -> Iterator[str]:
+        """The list as `indent=2` lays it out at the top level of the report, one chunk per group.
+
+        The keys are written in sorted order.  The text of each row's q,
+        theorem and variant is made once per run, and that of a group's eight
+        identity fields once per group; per record only the bound, the slack
+        and holds are written.  A group with a non-finite value writes its
+        floats as the encoder does.
+        """
+        if not self._groups:
+            yield "[]"
+            return
+        rows = [
+            (
+                f'{_scalar_text(row.q, row)},\n      "slack": ',
+                f',\n      "theorem": {_scalar_text(row.theorem, row)},\n      "variant": {_scalar_text(row.variant, row)}',
+            )
+            for row in self._rows
+        ]
+        floor = -self._slack_tol
+        sep = "["
+        for ident, lhs_abs, values in self._groups:
+            a, alpha, b, function, residual, lam, x = (
+                _scalar_text(ident[key], ident) for key in ("a", "alpha", "b", "function", "residual_scaled", "lam", "x")
+            )
+            head = f'\n    {{\n      "a": {a},\n      "alpha": {alpha},\n      "b": {b},\n      "bound": '
+            mid = f',\n      "function": {function},\n      "holds": '
+            tail = f',\n      "identity_residual": {residual},\n      "lam": {lam},\n      "lhs_abs": {_scalar_text(lhs_abs, ident)},\n      "q": '
+            end = f',\n      "x": {x}\n    }}'
+            slacks = [value - lhs_abs for value in values]
+            # a finite sum means every slack, and so every value, is finite
+            text = float.__repr__ if math.isfinite(sum(slacks)) else lambda v: _scalar_text(v, ident)
+            parts = []
+            for (q_slack, theorem_variant), value, slack in zip(rows, values, slacks):
+                holds = "true" if slack >= floor else "false"
+                parts.append(f"{sep}{head}{text(value)}{mid}{holds}{tail}{q_slack}{text(slack)}{theorem_variant}{end}")
+                sep = ","
+            yield "".join(parts)
+        yield "\n  ]"
 
 
 def variants_for(selector: str) -> tuple[Variant, ...]:
@@ -327,21 +442,26 @@ class CampaignReport(
     __slots__ = ()
 
     def to_payload(self) -> dict:
-        return self._asdict()
+        """The report as plain dicts and lists, as `json.dumps` takes it: the records become a list of dicts."""
+        return {**self._asdict(), "records": list(self.records)}
 
     def json_chunks(self) -> Iterator[str]:
         """The text of `to_json`, in pieces: a top-level list one item at a time.
 
-        Top-level lists (records, identity_records, violations) go through
-        `_list_chunks`; every other value is small and goes through
+        The grouped bound records of `run_verify` write themselves
+        (`_BoundRecords.json_chunks`); other non-empty top-level lists
+        (identity_records, violations, or records given as a list) go
+        through `_list_chunks`; every other value is small and goes through
         `indent=2`, re-indented one level.
         """
-        payload = self.to_payload()
+        payload = self._asdict()
         sep = "{"
         for key in sorted(payload):
             value = payload[key]
             yield f"{sep}\n  {json.dumps(key)}: "
-            if isinstance(value, list) and value:
+            if type(value) is _BoundRecords:
+                yield from value.json_chunks()
+            elif isinstance(value, list) and value:
                 yield from _list_chunks(value)
             else:
                 # encoded strings hold no raw newline, so each "\n" starts a line
@@ -449,53 +569,35 @@ def _identity_stage(plan: _Plan, f: ScalarFunction, a: float, b: float, xs: tupl
     return out
 
 
-def _bound_stage(
-    plan: _Plan, f: ScalarFunction, identity: list[dict], records: list[dict], violations: list[int]
-) -> None:
-    """Append one bound record per identity record and row, in that order: one `_bounds` call per identity record."""
-    rows, slack_tol = plan.rows, plan.slack_tol
+def _bound_stage(plan: _Plan, f: ScalarFunction, identity: list[dict], groups: list) -> None:
+    """Append one group per identity record: the record, |lhs| and the `_bounds` values of every row at its point."""
     for ident in identity:
-        a, b, x, lam, alpha = ident["a"], ident["b"], ident["x"], ident["lam"], ident["alpha"]
-        lhs_abs = abs(ident["lhs"])
-        scaled = ident["residual_scaled"]
-        for row, value in zip(rows, _bounds(f, a, b, x, lam, alpha, rows, plan.c1[alpha, lam])):
-            slack = value - lhs_abs
-            holds = slack >= -slack_tol
-            if not holds:
-                violations.append(len(records))
-            records.append(
-                {
-                    "function": f.label,
-                    "a": a,
-                    "b": b,
-                    "x": x,
-                    "lam": lam,
-                    "alpha": alpha,
-                    "q": row.q,
-                    "theorem": row.theorem,
-                    "variant": row.variant,
-                    "lhs_abs": lhs_abs,
-                    "bound": value,
-                    "slack": slack,
-                    "holds": holds,
-                    "identity_residual": scaled,
-                }
-            )
+        lam, alpha = ident["lam"], ident["alpha"]
+        values = _bounds(f, ident["a"], ident["b"], ident["x"], lam, alpha, plan.rows, plan.c1[alpha, lam])
+        groups.append((ident, abs(ident["lhs"]), values))
 
 
 def _summary(
-    variants: tuple[Variant, ...], records: list, identity_records: list, violations: list, bound_skips: int
-) -> dict:
+    variants: tuple[Variant, ...], records: _BoundRecords, identity_records: list, bound_skips: int
+) -> tuple[list[int], dict]:
+    """The violations (indices of the records that do not hold) and the summary block, in one pass over the groups."""
+    names = [row.variant for row in records._rows]
+    floor = -records._slack_tol
+    violations = []
     by_variant = {v.value: 0 for v in variants}
     min_slack: dict[str, float | None] = {v.value: None for v in variants}
-    for rec in records:
-        name = rec["variant"]
-        if not rec["holds"]:
-            by_variant[name] += 1
-        cur = min_slack[name]
-        if cur is None or rec["slack"] < cur:
-            min_slack[name] = rec["slack"]
-    return {
+    index = 0
+    for _, lhs_abs, values in records._groups:
+        for name, value in zip(names, values):
+            slack = value - lhs_abs
+            if not slack >= floor:
+                violations.append(index)
+                by_variant[name] += 1
+            cur = min_slack[name]
+            if cur is None or slack < cur:
+                min_slack[name] = slack
+            index += 1
+    return violations, {
         "cases": len(records),
         "identity_cases": len(identity_records),
         "violations": len(violations),
@@ -514,9 +616,8 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
     `_identity_stage` and `_bound_stage`, and `_summary` once at the end.
     """
     plan = _setup(cfg)
-    records: list[dict] = []
+    groups: list = []
     identity_records: list[dict] = []
-    violations: list[int] = []
     bound_skips = 0
     points = len(cfg.lambdas) * len(cfg.alphas)
     for a, b in cfg.intervals:
@@ -532,7 +633,9 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
             identity = _identity_stage(plan, f, a, b, xs)
             identity_records += identity
             if holds:
-                _bound_stage(plan, f, identity, records, violations)
+                _bound_stage(plan, f, identity, groups)
+    records = _BoundRecords(plan.rows, groups, plan.slack_tol)
+    violations, summary = _summary(plan.variants, records, identity_records, bound_skips)
     return CampaignReport(
         version=TOOL_VERSION,
         generated_at=_utc_isoformat(time.time_ns()),
@@ -540,7 +643,7 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
         records=records,
         identity_records=identity_records,
         violations=violations,
-        summary=_summary(plan.variants, records, identity_records, violations, bound_skips),
+        summary=summary,
     )
 
 

@@ -63,7 +63,14 @@ def _check(a: float, b: float, c: float, z: float) -> None:
 
 
 def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
-    """2F1 by its power series; terms stop at 1e-16 relative."""
+    """2F1 by its power series; terms stop at 1e-16 relative.
+
+    A value past the double range raises an OverflowError naming hyp2f1_series(a, b, c, z).
+    """
+    return _finite("hyp2f1_series", _hyp2f1_series, a=a, b=b, c=c, z=z)
+
+
+def _hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
     _check(a, b, c, z)
     return _series_from(a, b, c, z, 1.0, 0)
 
@@ -96,8 +103,13 @@ def hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
 
     int_0^1 t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) dt / beta(b, c-b).  A weight
     exponent below 1 is integrable-singular and goes through the exact
-    substitution; at or above 1 the factor is sampled directly.
+    substitution; at or above 1 the factor is sampled directly.  A value past
+    the double range raises an OverflowError naming hyp2f1_integral(a, b, c, z).
     """
+    return _finite("hyp2f1_integral", _hyp2f1_integral, a=a, b=b, c=c, z=z)
+
+
+def _hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
     _check(a, b, c, z)
     cb = c - b
 
@@ -120,7 +132,11 @@ def hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
 
 
 def _finite(name: str, fn: Callable[..., float], **args: float) -> float:
-    """fn at the values of `args`, in order; an overflow or a non-finite value raises an OverflowError naming them."""
+    """fn at the values of `args`, in order; an overflow or a non-finite value raises an OverflowError naming them.
+
+    An overflow that `_finite` already named at the very same arguments (a
+    2F1 route that `hyp2f1` took) is said again under `name`, in its words.
+    """
     cause = None
     try:
         value = fn(*args.values())
@@ -129,8 +145,13 @@ def _finite(name: str, fn: Callable[..., float], **args: float) -> float:
         # an inf or nan value would make every bound on it hold, and is no JSON number
         detail = f"= {value} is not finite in double precision"
     except OverflowError as exc:  # a power or a Gamma value past the double range
-        cause, detail = exc, f"overflows double precision: {exc}"
-    raise OverflowError(f"{name}({', '.join(f'{key}={v}' for key, v in args.items())}) {detail}") from cause
+        if getattr(exc, "named_args", None) == args:
+            cause, detail = exc.__cause__, exc.detail
+        else:
+            cause, detail = exc, f"overflows double precision: {exc}"
+    error = OverflowError(f"{name}({', '.join(f'{key}={v}' for key, v in args.items())}) {detail}")
+    error.named_args, error.detail = args, detail
+    raise error from cause
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:

@@ -538,10 +538,148 @@ def test_to_json_matches_reference_encoder(report):
     assert "".join(report.json_chunks()) == report.to_json()  # what the CLI writes is what to_json returns
 
 
+# x at both endpoints and the midpoint of [1, 2]; piecewise_plateau fails the gate on [0.5, 3]
+# (square does not cover it), so that pair has identity records only
+_ENDPOINT_SWEEP = {
+    "intervals": [[1.0, 2.0], [0.5, 3.0]],
+    "x_mode": "grid",
+    "x_count": 3,
+    "lambdas": [0.0, 0.5],
+    "alphas": [1.0],
+    "qs": [1.0, 2.0],
+    "functions": ["square", "piecewise_plateau"],
+}
+
+
 def test_to_json_matches_reference_encoder_on_a_sweep():
-    rep = run_verify(SweepConfig.from_dict(dict(SMALL, variant="both")))
-    assert rep.records and rep.identity_records and rep.violations
+    # the grouped records write their own text; json.dumps encodes the dicts they read as,
+    # with both variants and with one alone
+    for variant in ("both", "as_stated"):
+        rep = run_verify(SweepConfig.from_dict(dict(_ENDPOINT_SWEEP, variant=variant)))
+        assert rep.records and rep.identity_records and rep.violations, variant
+        assert rep.summary["bound_skips"] > 0, variant
+        assert {r["x"] for r in rep.records} == {1.0, 1.5, 2.0}, variant
+        assert {r["variant"] for r in rep.records} == {v.value for v in variants_for(variant)}
+        _assert_reference_json(rep.to_json(), rep.to_payload())
+
+
+def _rebuilt_records(cfg: SweepConfig, rep: CampaignReport) -> list[dict]:
+    """The bound records of a sweep whose pairs all pass the gate, field by field from the public functions."""
+    fns = {f.label: f for f in corpus()}
+    out = []
+    for ident in rep.identity_records:
+        lhs_abs = abs(ident["lhs"])
+        for q in cfg.qs:
+            for theorem in Theorem:
+                if theorem is Theorem.T24 and q <= 1.0:
+                    continue
+                for variant in variants_for(cfg.variant):
+                    pt = ParamPoint(ident["a"], ident["b"], ident["x"], ident["lam"], ident["alpha"], q)
+                    value = bound(fns[ident["function"]], pt, theorem, variant)
+                    slack = value - lhs_abs
+                    out.append(
+                        {
+                            "function": ident["function"],
+                            "a": ident["a"],
+                            "b": ident["b"],
+                            "x": ident["x"],
+                            "lam": ident["lam"],
+                            "alpha": ident["alpha"],
+                            "q": q,
+                            "theorem": theorem.value,
+                            "variant": variant.value,
+                            "lhs_abs": lhs_abs,
+                            "bound": value,
+                            "slack": slack,
+                            "holds": slack >= -cfg.tol_slack * cfg.tol_scale,
+                            "identity_residual": ident["residual_scaled"],
+                        }
+                    )
+    return out
+
+
+def test_bound_records_read_as_the_list_they_replace():
+    cfg = SweepConfig.from_dict(dict(SMALL, variant="both"))
+    rep = run_verify(cfg)
+    view, want = rep.records, _rebuilt_records(cfg, rep)
+    n = len(want)
+    assert n == len(view) == rep.summary["cases"] and n > 20
+    assert type(view) is not list and not hasattr(view, "append")
+    assert view == want and want == view and not view != want
+    assert view != want[:-1] and view != [] and view != tuple(want) and view != 5
+    assert [view[i] for i in range(n)] == want and list(view) == want
+    assert [list(r) for r in view] == [list(r) for r in want]  # key order
+    assert view[-1] == want[-1] and view[-n] == want[0]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for sl in (slice(3, 9), slice(None, None, -5), slice(5, 2), slice(-4, None), slice(0, 2 * n)):
+        got = view[sl]
+        assert type(got) is list and got == want[sl]
+    # each read is a fresh dict: changing it changes nothing in the view
+    first = view[0]
+    first["bound"] = -1.0
+    assert view[0] is not first and view[0] == want[0]
+    for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+        assert type(twin.records) is type(view) and twin == rep and twin.to_json() == rep.to_json()
+    payload = rep.to_payload()
+    assert type(payload["records"]) is list and payload["records"] == want
+
+
+def test_bound_records_with_non_finite_values_write_what_the_encoder_writes():
+    # a bound of nan or inf (or a non-finite |lhs|) is no float repr in JSON: NaN, Infinity, -Infinity
+    rows = bounds._rows((1.0, 2.0), variants_for("both"))
+    ident = {"function": "f", "a": 1.0, "b": 2.0, "x": 1.5, "lam": 0.5, "alpha": 1.0, "residual_scaled": 0.0}
+    groups = [
+        (ident, 0.25, [0.5 + i for i in range(len(rows))]),
+        (ident, 0.25, [math.nan] + [1e300] * (len(rows) - 2) + [math.inf]),
+        (dict(ident, x=2.0), math.inf, [1.0] * len(rows)),
+        (dict(ident, x=1.0), 0.5, [1e308] * len(rows)),  # finite slacks whose sum is not
+    ]
+    view = harness._BoundRecords(rows, groups, 1e-9)
+    rep = CampaignReport(version="0", generated_at="", config={}, records=view, identity_records=[], violations=[], summary={})
     _assert_reference_json(rep.to_json(), rep.to_payload())
+    assert "NaN" in rep.to_json() and "-Infinity" in rep.to_json()
+
+
+@pytest.mark.parametrize("value", [0, -7, 10**30, True, False, None, 2.5, -0.0, math.nan, -math.inf, "\xe9\n\""])
+def test_scalar_text_is_the_encoders_text(value):
+    assert harness._scalar_text(value, value) == json.dumps(value)
+
+
+def test_scalar_text_refuses_subclasses_of_json_scalars():
+    import enum
+
+    class Small(enum.IntEnum):
+        ONE = 1
+
+    for value in (Small.ONE, type("Text", (str,), {})("a")):
+        with pytest.raises(ValueError, match="flat dicts or JSON scalars"):
+            harness._scalar_text(value, value)
+
+
+_GATED_OUT = ["--interval", "0.5:3", "--functions", "piecewise_plateau", "--alphas", "1", "--qs", "1", "--lambdas", "0"]
+
+
+def test_verify_with_every_pair_gated_out_writes_no_bound_records(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", *_GATED_OUT, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert '\n  "records": [],\n' in text and report["violations"] == []
+    assert report["identity_records"] and report["summary"]["bound_skips"] > 0 and report["summary"]["cases"] == 0
+    # streamed to stdout, the same report
+    assert main(["verify", *_GATED_OUT]) == 0
+    streamed = json.loads(capsys.readouterr().out)
+    assert {k: v for k, v in streamed.items() if k != "generated_at"} == {
+        k: v for k, v in report.items() if k != "generated_at"
+    }
+    csv_out = tmp_path / "r.csv"
+    assert main(["verify", *_GATED_OUT, "--format", "csv", "--out", str(csv_out)]) == 0
+    lines = csv_out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + len(report["identity_records"])
+    assert all(line.startswith("identity,") for line in lines[1:])
 
 
 _SHARED = 0.25

@@ -91,6 +91,37 @@ def test_hyp2f1_names_its_overflow_on_every_route(args, message):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "route, args, message",
+    [
+        # the power series sums to inf at both points
+        (hyp2f1_series, (2000, 2, 3, 0.5), "hyp2f1_series(a=2000, b=2, c=3, z=0.5) = inf is not finite in double"),
+        (hyp2f1_series, (800.0, 2.0, 3.0, 0.99), "hyp2f1_series(a=800.0, b=2.0, c=3.0, z=0.99) = inf is not finite"),
+        # (1 - z t)^(-a) raises inside the Euler integral
+        (hyp2f1_integral, (2000, 2, 3, 0.5), "hyp2f1_integral(a=2000, b=2, c=3, z=0.5) overflows double precision: ("),
+        (hyp2f1_integral, (800.0, 2.0, 3.0, 0.99), "hyp2f1_integral(a=800.0, b=2.0, c=3.0, z=0.99) overflows double precision: ("),
+    ],
+    ids=["series-0.5", "series-0.99", "integral-0.5", "integral-0.99"],
+)
+def test_public_2f1_routes_name_their_overflow(route, args, message):
+    # the overflow on every route of hyp2f1 is named, the two public routes included
+    with pytest.raises(OverflowError) as info:
+        route(*args)
+    assert str(info.value).startswith(message)
+
+
+def test_hyp2f1_says_the_overflow_of_its_route_in_its_own_name(monkeypatch):
+    # hyp2f1 still reaches the public series route, and names the route's overflow at its
+    # own arguments as hyp2f1, in the route's words
+    seen = []
+    monkeypatch.setattr(specialfn, "hyp2f1_series", lambda *p: seen.append(p) or hyp2f1_series(*p))
+    with pytest.raises(OverflowError) as info:
+        hyp2f1(2000, 2, 3, 0.5)
+    assert seen == [(2000, 2, 3, 0.5)]
+    assert str(info.value) == "hyp2f1(a=2000, b=2, c=3, z=0.5) = inf is not finite in double precision"
+    assert info.value.__cause__ is None
+
+
 def test_hyp2f1_at_zero_is_one():
     assert hyp2f1(3.2, 1.1, 2.7, 0.0) == 1.0
 
