@@ -8,9 +8,9 @@ division by zero).
 
 `verify` reads an optional JSON config (SweepConfig schema) and lets every
 field be overridden by a flag (flag wins).  The report goes to stdout or
---out, as canonical JSON or a flat CSV; the JSON is written as it is
-encoded, record by record.  HQFI_TOL_SCALE multiplies the config's tol_scale
-for robustness studies.
+--out, as canonical JSON or a flat CSV, written as it is encoded, record
+by record.  HQFI_TOL_SCALE multiplies the config's tol_scale for
+robustness studies.
 """
 from __future__ import annotations
 
@@ -148,8 +148,8 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _verify_config(args)
     report = run_verify(cfg)  # before --out is opened, so a run that fails writes no file
-    # the JSON report is written as it is encoded and never held whole
-    _emit(report.json_chunks() if args.format == "json" else (report.to_csv(),), args.out)
+    # the report is written as it is encoded and never held whole
+    _emit(report.json_chunks() if args.format == "json" else report.csv_chunks(), args.out)
     by_variant = report.summary["violations_by_variant"]
     unexpected = report.summary["identity_failures"] > 0
     unexpected = unexpected or by_variant.get("symmetric_corrected", 0) > 0

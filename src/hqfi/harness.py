@@ -44,22 +44,19 @@ The bound records of `run_verify` are a read-only sequence over those groups
 (`_BoundRecords`), which builds each record dict when it is read.
 
 `CampaignReport.to_json` writes the exact bytes of
-`json.dumps(payload, sort_keys=True, indent=2) + "\n"`: it is the join of
-`CampaignReport.json_chunks`, the one encoder, which yields the report a
-record or a group at a time so the CLI can write it as it is encoded.  The
-top-level lists are laid out here, not by the pure-Python `indent=2` path,
-which holds one string per token.  The grouped bound records write
-themselves: the text of each row's q, theorem and variant is made once per
-run and that of the eight fields a group shares with its identity record
-once per group, so per record only the bound, the slack and holds are
-written.  Any other top-level list goes through `_list_chunks`, where a
-value that is the very object the previous record held under the same key
-keeps that record's text, and only a new object is encoded (float, int or
-bool repr, or the C encoder).  The test is `is`, never `==`: 0.0 == -0.0
-and 1 == 1.0 == True, but each is written differently; and the memo keeps
-the object it compares, so no other object can take its id.  A top-level
-list item that is neither a flat dict nor a JSON scalar raises ValueError
-instead.
+`json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every report: it
+is the join of `CampaignReport.json_chunks`, the one encoder, which yields
+the report a record or a group at a time so the CLI can write it as it is
+encoded.  The record lists are laid out here, not by the pure-Python
+`indent=2` path, which holds one string per token.  The grouped bound
+records write themselves: the text of each row's q, theorem and variant is
+made once per run and that of the eight fields a group shares with its
+identity record once per group, so per record only the bound, the slack and
+holds are written.  An identity record (or a record of `records` given as a
+plain list) whose values are all JSON scalars is one call of the C encoder
+(`_record_chunks`); any other item, and every other value of the report,
+violations too, goes through `indent=2`.  `CampaignReport.csv_chunks`
+yields the CSV a line at a time in the same way.
 """
 from __future__ import annotations
 
@@ -128,65 +125,30 @@ _CSV_COLUMNS = (
 
 # `json.dumps(..., indent=2)` runs the pure-Python encoder, which keeps one small
 # string per token until its final join: about a million for a 20k-record
-# report.  `_list_chunks` and `_BoundRecords.json_chunks` lay out the top-level
-# lists themselves, a record or a group at a time, and leave the C encoder only
-# the strings and keys they meet for the first time.
-_ENCODER = json.JSONEncoder()
-_UNSET = object()  # what a key's memo cell holds before any record has the key
+# report.  `_record_chunks` and `_BoundRecords.json_chunks` lay out the record
+# lists themselves, a record or a group at a time.  A flat record is one call
+# of the C encoder, whose item separator puts each field on its own line at
+# the depth `indent=2` gives a field of a top-level list item.
+_FIELDS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_JSON_SCALARS = (str, int, float, bool, type(None))
 
 
-def _scalar_text(value, item) -> str:
-    """The JSON text of one value of a top-level list item, which must be a JSON scalar."""
-    kind = type(value)  # exact types: an IntEnum or a str subclass is no JSON scalar here
-    if kind is float and math.isfinite(value):
+def _scalar_text(value) -> str:
+    """The JSON text of one scalar of a bound record: the repr of a finite float, else the encoder's text."""
+    if type(value) is float and math.isfinite(value):
         return float.__repr__(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if kind is str or kind is float:  # a float here is a NaN or an infinity, which the encoder spells out
-        return _ENCODER.encode(value)
-    raise ValueError(f"top-level report lists hold flat dicts or JSON scalars, got {item!r}")
+    return json.dumps(value)
 
 
-def _shape(keys: list, cells: dict) -> tuple:
-    """(key, head, memo cell) per key, in sorted order; a head is the key's text and what precedes it."""
-    # the C encoder writes each key, whatever its type, as it writes a lone dict's key
-    heads = [",\n      " + _ENCODER.encode({key: 0})[1:-2] for key in keys]
-    heads[0] = heads[0][1:]
-    return tuple((key, head, cells.setdefault(key, [_UNSET, ""])) for key, head in zip(keys, heads))
-
-
-def _list_chunks(items: list) -> Iterator[str]:
-    """A non-empty top-level report list, laid out as `indent=2` does at that depth, one chunk per item.
-
-    A record value that is the very object the previous record with that key
-    held under it keeps that record's text.  Identity, not equality: 0.0 and
-    -0.0, or 1, 1.0 and True, are equal and hash alike but encode apart.
-    """
-    cells: dict = {}  # key -> [the last value under it, its text]
-    shapes: dict = {}  # a record's keys -> ((key, head, cell), ...) in sorted key order
+def _record_chunks(items: list) -> Iterator[str]:
+    """A non-empty top-level list of records, laid out as `indent=2` does at that depth, one chunk per item."""
     sep = "["
     for item in items:
-        if type(item) is dict and item:
-            shape = shapes.get(keys := tuple(item))
-            if shape is None:
-                shape = _shape(sorted(item), cells)
-                if all(type(key) is str for key in keys):  # 1.0 equals the key 1 but is written "1.0"
-                    shapes[keys] = shape
-            parts = [sep, "\n    {"]
-            for key, head, cell in shape:
-                value = item[key]
-                if value is not cell[0]:
-                    cell[1] = _scalar_text(value, item)
-                    cell[0] = value
-                parts += (head, cell[1])
-            parts.append("\n    }")
-            yield "".join(parts)
+        if type(item) is dict and item and all(type(value) in _JSON_SCALARS for value in item.values()):
+            yield f"{sep}\n    {{\n      {_FIELDS.encode(item)[1:-1]}\n    }}"
         else:
-            yield f"{sep}\n    {'{}' if type(item) is dict else _scalar_text(item, item)}"
+            # encoded strings hold no raw newline, so each "\n" starts a line
+            yield f"{sep}\n    " + json.dumps(item, sort_keys=True, indent=2).replace("\n", "\n    ")
         sep = ","
     yield "\n  ]"
 
@@ -266,8 +228,8 @@ class _BoundRecords(Sequence):
             return
         rows = [
             (
-                f'{_scalar_text(row.q, row)},\n      "slack": ',
-                f',\n      "theorem": {_scalar_text(row.theorem, row)},\n      "variant": {_scalar_text(row.variant, row)}',
+                f'{_scalar_text(row.q)},\n      "slack": ',
+                f',\n      "theorem": {_scalar_text(row.theorem)},\n      "variant": {_scalar_text(row.variant)}',
             )
             for row in self._rows
         ]
@@ -275,15 +237,15 @@ class _BoundRecords(Sequence):
         sep = "["
         for ident, lhs_abs, values in self._groups:
             a, alpha, b, function, residual, lam, x = (
-                _scalar_text(ident[key], ident) for key in ("a", "alpha", "b", "function", "residual_scaled", "lam", "x")
+                _scalar_text(ident[key]) for key in ("a", "alpha", "b", "function", "residual_scaled", "lam", "x")
             )
             head = f'\n    {{\n      "a": {a},\n      "alpha": {alpha},\n      "b": {b},\n      "bound": '
             mid = f',\n      "function": {function},\n      "holds": '
-            tail = f',\n      "identity_residual": {residual},\n      "lam": {lam},\n      "lhs_abs": {_scalar_text(lhs_abs, ident)},\n      "q": '
+            tail = f',\n      "identity_residual": {residual},\n      "lam": {lam},\n      "lhs_abs": {_scalar_text(lhs_abs)},\n      "q": '
             end = f',\n      "x": {x}\n    }}'
             slacks = [value - lhs_abs for value in values]
             # a finite sum means every slack, and so every value, is finite
-            text = float.__repr__ if math.isfinite(sum(slacks)) else lambda v: _scalar_text(v, ident)
+            text = float.__repr__ if math.isfinite(sum(slacks)) else _scalar_text
             parts = []
             for (q_slack, theorem_variant), value, slack in zip(rows, values, slacks):
                 holds = "true" if slack >= floor else "false"
@@ -446,13 +408,12 @@ class CampaignReport(
         return {**self._asdict(), "records": list(self.records)}
 
     def json_chunks(self) -> Iterator[str]:
-        """The text of `to_json`, in pieces: a top-level list one item at a time.
+        """The text of `to_json`, in pieces: a record list one record or group at a time.
 
         The grouped bound records of `run_verify` write themselves
-        (`_BoundRecords.json_chunks`); other non-empty top-level lists
-        (identity_records, violations, or records given as a list) go
-        through `_list_chunks`; every other value is small and goes through
-        `indent=2`, re-indented one level.
+        (`_BoundRecords.json_chunks`); identity_records, and records given
+        as a list, go through `_record_chunks`; every other value, violations
+        too, goes through `indent=2`, re-indented one level.
         """
         payload = self._asdict()
         sep = "{"
@@ -461,8 +422,8 @@ class CampaignReport(
             yield f"{sep}\n  {json.dumps(key)}: "
             if type(value) is _BoundRecords:
                 yield from value.json_chunks()
-            elif isinstance(value, list) and value:
-                yield from _list_chunks(value)
+            elif key in ("identity_records", "records") and isinstance(value, list) and value:
+                yield from _record_chunks(value)
             else:
                 # encoded strings hold no raw newline, so each "\n" starts a line
                 yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
@@ -473,24 +434,29 @@ class CampaignReport(
         """The report as `json.dumps(payload, sort_keys=True, indent=2) + "\\n"`, byte for byte."""
         return "".join(self.json_chunks())
 
-    def to_csv(self) -> str:
-        # one flat table: identity rows first, then bound rows; absent fields
-        # stay empty so both record shapes share the header
-        def fmt(v) -> str:
-            if v is None:
-                return ""
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            return repr(v) if isinstance(v, float) else str(v)
+    def csv_chunks(self) -> Iterator[str]:
+        """The text of `to_csv`, in pieces: the header, then one line per record.
 
-        lines = [",".join(_CSV_COLUMNS)]
-        for rec in self.identity_records:
-            row = dict(rec, kind="identity")
-            lines.append(",".join(fmt(row.get(col)) for col in _CSV_COLUMNS))
-        for rec in self.records:
-            row = dict(rec, kind="bound")
-            lines.append(",".join(fmt(row.get(col)) for col in _CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
+        One flat table: identity rows first, then bound rows; absent fields
+        stay empty so both record shapes share the header.
+        """
+        yield ",".join(_CSV_COLUMNS) + "\n"
+        columns = _CSV_COLUMNS[1:]  # after "kind"
+        for kind, records in (("identity", self.identity_records), ("bound", self.records)):
+            for rec in records:
+                yield f"{kind},{','.join([_csv_text(rec.get(col)) for col in columns])}\n"
+
+    def to_csv(self) -> str:
+        """The report as one flat CSV table: the join of `csv_chunks`."""
+        return "".join(self.csv_chunks())
+
+
+def _csv_text(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _select_functions(cfg: SweepConfig) -> list[ScalarFunction]:

@@ -1,5 +1,7 @@
 """Sweep configs, campaign reports, the CLI surface, and the expression grammar."""
 import copy
+import csv
+import enum
 import json
 import math
 import pickle
@@ -491,20 +493,36 @@ _FLOATS = st.one_of(
 )
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
 _KEYS = st.one_of(st.sampled_from(["a", "lhs", "B", "\xe9", 'q"', "\\", "\n", "\U0001f600"]), _TEXT)
-_FLAT_RECORDS = st.lists(st.dictionaries(_KEYS, _SCALARS, max_size=6), max_size=4)
-# One object per value, so consecutive records hold the very same objects, under one key and under
-# another: equal values that are written apart (0.0 and -0.0; 1, 1.0 and True) and reused NaN and inf.
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    pass
+
+
+# subclasses of JSON scalars, which the encoders write as their base type
+_SUBCLASSED = st.sampled_from([_Small.ONE, _Text("a"), _Text('"\n')])
+_VALUES = _SCALARS | _SUBCLASSED
+# Keys that are no str, written "1", "1.0", "true", "-0.0", "Infinity" and "null".  sort_keys
+# compares the keys of a dict, so the numbers share a dict and None keeps to its own.
+_ODD_KEYED = st.dictionaries(st.sampled_from([1, 1.0, True, -0.0, math.inf]), _VALUES, max_size=3) | st.dictionaries(
+    st.none(), _VALUES, max_size=1
+)
+_TREE = st.recursive(_VALUES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=6)
+_NESTED = st.dictionaries(_KEYS, _TREE, max_size=4)
+# a list item: a flat record, a record with non-str keys or nested values, a nested list or a bare scalar
+_ITEMS = st.one_of(st.dictionaries(_KEYS, _VALUES, max_size=6), _ODD_KEYED, _NESTED, _TREE)
+# Records drawn from one small pool of objects: equal values that are written apart (0.0 and -0.0;
+# 1, 1.0 and True), and the same NaN and inf objects under one key and under another.
 _NAN = float("nan")  # a second NaN object beside math.nan
 _POOL = (0.0, -0.0, 1, 1.0, True, False, None, math.nan, _NAN, math.inf, -math.inf, 2.5, "", "a")
 _POOLED_RECORDS = st.lists(
     st.dictionaries(st.sampled_from(["a", "b", "lhs"]), st.sampled_from(_POOL), max_size=3), min_size=2, max_size=8
 )
-_RECORDS = st.one_of(_FLAT_RECORDS, _POOLED_RECORDS)
-_NESTED = st.dictionaries(
-    _KEYS,
-    st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=6),
-    max_size=4,
-)
+_RECORDS = st.one_of(st.lists(_ITEMS, max_size=4), _POOLED_RECORDS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -516,7 +534,7 @@ _NESTED = st.dictionaries(
         config=_NESTED,
         records=_RECORDS,
         identity_records=_RECORDS,
-        violations=st.lists(st.integers(), max_size=4),
+        violations=st.one_of(st.lists(st.integers(), max_size=4), _RECORDS),
         summary=_NESTED,
     )
 )
@@ -530,6 +548,18 @@ _NESTED = st.dictionaries(
         identity_records=[{"lhs": math.nan}, {"lhs": _NAN, "a": math.inf}, {"a": math.inf}, {"a": -math.inf}, {}],
         # keys too can be equal and written apart: "1", "1.0", "true"
         violations=[{1: 0}, {1.0: 0}, {True: 0}, {-0.0: 0}, {0.0: 0}],
+        summary={},
+    )
+)
+@example(
+    CampaignReport(
+        version="0",
+        generated_at="",
+        config={},
+        # nested values, and a value that is the very object the record before held under "a"
+        records=[{"a": 0.25}, {"a": 1.0, "nested": [1.0]}, {"nested": {"b": 1}}, {"a": 0.25, "nested": [1.0]}],
+        identity_records=[[1.0], ("x",), {"lhs": 0.5}, {"n": _Small.ONE, "s": _Text("a")}, _Small.ONE, _Text("b")],
+        violations=[3, [3], {None: 1}, {math.inf: -0.0, 1: 2}],
         summary={},
     )
 )
@@ -561,6 +591,29 @@ def test_to_json_matches_reference_encoder_on_a_sweep():
         assert {r["x"] for r in rep.records} == {1.0, 1.5, 2.0}, variant
         assert {r["variant"] for r in rep.records} == {v.value for v in variants_for(variant)}
         _assert_reference_json(rep.to_json(), rep.to_payload())
+
+
+def test_csv_cells_are_the_record_values():
+    rep = run_verify(SweepConfig.from_dict(dict(_ENDPOINT_SWEEP, variant="both")))
+    text = rep.to_csv()
+    assert "".join(rep.csv_chunks()) == text
+    header, *rows = csv.reader(text.splitlines())
+    assert tuple(header) == harness._CSV_COLUMNS
+    records = [("identity", r) for r in rep.identity_records] + [("bound", r) for r in rep.records]
+    assert len(rows) == len(records) and {kind for kind, _ in records} == {"identity", "bound"}
+    for row, (kind, rec) in zip(rows, records):
+        assert len(row) == len(header) and set(rec) < set(header)
+        assert row[0] == kind
+        for col, cell in zip(header[1:], row[1:]):
+            value = rec.get(col)
+            if col not in rec:
+                assert cell == "", (kind, col)
+            elif type(value) is bool:
+                assert cell == ("true" if value else "false"), (kind, col)
+            elif type(value) is float:
+                assert cell == repr(value), (kind, col)
+            else:
+                assert type(value) is str and cell == value, (kind, col)
 
 
 def _rebuilt_records(cfg: SweepConfig, rep: CampaignReport) -> list[dict]:
@@ -644,18 +697,7 @@ def test_bound_records_with_non_finite_values_write_what_the_encoder_writes():
 
 @pytest.mark.parametrize("value", [0, -7, 10**30, True, False, None, 2.5, -0.0, math.nan, -math.inf, "\xe9\n\""])
 def test_scalar_text_is_the_encoders_text(value):
-    assert harness._scalar_text(value, value) == json.dumps(value)
-
-
-def test_scalar_text_refuses_subclasses_of_json_scalars():
-    import enum
-
-    class Small(enum.IntEnum):
-        ONE = 1
-
-    for value in (Small.ONE, type("Text", (str,), {})("a")):
-        with pytest.raises(ValueError, match="flat dicts or JSON scalars"):
-            harness._scalar_text(value, value)
+    assert harness._scalar_text(value) == json.dumps(value)
 
 
 _GATED_OUT = ["--interval", "0.5:3", "--functions", "piecewise_plateau", "--alphas", "1", "--qs", "1", "--lambdas", "0"]
@@ -680,31 +722,6 @@ def test_verify_with_every_pair_gated_out_writes_no_bound_records(tmp_path, caps
     lines = csv_out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + len(report["identity_records"])
     assert all(line.startswith("identity,") for line in lines[1:])
-
-
-_SHARED = 0.25
-
-
-@pytest.mark.parametrize(
-    "field, bad",
-    [
-        ("records", {"a": 1.0, "nested": [1.0]}),
-        ("records", {"nested": {"b": 1}}),
-        ("identity_records", [1.0]),
-        ("identity_records", ("x",)),
-        ("violations", [3]),
-        # its other value is the very object the record before held under "a", so written from the memo
-        ("records", {"a": _SHARED, "nested": [1.0]}),
-    ],
-)
-def test_to_json_rejects_nested_list_items(field, bad):
-    # indent=2 would spread a nested container over lines of its own;
-    # to_json refuses it rather than write other bytes
-    lists = {"records": [{"a": _SHARED}], "identity_records": [], "violations": [0]}
-    lists[field] = lists[field] + [bad]
-    rep = CampaignReport(version="0", generated_at="", config={}, summary={}, **lists)
-    with pytest.raises(ValueError, match="flat dicts or JSON scalars"):
-        rep.to_json()
 
 
 # --- run_constants ---
@@ -916,6 +933,19 @@ def test_cli_csv_output(tmp_path):
     main(["verify", "--format", "csv", "--lambdas", "0", "--alphas", "1", "--qs", "1", "--functions", "identity", "--out", str(out)])
     first = out.read_text().split("\n", 1)[0]
     assert first.startswith("kind,function,a,b,x")
+
+
+def test_cli_csv_to_out_and_to_stdout_are_the_same_bytes(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(_ENDPOINT_SWEEP), encoding="utf-8")
+    args = ["verify", "--config", str(config), "--variant", "both", "--expect-violations", "--format", "csv"]
+    out = tmp_path / "r.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    written, streamed = out.read_bytes(), capsys.readouterr().out.encode("utf-8")
+    want = run_verify(SweepConfig.from_dict(dict(_ENDPOINT_SWEEP, variant="both"))).to_csv().encode("utf-8")
+    assert (written == streamed, written == want) == (True, True)  # a bool each, so a failure prints no long diff
 
 
 def test_cli_constants_stdout(capsys):
