@@ -5,37 +5,12 @@ Hadamard/Ostrowski/Simpson-type bounds it generates for functions whose
 Closed-form kernel constants (via the Gauss hypergeometric function) are
 cross-checked against independent adaptive quadrature throughout; `hqfi
 verify` sweeps the whole construction over parameter grids.
+
+`import hqfi` loads no submodule: each name below is imported from its home
+module (`_HOMES`) on first use, by the module `__getattr__` (PEP 562), and
+then kept in this namespace.  `hqfi.validate_corpus()` loads `hqfi.harmonic`
+alone; `__version__` is `harness.TOOL_VERSION`.
 """
-from .bounds import (
-    BoundReport,
-    ParamPoint,
-    Theorem,
-    Variant,
-    bound,
-    evaluate_bound,
-    identity_lhs,
-    identity_rhs,
-    ostrowski_bound,
-    specialize,
-)
-from .fracint import rl_left, rl_right
-from .harmonic import (
-    ConvexityVerdict,
-    IntervalDomain,
-    ScalarFunction,
-    abs_derivative_power,
-    check_harmonically_convex,
-    check_harmonically_quasiconvex,
-    corpus,
-    validate_corpus,
-)
-from .harness import TOOL_VERSION, CampaignReport, SweepConfig, run_checkfn, run_constants, run_verify
-from .kernels import c1, c2, c3, kernel_oracle
-from .quad import QuadratureError, integrate, integrate_singular
-from .specialfn import beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
-
-__version__ = TOOL_VERSION
-
 __all__ = [
     "__version__",
     "TOOL_VERSION",
@@ -84,3 +59,54 @@ __all__ = [
     "run_constants",
     "run_checkfn",
 ]
+
+# the submodule that defines each public name
+_HOMES = {
+    name: home
+    for home, names in {
+        "quad": ("QuadratureError", "integrate", "integrate_singular"),
+        "specialfn": ("gamma", "beta", "hyp2f1", "hyp2f1_series", "hyp2f1_integral"),
+        "fracint": ("rl_left", "rl_right"),
+        "harmonic": (
+            "IntervalDomain",
+            "ScalarFunction",
+            "ConvexityVerdict",
+            "check_harmonically_convex",
+            "check_harmonically_quasiconvex",
+            "abs_derivative_power",
+            "corpus",
+            "validate_corpus",
+        ),
+        "kernels": ("c1", "c2", "c3", "kernel_oracle"),
+        "bounds": (
+            "ParamPoint",
+            "Theorem",
+            "Variant",
+            "BoundReport",
+            "identity_lhs",
+            "identity_rhs",
+            "bound",
+            "evaluate_bound",
+            "specialize",
+            "ostrowski_bound",
+        ),
+        "harness": ("TOOL_VERSION", "SweepConfig", "CampaignReport", "run_verify", "run_constants", "run_checkfn"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    """Import the home module of a public name on its first use, and keep the value here."""
+    source = "TOOL_VERSION" if name == "__version__" else name
+    home = _HOMES.get(source)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # from hqfi.<home> import <source>: with a fromlist, __import__ returns the submodule, not this package
+    module = __import__(f"{__name__}.{home}", fromlist=(source,))
+    value = globals()[name] = getattr(module, source)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

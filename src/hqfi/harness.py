@@ -54,8 +54,9 @@ made once per run and that of the eight fields a group shares with its
 identity record once per group, so per record only the bound, the slack and
 holds are written.  An identity record (or a record of `records` given as a
 plain list) whose values are all JSON scalars is one call of the C encoder
-(`_record_chunks`); any other item, and every other value of the report,
-violations too, goes through `indent=2`.  `CampaignReport.csv_chunks`
+(`_record_chunks`); a plain list of ints, as `violations` is, is written
+in slices of 1,024 (`_int_chunks`); any other item, and every other value
+of the report, goes through `indent=2`.  `CampaignReport.csv_chunks`
 yields the CSV a line at a time in the same way.
 """
 from __future__ import annotations
@@ -150,6 +151,19 @@ def _record_chunks(items: list) -> Iterator[str]:
             # encoded strings hold no raw newline, so each "\n" starts a line
             yield f"{sep}\n    " + json.dumps(item, sort_keys=True, indent=2).replace("\n", "\n    ")
         sep = ","
+    yield "\n  ]"
+
+
+def _int_chunks(values: list) -> Iterator[str]:
+    """A non-empty top-level list of exact ints, laid out as `indent=2` does, 1,024 items per chunk.
+
+    `str` of an int is its JSON text.  Only one slice's item strings live at a
+    time; `indent=2`, like one C-encoder call, holds a string per item.
+    """
+    sep = "[\n    "
+    for start in range(0, len(values), 1024):
+        yield sep + ",\n    ".join(map(str, values[start : start + 1024]))
+        sep = ",\n    "
     yield "\n  ]"
 
 
@@ -412,8 +426,9 @@ class CampaignReport(
 
         The grouped bound records of `run_verify` write themselves
         (`_BoundRecords.json_chunks`); identity_records, and records given
-        as a list, go through `_record_chunks`; every other value, violations
-        too, goes through `indent=2`, re-indented one level.
+        as a list, go through `_record_chunks`; violations, when it is a
+        non-empty list of ints, through `_int_chunks`; every other value goes
+        through `indent=2`, re-indented one level.
         """
         payload = self._asdict()
         sep = "{"
@@ -424,6 +439,8 @@ class CampaignReport(
                 yield from value.json_chunks()
             elif key in ("identity_records", "records") and isinstance(value, list) and value:
                 yield from _record_chunks(value)
+            elif key == "violations" and type(value) is list and value and all(type(v) is int for v in value):
+                yield from _int_chunks(value)
             else:
                 # encoded strings hold no raw newline, so each "\n" starts a line
                 yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")

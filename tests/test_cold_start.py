@@ -2,7 +2,8 @@
 
 Each check starts `python -S`, so no site-packages `.pth` file loads a module
 first, and looks at `sys.modules`.  It is a check of the import graph, with no
-wall-clock bound.
+wall-clock bound.  The checks at the end hold the package to loading each
+submodule only when one of its names is first used.
 """
 import json
 import os
@@ -62,3 +63,64 @@ def test_checkfn_loads_ast_itself_and_parses_and_rejects_as_before():
     assert parse[0] == 2 and "cannot parse expression 'x*('" in parse[2]
     assert name[0] == 2 and "is not allowed: use x or u, numbers" in name[2]
     assert domain[0] == 2 and "expression 'ln(x-2)' has no real value at u = " in domain[2]
+
+
+def test_import_hqfi_loads_no_submodule():
+    assert _python_s("import json, sys; import hqfi; print(json.dumps(sorted(m for m in sys.modules if 'hqfi' in m)))") == [
+        "hqfi"
+    ]
+
+
+def test_validating_the_corpus_loads_the_convexity_module_alone():
+    code = (
+        "import json, sys; import hqfi; before = set(sys.modules); hqfi.validate_corpus(); "
+        "print(json.dumps(sorted(m for m in set(sys.modules) - before if 'hqfi' in m)))"
+    )
+    assert _python_s(code) == ["hqfi.harmonic"]
+
+
+_NAMES = """
+import json, sys
+import hqfi
+names = [n for n in hqfi.__all__ if n != "__version__"]
+values = {n: getattr(hqfi, n) for n in names}
+homes = {n: sys.modules["hqfi." + home] for n, home in hqfi._HOMES.items()}
+print(json.dumps({
+    "names": sorted(names),
+    "table": sorted(homes),
+    "same": sorted(n for n in names if values[n] is getattr(homes[n], n)),
+    "exported": sorted(n for n, module in homes.items() if n in module.__all__),
+    "version": hqfi.__version__ == sys.modules["hqfi.harness"].TOOL_VERSION,
+}))
+"""
+
+
+def test_each_name_is_the_object_its_home_module_binds_and_exports():
+    # the table lists exactly __all__ but __version__, which is harness.TOOL_VERSION
+    result = _python_s(_NAMES)
+    assert result["table"] == result["names"]
+    assert result["same"] == result["names"]
+    assert result["exported"] == result["names"]
+    assert result["version"] is True
+
+
+def test_star_import_binds_every_name():
+    code = "import json; import hqfi; from hqfi import *; print(json.dumps([n for n in hqfi.__all__ if n not in globals()]))"
+    assert _python_s(code) == []
+
+
+def test_dir_covers_all_before_any_name_is_used():
+    code = "import json; import hqfi; print(json.dumps(sorted(set(hqfi.__all__) - set(dir(hqfi)))))"
+    assert _python_s(code) == []
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    code = """
+import json
+import hqfi
+try:
+    hqfi.no_such_name
+except AttributeError as exc:
+    print(json.dumps(str(exc)))
+"""
+    assert _python_s(code) == "module 'hqfi' has no attribute 'no_such_name'"

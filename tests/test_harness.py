@@ -525,6 +525,12 @@ _POOLED_RECORDS = st.lists(
 _RECORDS = st.one_of(st.lists(_ITEMS, max_size=4), _POOLED_RECORDS)
 
 
+def _with_violations(violations) -> CampaignReport:
+    return CampaignReport(
+        version="0", generated_at="", config={}, records=[], identity_records=[], violations=violations, summary={}
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.builds(
@@ -563,6 +569,17 @@ _RECORDS = st.one_of(st.lists(_ITEMS, max_size=4), _POOLED_RECORDS)
         summary={},
     )
 )
+# violations of ints are written 1,024 to a chunk: lengths at the edges of a slice, and lists
+# that are left to indent=2 because they hold a bool, a float, or are a tuple
+@example(_with_violations([]))
+@example(_with_violations([-1]))
+@example(_with_violations(list(range(-1, 1022))))
+@example(_with_violations(list(range(-1, 1023))))
+@example(_with_violations(list(range(-1, 1024))))
+@example(_with_violations(list(range(-1, 2048))))
+@example(_with_violations([0, True, 2]))
+@example(_with_violations([0, 1.5, 2]))
+@example(_with_violations((0, 1, 2)))
 def test_to_json_matches_reference_encoder(report):
     _assert_reference_json(report.to_json(), report.to_payload())
     assert "".join(report.json_chunks()) == report.to_json()  # what the CLI writes is what to_json returns
