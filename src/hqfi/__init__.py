@@ -6,98 +6,74 @@ Closed-form kernel constants (via the Gauss hypergeometric function) are
 cross-checked against independent adaptive quadrature throughout; `hqfi
 verify` sweeps the whole construction over parameter grids.
 
-`import hqfi` loads no submodule: each name below is imported from its home
-module (`_HOMES`) on first use, by the module `__getattr__` (PEP 562), and
-then kept in this namespace.  `hqfi.validate_corpus()` loads `hqfi.harmonic`
-alone; `__version__` is `harness.TOOL_VERSION`.
+`import hqfi` loads no submodule.  The module `__getattr__` (PEP 562) imports
+a public name's home module (`_HOMES`) on the first use of the name, and a
+submodule such as `hqfi.kernels` on the first use of that attribute; the
+value is then kept in this namespace.  So `from hqfi import c2` loads
+`kernels`, `specialfn` and `quad` but not the campaign layer `harness`, and
+`import hqfi.quad` loads `quad` alone.  `__version__` is
+`harness.TOOL_VERSION`.
 """
-__all__ = [
-    "__version__",
-    "TOOL_VERSION",
-    # quadrature
-    "QuadratureError",
-    "integrate",
-    "integrate_singular",
-    # special functions
-    "gamma",
-    "beta",
-    "hyp2f1",
-    "hyp2f1_series",
-    "hyp2f1_integral",
-    # fractional operators
-    "rl_left",
-    "rl_right",
-    # convexity machinery
-    "IntervalDomain",
-    "ScalarFunction",
-    "ConvexityVerdict",
-    "check_harmonically_convex",
-    "check_harmonically_quasiconvex",
-    "abs_derivative_power",
-    "corpus",
-    "validate_corpus",
-    # kernel moments
-    "c1",
-    "c2",
-    "c3",
-    "kernel_oracle",
-    # identity and bounds
-    "ParamPoint",
-    "Theorem",
-    "Variant",
-    "BoundReport",
-    "identity_lhs",
-    "identity_rhs",
-    "bound",
-    "evaluate_bound",
-    "specialize",
-    "ostrowski_bound",
-    # campaigns
-    "SweepConfig",
-    "CampaignReport",
-    "run_verify",
-    "run_constants",
-    "run_checkfn",
-]
 
-# the submodule that defines each public name
+# each public name and the submodule that defines it; __all__ lists them in this order
 _HOMES = {
-    name: home
-    for home, names in {
-        "quad": ("QuadratureError", "integrate", "integrate_singular"),
-        "specialfn": ("gamma", "beta", "hyp2f1", "hyp2f1_series", "hyp2f1_integral"),
-        "fracint": ("rl_left", "rl_right"),
-        "harmonic": (
-            "IntervalDomain",
-            "ScalarFunction",
-            "ConvexityVerdict",
-            "check_harmonically_convex",
-            "check_harmonically_quasiconvex",
-            "abs_derivative_power",
-            "corpus",
-            "validate_corpus",
-        ),
-        "kernels": ("c1", "c2", "c3", "kernel_oracle"),
-        "bounds": (
-            "ParamPoint",
-            "Theorem",
-            "Variant",
-            "BoundReport",
-            "identity_lhs",
-            "identity_rhs",
-            "bound",
-            "evaluate_bound",
-            "specialize",
-            "ostrowski_bound",
-        ),
-        "harness": ("TOOL_VERSION", "SweepConfig", "CampaignReport", "run_verify", "run_constants", "run_checkfn"),
-    }.items()
-    for name in names
+    "TOOL_VERSION": "harness",
+    # quadrature
+    "QuadratureError": "quad",
+    "integrate": "quad",
+    "integrate_singular": "quad",
+    # special functions
+    "gamma": "specialfn",
+    "beta": "specialfn",
+    "hyp2f1": "specialfn",
+    "hyp2f1_series": "specialfn",
+    "hyp2f1_integral": "specialfn",
+    # fractional operators
+    "rl_left": "fracint",
+    "rl_right": "fracint",
+    # convexity machinery
+    "IntervalDomain": "harmonic",
+    "ScalarFunction": "harmonic",
+    "ConvexityVerdict": "harmonic",
+    "check_harmonically_convex": "harmonic",
+    "check_harmonically_quasiconvex": "harmonic",
+    "abs_derivative_power": "harmonic",
+    "corpus": "harmonic",
+    "validate_corpus": "harmonic",
+    # kernel moments
+    "c1": "kernels",
+    "c2": "kernels",
+    "c3": "kernels",
+    "kernel_oracle": "kernels",
+    # identity and bounds
+    "ParamPoint": "bounds",
+    "Theorem": "bounds",
+    "Variant": "bounds",
+    "BoundReport": "bounds",
+    "identity_lhs": "bounds",
+    "identity_rhs": "bounds",
+    "bound": "bounds",
+    "evaluate_bound": "bounds",
+    "specialize": "bounds",
+    "ostrowski_bound": "bounds",
+    # campaigns
+    "SweepConfig": "harness",
+    "CampaignReport": "harness",
+    "run_verify": "harness",
+    "run_constants": "harness",
+    "run_checkfn": "harness",
 }
+_SUBMODULES = frozenset(_HOMES.values())
+
+__all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name: str):
-    """Import the home module of a public name on its first use, and keep the value here."""
+    """Import the home module of a public name, or a submodule, on its first use, and keep the value here."""
+    if name in _SUBMODULES:
+        # importing a submodule binds it in its package's namespace
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     source = "TOOL_VERSION" if name == "__version__" else name
     home = _HOMES.get(source)
     if home is None:
@@ -109,4 +85,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -3,7 +3,7 @@
 Each check starts `python -S`, so no site-packages `.pth` file loads a module
 first, and looks at `sys.modules`.  It is a check of the import graph, with no
 wall-clock bound.  The checks at the end hold the package to loading each
-submodule only when one of its names is first used.
+submodule only when one of its names, or the submodule itself, is first used.
 """
 import json
 import os
@@ -37,6 +37,12 @@ def test_a_bare_interpreter_loads_none_of_them():
 @pytest.mark.parametrize("module", ["hqfi", "hqfi.cli"])
 def test_import_loads_none_of_them(module):
     code = f"import json, sys; import {module}; print(json.dumps([m for m in {SLOW!r} if m in sys.modules]))"
+    assert _python_s(code) == []
+
+
+def test_every_public_name_loads_none_of_them():
+    # import hqfi alone loads no submodule, so bind every name to load them all
+    code = f"import json, sys; from hqfi import *; print(json.dumps([m for m in {SLOW!r} if m in sys.modules]))"
     assert _python_s(code) == []
 
 
@@ -79,6 +85,25 @@ def test_validating_the_corpus_loads_the_convexity_module_alone():
     assert _python_s(code) == ["hqfi.harmonic"]
 
 
+_LOADED = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if 'hqfi' in m)))"
+
+
+def test_a_lower_layer_loads_what_it_imports_and_not_the_campaign_layer():
+    assert _python_s("import hqfi.quad; " + _LOADED) == ["hqfi", "hqfi.quad"]
+    assert _python_s("from hqfi import c2; " + _LOADED) == ["hqfi", "hqfi.kernels", "hqfi.quad", "hqfi.specialfn"]
+
+
+def test_a_submodule_is_an_attribute_on_first_use():
+    code = """
+import json, sys
+import hqfi
+listed = "harness" in dir(hqfi)
+before = "hqfi.harness" in sys.modules
+print(json.dumps([listed, before, hqfi.harness is sys.modules["hqfi.harness"], hqfi.harness.run_verify is hqfi.run_verify]))
+"""
+    assert _python_s(code) == [True, False, True, True]
+
+
 _NAMES = """
 import json, sys
 import hqfi
@@ -87,7 +112,6 @@ values = {n: getattr(hqfi, n) for n in names}
 homes = {n: sys.modules["hqfi." + home] for n, home in hqfi._HOMES.items()}
 print(json.dumps({
     "names": sorted(names),
-    "table": sorted(homes),
     "same": sorted(n for n in names if values[n] is getattr(homes[n], n)),
     "exported": sorted(n for n, module in homes.items() if n in module.__all__),
     "version": hqfi.__version__ == sys.modules["hqfi.harness"].TOOL_VERSION,
@@ -96,9 +120,8 @@ print(json.dumps({
 
 
 def test_each_name_is_the_object_its_home_module_binds_and_exports():
-    # the table lists exactly __all__ but __version__, which is harness.TOOL_VERSION
+    # __all__ is the table's names and __version__, which is harness.TOOL_VERSION
     result = _python_s(_NAMES)
-    assert result["table"] == result["names"]
     assert result["same"] == result["names"]
     assert result["exported"] == result["names"]
     assert result["version"] is True
