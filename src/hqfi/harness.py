@@ -40,24 +40,25 @@ three return plain dicts/records so the CLI can serialize them; runs are
 deterministic given the config, apart from the generated_at timestamp: the
 UTC time from `time.time_ns`, in the `datetime.isoformat` shape (`_utc_isoformat`).
 
-The bound records of `run_verify` are a read-only sequence over those groups
-(`_BoundRecords`), which builds each record dict when it is read.
+The bound records of `run_verify` are a sized iterable over those groups
+(`_BoundRecords`), which builds each record dict as iteration reaches it;
+`CampaignReport.to_payload` gives them as a list.
 
 `CampaignReport.to_json` writes the exact bytes of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every report: it
 is the join of `CampaignReport.json_chunks`, the one encoder, which yields
 the report a record or a group at a time so the CLI can write it as it is
-encoded.  The record lists are laid out here, not by the pure-Python
-`indent=2` path, which holds one string per token.  The grouped bound
-records write themselves: the text of each row's q, theorem and variant is
-made once per run and that of the eight fields a group shares with its
-identity record once per group, so per record only the bound, the slack and
-holds are written.  An identity record (or a record of `records` given as a
-plain list) whose values are all JSON scalars is one call of the C encoder
-(`_record_chunks`); a plain list of ints, as `violations` is, is written
-in slices of 1,024 (`_int_chunks`); any other item, and every other value
-of the report, goes through `indent=2`.  `CampaignReport.csv_chunks`
-yields the CSV a line at a time in the same way.
+encoded.  It picks the writer of each value by the value's type and shape,
+never by its key.  The grouped bound records write themselves: the text of
+each row's q, theorem and variant is made once per run and that of the eight
+fields a group shares with its identity record once per group, so per record
+only the bound, the slack and holds are written.  A non-empty list of flat
+records, dicts whose values are all exact JSON scalars, is laid out here with
+one call of the C encoder per record (`_record_chunks`), not by the
+pure-Python `indent=2` path, which holds one string per token; a non-empty
+list of exact ints, as `violations` is, is written in slices of 1,024
+(`_int_chunks`); every other value goes through `indent=2` whole.
+`CampaignReport.csv_chunks` yields the CSV a line at a time in the same way.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ import math
 import operator
 import time
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 
 from .bounds import _SLACK_TOL, Variant, _bounds, _identity_values, _rows
 from .harmonic import (
@@ -141,15 +142,16 @@ def _scalar_text(value) -> str:
     return json.dumps(value)
 
 
-def _record_chunks(items: list) -> Iterator[str]:
-    """A non-empty top-level list of records, laid out as `indent=2` does at that depth, one chunk per item."""
+def _is_record(item) -> bool:
+    """Whether item is a flat record: a non-empty dict whose values are all exact JSON scalars."""
+    return type(item) is dict and bool(item) and all(type(value) in _JSON_SCALARS for value in item.values())
+
+
+def _record_chunks(records: list) -> Iterator[str]:
+    """A non-empty top-level list of flat records, laid out as `indent=2` does at that depth, one chunk per record."""
     sep = "["
-    for item in items:
-        if type(item) is dict and item and all(type(value) in _JSON_SCALARS for value in item.values()):
-            yield f"{sep}\n    {{\n      {_FIELDS.encode(item)[1:-1]}\n    }}"
-        else:
-            # encoded strings hold no raw newline, so each "\n" starts a line
-            yield f"{sep}\n    " + json.dumps(item, sort_keys=True, indent=2).replace("\n", "\n    ")
+    for record in records:
+        yield f"{sep}\n    {{\n      {_FIELDS.encode(record)[1:-1]}\n    }}"
         sep = ","
     yield "\n  ]"
 
@@ -167,15 +169,15 @@ def _int_chunks(values: list) -> Iterator[str]:
     yield "\n  ]"
 
 
-class _BoundRecords(Sequence):
+class _BoundRecords:
     """The bound records of a run, kept as one group per identity record.
 
     A group is (identity record, |lhs|, the bound values `bounds._bounds`
     gives at that point, in row order), and every group has one value per
-    row.  The view reads as the list of record dicts it stands for: `len`,
-    indexing (negative too; a slice gives a list), iteration and `==`
-    against a list see a fresh dict per record, with slack = bound - lhs_abs
-    and holds = slack >= -slack_tol.  Only `json_chunks` writes its text.
+    row.  The view has `len` and iteration, which yields a fresh dict per
+    record, with slack = bound - lhs_abs and holds = slack >= -slack_tol;
+    `CampaignReport.to_payload` gives the records as a list.  Only
+    `json_chunks` writes its text.
     """
 
     __slots__ = ("_rows", "_groups", "_slack_tol")
@@ -186,47 +188,27 @@ class _BoundRecords(Sequence):
     def __len__(self) -> int:
         return len(self._groups) * len(self._rows)
 
-    def __getitem__(self, index):
-        n = len(self)
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(n))]
-        i = operator.index(index)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("bound record index out of range")
-        group, row = divmod(i, len(self._rows))
-        ident, lhs_abs, values = self._groups[group]
-        return self._record(ident, lhs_abs, self._rows[row], values[row])
-
     def __iter__(self) -> Iterator[dict]:
+        floor = -self._slack_tol
         for ident, lhs_abs, values in self._groups:
             for row, value in zip(self._rows, values):
-                yield self._record(ident, lhs_abs, row, value)
-
-    def __eq__(self, other):
-        if isinstance(other, (list, _BoundRecords)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def _record(self, ident: dict, lhs_abs: float, row, value: float) -> dict:
-        slack = value - lhs_abs
-        return {
-            "function": ident["function"],
-            "a": ident["a"],
-            "b": ident["b"],
-            "x": ident["x"],
-            "lam": ident["lam"],
-            "alpha": ident["alpha"],
-            "q": row.q,
-            "theorem": row.theorem,
-            "variant": row.variant,
-            "lhs_abs": lhs_abs,
-            "bound": value,
-            "slack": slack,
-            "holds": slack >= -self._slack_tol,
-            "identity_residual": ident["residual_scaled"],
-        }
+                slack = value - lhs_abs
+                yield {
+                    "function": ident["function"],
+                    "a": ident["a"],
+                    "b": ident["b"],
+                    "x": ident["x"],
+                    "lam": ident["lam"],
+                    "alpha": ident["alpha"],
+                    "q": row.q,
+                    "theorem": row.theorem,
+                    "variant": row.variant,
+                    "lhs_abs": lhs_abs,
+                    "bound": value,
+                    "slack": slack,
+                    "holds": slack >= floor,
+                    "identity_residual": ident["residual_scaled"],
+                }
 
     def json_chunks(self) -> Iterator[str]:
         """The list as `indent=2` lays it out at the top level of the report, one chunk per group.
@@ -424,11 +406,12 @@ class CampaignReport(
     def json_chunks(self) -> Iterator[str]:
         """The text of `to_json`, in pieces: a record list one record or group at a time.
 
-        The grouped bound records of `run_verify` write themselves
-        (`_BoundRecords.json_chunks`); identity_records, and records given
-        as a list, go through `_record_chunks`; violations, when it is a
-        non-empty list of ints, through `_int_chunks`; every other value goes
-        through `indent=2`, re-indented one level.
+        Each value's writer is picked by its type and shape: the grouped
+        bound records of `run_verify` write themselves
+        (`_BoundRecords.json_chunks`), a non-empty list of flat records goes
+        through `_record_chunks` and a non-empty list of exact ints through
+        `_int_chunks`; any other value goes through `indent=2` whole,
+        re-indented one level.
         """
         payload = self._asdict()
         sep = "{"
@@ -437,9 +420,9 @@ class CampaignReport(
             yield f"{sep}\n  {json.dumps(key)}: "
             if type(value) is _BoundRecords:
                 yield from value.json_chunks()
-            elif key in ("identity_records", "records") and isinstance(value, list) and value:
+            elif type(value) is list and value and all(map(_is_record, value)):
                 yield from _record_chunks(value)
-            elif key == "violations" and type(value) is list and value and all(type(v) is int for v in value):
+            elif type(value) is list and value and all(type(v) is int for v in value):
                 yield from _int_chunks(value)
             else:
                 # encoded strings hold no raw newline, so each "\n" starts a line

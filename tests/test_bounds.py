@@ -328,6 +328,22 @@ def test_corrected_t23_is_sharp_at_linear_endpoint_case():
     assert rep.slack == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.xfail(reason="the slack gate is absolute (slack >= -1e-9): at scale it reads roundoff as a violation")
+@pytest.mark.parametrize(
+    "scale, a, b, x, alpha, theorem",
+    [
+        (1e6, 0.1, 0.2, 0.2, 5.0, Theorem.T22),  # slack -5.7e-7 on a bound of 2.3e8
+        (1e7, 1.0, 2.0, 1.0, 0.1, Theorem.T22),  # slack -8.4e-9 on a bound of 1.16e6
+        (1e7, 1.0, 2.0, 1.0, 0.1, Theorem.T23),
+    ],
+)
+def test_corrected_bound_holds_at_scale_in_the_linear_equality_case(scale, a, b, x, alpha, theorem):
+    # f linear, x at an endpoint, lam = 1 and q = 1: the kernel keeps one sign, the corrected
+    # bound equals |lhs|, and roundoff alone decides the sign of the slack
+    f = ScalarFunction(f"{scale:g}u", IntervalDomain(a, b), lambda u: scale * u, lambda u: scale, True)
+    assert evaluate_bound(f, ParamPoint(a, b, x, 1.0, alpha, 1.0), theorem, Variant.SYMMETRIC_CORRECTED).holds
+
+
 def test_bounds_hold_on_mini_sweep():
     rng = random.Random(47)
     for _ in range(25):

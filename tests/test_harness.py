@@ -117,9 +117,13 @@ def test_public_records_are_immutable_values():
     assert repr(p) == "ParamPoint(a=1.0, b=2.0, x=1.5, lam=0.5, alpha=1.0, q=1.0)"
     assert SweepConfig(**SMALL) == SweepConfig.from_dict(SMALL) and len({SweepConfig(), SweepConfig()}) == 1
     assert {f.domain: 1}[type(f.domain)(1.0, 2.0)] == 1 and repr(f.domain) == "IntervalDomain(lo=1.0, hi=2.0)"
-    # pickle and copy rebuild a record through its constructor
-    for rec in records[:2] + records[3:]:
+    # pickle and copy rebuild a record through its constructor; a report, whose bound records
+    # are a view with no ==, rebuilds to the same bytes
+    for rec in records[:2] + records[3:-1]:
         assert pickle.loads(pickle.dumps(rec)) == rec and copy.deepcopy(rec) == rec, type(rec).__name__
+    report = records[-1]
+    for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert type(twin) is CampaignReport and twin.to_json() == report.to_json()
     assert copy.copy(f).value is f.value and copy.copy(f).df is f.df
     # a ScalarFunction is equal only to itself, and its repr leaves out the derived df
     twin = type(f)(f.label, f.domain, f.value, f.derivative, f.quasi, f.breaks)
@@ -238,8 +242,9 @@ def test_verify_summary_consistency():
         assert count == sum(1 for r in rep.records if r["variant"] == variant and not r["holds"])
         slacks = [r["slack"] for r in rep.records if r["variant"] == variant]
         assert s["min_slack_by_variant"][variant] == min(slacks)
+    records = rep.to_payload()["records"]
     for i in rep.violations:
-        assert not rep.records[i]["holds"]
+        assert not records[i]["holds"]
 
 
 def test_verify_t24_only_above_q_one():
@@ -304,7 +309,8 @@ def test_hoisted_sweep_equals_the_public_functions_bit_for_bit():
     point = lambda r: (r["function"], r["a"], r["b"], r["x"], r["lam"], r["alpha"])
     pairs = {(r["function"], r["a"], r["b"]) for r in rep.records}
     gated = [point(r) for r in rep.identity_records if point(r)[:3] in pairs]
-    chunks = [rep.records[i : i + len(rows)] for i in range(0, len(rep.records), len(rows))]
+    records = list(rep.records)
+    chunks = [records[i : i + len(rows)] for i in range(0, len(records), len(rows))]
     assert [point(chunk[0]) for chunk in chunks] == gated
     for chunk in chunks:
         assert {point(r) for r in chunk} == {point(chunk[0])}
@@ -674,26 +680,21 @@ def test_bound_records_read_as_the_list_they_replace():
     view, want = rep.records, _rebuilt_records(cfg, rep)
     n = len(want)
     assert n == len(view) == rep.summary["cases"] and n > 20
+    # a sized iterable, no list: to_payload gives the list
     assert type(view) is not list and not hasattr(view, "append")
-    assert view == want and want == view and not view != want
-    assert view != want[:-1] and view != [] and view != tuple(want) and view != 5
-    assert [view[i] for i in range(n)] == want and list(view) == want
+    assert list(view) == list(view) == want  # each iteration starts over
     assert [list(r) for r in view] == [list(r) for r in want]  # key order
-    assert view[-1] == want[-1] and view[-n] == want[0]
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            view[i]
-    for sl in (slice(3, 9), slice(None, None, -5), slice(5, 2), slice(-4, None), slice(0, 2 * n)):
-        got = view[sl]
-        assert type(got) is list and got == want[sl]
+    with pytest.raises(TypeError):
+        view[0]
     # each read is a fresh dict: changing it changes nothing in the view
-    first = view[0]
+    first = next(iter(view))
     first["bound"] = -1.0
-    assert view[0] is not first and view[0] == want[0]
-    for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
-        assert type(twin.records) is type(view) and twin == rep and twin.to_json() == rep.to_json()
+    assert next(iter(view)) is not first and next(iter(view)) == want[0]
     payload = rep.to_payload()
     assert type(payload["records"]) is list and payload["records"] == want
+    for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+        assert type(twin.records) is type(view) and list(twin.records) == want
+        assert twin.to_json() == rep.to_json()
 
 
 def test_bound_records_with_non_finite_values_write_what_the_encoder_writes():
