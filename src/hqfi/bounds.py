@@ -167,7 +167,8 @@ def _brace_cuts(f: ScalarFunction, end: float, x: float) -> tuple[float, ...]:
 def _kernel_p(f: ScalarFunction, end: float, x: float, alpha: float, tol: dict) -> float:
     """P = int_0^1 t^alpha A^{-2} f'(end*x/A) dt, A = t*end + (1-t)*x.
 
-    No kink (lam = 0): cut only at the breaks, and taken in s = t^(1/k) below alpha = 1.
+    No kink (lam = 0): cut only at the breaks, and taken in s = t^(1/k) with the power k that
+    `integrate_kinked` picks from alpha: k = 1 at an integer alpha, k > 1 at any other.
     """
     df = f.df
 

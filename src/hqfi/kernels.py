@@ -10,7 +10,10 @@ harmonic-interpolation denominator:
 Both c2 and c3 depend on the endpoints only through the ratio r in (0, 1].
 The closed forms split the integral at the kink t = lam^(1/alpha) and resolve
 each piece through 2F1; every identity here is pinned against `kernel_oracle`
-by the tests.  With A = 2q and z1 = 1 - r, c2 rests on
+by the tests.  The oracle, and the rhs integrals of `bounds`, go through
+`integrate_kinked`, which splits at the kink too and integrates in s = t^(1/k),
+with k picked from alpha so that the integrand is smooth at s = 0.  With
+A = 2q and z1 = 1 - r, c2 rests on
 D(z) = 2F1(A, 1; 2; z) - 2F1(A, alpha+1; alpha+2; z)/(alpha+1)
      = (2F1(A-1, alpha; alpha+1; z) - 1) / ((A-1) z),
 summed without the subtraction, and c3 on the elementary
@@ -170,8 +173,13 @@ def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> flo
 
 # The Jacobian k*s^(k-1) puts the integral's weight within about 1/k of s = 1.
 # From k near 1e4 on, every node of the first GK15 panel lies outside that
-# band, the panel reports an error of 0 and the integral comes out as 0.
+# band, the panel reports an error of 0 and the integral comes out as 0.  Both
+# rules for k in `integrate_kinked` stop here; the smoothness rule needs at most 6.
 _MAX_POWER = 64
+# Bounded derivatives of the term k*s^(k(alpha+1)-1) at s = 0 when k*alpha is not an integer.
+# Of 3, 5 and 8, 5 took the fewest GK15 panels (12,716, 11,852, 12,282) over 576 c1/c2/c3
+# oracle triples at alphas where ceil(1/alpha)*alpha is no integer.
+_SMOOTH_ORDER = 5
 
 
 def integrate_kinked(
@@ -180,19 +188,27 @@ def integrate_kinked(
     """int_0^1 f dt, summed left to right over the pieces between the interior cut points.
 
     The cuts are the caller's `cuts` plus the kernel kink t = lam^(1/alpha).
-    For alpha < 1 the kernel factor t^alpha has an unbounded derivative at 0,
-    so the integral is taken in s with t = s^k, k = ceil(1/alpha): t^alpha =
-    s^(k*alpha) then has a bounded derivative, the Jacobian k*s^(k-1) is a
-    polynomial, and every cut moves to s = t^(1/k).  For alpha >= 1, k = 1
-    and f is integrated in t as given.  k stops at _MAX_POWER.  The `abs_tol`
-    and `rel_tol` keywords are passed on to each piece's `integrate`.
+    The integral is taken in s with t = s^k: the Jacobian k*s^(k-1) is a
+    polynomial, the kernel factor t^alpha becomes s^(k*alpha), and every cut
+    moves to s = t^(1/k).  k starts at ceil(1/alpha), so that s^(k*alpha) has
+    a bounded derivative; for alpha >= 1 that is k = 1, f as given.  When
+    k*alpha is an integer, s^(k*alpha) is a polynomial and k stays.  Otherwise
+    the integrand keeps the non-analytic term k*s^(k(alpha+1)-1) at s = 0, and
+    k rises to the least value with k(alpha+1) - 1 >= _SMOOTH_ORDER, so that
+    GK15 need not bisect toward 0 to resolve it.  Either way k stops at
+    _MAX_POWER.  The `abs_tol` and `rel_tol` keywords are passed on to each
+    piece's `integrate`.
     """
     k = math.ceil(1.0 / max(alpha, 1.0 / _MAX_POWER))
+    if not (k * alpha).is_integer():
+        k = min(max(k, math.ceil((_SMOOTH_ORDER + 1.0) / (alpha + 1.0))), _MAX_POWER)
     # t in (0, 1) maps into (0, 1]; a cut that rounds onto s = 1 is no cut
     inner = sorted({t ** (1.0 / k) for t in (*cuts, lam ** (1.0 / alpha)) if 0.0 < t < 1.0} - {1.0})
     if k > 1:
         g = f
-        f = lambda s: k * s ** (k - 1) * g(s**k)
+        kf = float(k)
+        km1 = kf - 1.0
+        f = lambda s: kf * s**km1 * g(s**kf)
     edges = [0.0, *inner, 1.0]
     total = integrate(f, edges[0], edges[1], **tol)
     for lo, hi in zip(edges[1:-1], edges[2:]):

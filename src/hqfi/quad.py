@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections.abc import Callable
 
 __all__ = [
@@ -42,6 +43,9 @@ _MAX_DEPTH = 60
 # every layer above passes its `abs_tol` and `rel_tol` keywords on to here
 _ABS_TOL = 1e-11
 _REL_TOL = 1e-10
+# the result and error fields of an `integrate` heap entry (-err, tiebreak, lo, hi, depth, result, err)
+_RES = operator.itemgetter(5)
+_ERR = operator.itemgetter(6)
 
 # QUADPACK dqk15 table, positive abscissae only; the Gauss-7 nodes are the
 # odd-indexed rows and node 0.  Exactness through degree 22 is pinned by tests.
@@ -240,11 +244,11 @@ def integrate(
         heapq.heappush(heap, (-el, seq, plo, mid, depth + 1, rl, el))
         heapq.heappush(heap, (-er, seq + 1, mid, phi, depth + 1, rr, er))
         seq += 2
-        total_err = math.fsum(entry[6] for entry in heap)
-        result = math.fsum(entry[5] for entry in heap)
+        total_err = math.fsum(map(_ERR, heap))
+        result = math.fsum(map(_RES, heap))
     # fsum rounds the exact sum once, so the heap's panel order cannot change the
     # result; it also turns a lone -0.0 panel into 0.0, as the loop's sums do
-    return math.fsum(entry[5] for entry in heap)
+    return math.fsum(map(_RES, heap))
 
 
 def integrate_singular(

@@ -78,7 +78,8 @@ def _hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
 def _series_from(a: float, b: float, c: float, z: float, term: float, start: int) -> float:
     """The 2F1 power series summed from its term `term` at index `start` on; terms stop at 1e-16 relative."""
     total = term
-    for n in range(start, _SERIES_MAX_TERMS):
+    # a float index keeps every step on float arithmetic; a + n rounds the same either way
+    for n in map(float, range(start, _SERIES_MAX_TERMS)):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         if abs(term) <= _SERIES_TERM_CUTOFF * abs(total):

@@ -230,6 +230,39 @@ def test_identity_rhs_panel_budget_below_alpha_one(monkeypatch, alpha, lam):
     assert 0 < calls[0] <= 20
 
 
+def test_kernel_oracle_panel_budget_at_a_non_integer_alpha(monkeypatch):
+    # 1 * 1.5 is no integer, so the oracle integrates in s = t^(1/3): 180 GK15 panels in t, 70 in s
+    calls = _panels(monkeypatch)
+    for lam in (0.0, 1.0 / 3.0, 1.0):
+        for u, v in ((0.05, 1.0), (1.0, 0.05), (1.0, 1.0)):
+            kernel_oracle(1.5, lam, 1.2415494761666714, u, v)
+    assert 0 < calls[0] <= 90
+
+
+def test_identity_rhs_panel_budget_at_a_non_integer_alpha(monkeypatch):
+    # P at alpha = 1.5 in s = t^(1/3): 114 GK15 panels over the three lam in t, 30 in s
+    f = {g.label: g for g in corpus()}["expx"]
+    calls = _panels(monkeypatch)
+    for lam in (0.0, 1.0 / 3.0, 1.0):
+        identity_rhs(f, ParamPoint(1.0, 2.0, 1.25, lam, 1.5))
+    assert 0 < calls[0] <= 40
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 5.0, 10.0])
+def test_integrate_kinked_keeps_k_where_k_alpha_is_an_integer(alpha):
+    # every alpha of the default and benchmark grids: bit for bit the split in s = t^(1/k), k = ceil(1/alpha)
+    k = math.ceil(1.0 / alpha)
+    for lam in (0.0, 1.0 / 3.0, 1.0):
+        f = lambda t: abs(t**alpha - lam) / (0.3 * t + 0.7) ** 3
+        g = (lambda s: k * s ** (k - 1) * f(s**k)) if k > 1 else f
+        kink = (lam ** (1.0 / alpha)) ** (1.0 / k)
+        edges = [0.0, kink, 1.0] if 0.0 < kink < 1.0 else [0.0, 1.0]
+        expected = integrate(g, edges[0], edges[1], **_TOL)
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            expected += integrate(g, lo, hi, **_TOL)
+        assert integrate_kinked(f, alpha, lam, **_TOL) == expected, lam
+
+
 _PLATEAU = {g.label: g for g in corpus()}["piecewise_plateau"]
 _POINT = ParamPoint(0.1, 4.0, 2.0, 1.0 / 3.0, 0.5)
 _TOLERANCE_FORWARDERS = {

@@ -139,6 +139,21 @@ def test_kernel_oracle_against_referee(alpha, r, lam, q):
         assert abs(kernel_oracle(alpha, lam, q, u, v) - ref) <= 1e-10 * abs(ref)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.818318909301447, 1.5, 2.5])
+@pytest.mark.parametrize("r", [0.05, 0.5])
+def test_kernel_oracle_where_k_alpha_is_no_integer_against_referee(alpha, r):
+    # k * alpha is no integer at k = ceil(1/alpha), so s^(k alpha) stays non-analytic at s = 0; at alpha = 0.818...,
+    # lam = 1/3, q = 1.2415..., (u, v) = (1, 0.05) an oracle in s = t^(1/2) was off by 1.02e-10
+    worst = max(
+        (abs(kernel_oracle(alpha, lam, q, u, v) - ref) / abs(ref), (lam, q, u, v))
+        for lam in (0.0, 1.0 / 3.0, 1.0)
+        for q in (1.0, 1.2415494761666714)
+        for u, v in ((r, 1.0), (1.0, r))
+        for ref in (_kernel_ref(alpha, lam, q, u, v),)
+    )
+    assert worst[0] <= 1e-12, worst
+
+
 def test_identity_at_the_plateau_case_against_referee():
     # piecewise_plateau, a = 0.1, b = x = 4, lam = 1, alpha = 0.05: only the left
     # operator is present, and I = wa * f(a) - Gamma(alpha+1)/Gamma(alpha) * int_{1/4}^{10} w(t) f(1/t) dt
