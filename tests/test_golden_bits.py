@@ -1,17 +1,17 @@
 """Exact bits of the numeric layers, pinned as float.hex.
 
-A change that reorders the arithmetic of 2F1, the kernel moments or any
+A change that reorders the arithmetic of 2F1, the kernel moments, any
 quadrature layer (integrate, integrate_kinked, kernel_oracle, the
-fractional integrals and the two sides of the identity) fails here, not only
-in a benchmark's report hash.  A
-change that moves these bits on purpose updates the pins and says why.
+fractional integrals and the two sides of the identity) or the bound
+evaluator fails here, not only in a benchmark's report hash.  A change that
+moves these bits on purpose updates the pins and says why.
 """
 import math
 
 import pytest
 
 from hqfi import quad, specialfn
-from hqfi.bounds import ParamPoint, identity_lhs, identity_rhs
+from hqfi.bounds import ParamPoint, Theorem, Variant, bound, identity_lhs, identity_rhs
 from hqfi.fracint import rl_left, rl_right
 from hqfi.harmonic import corpus
 from hqfi.kernels import c1, c2, c3, integrate_kinked, kernel_oracle
@@ -138,3 +138,76 @@ def test_identity_bits_across_a_break(x, lam, alpha, lhs_bits, rhs_bits):
     f = {g.label: g for g in corpus()}["piecewise_plateau"]
     p = ParamPoint(0.5, 2.0, x, lam, alpha)
     assert (identity_lhs(f, p).hex(), identity_rhs(f, p).hex()) == (lhs_bits, rhs_bits)
+
+
+@pytest.mark.parametrize(
+    "x, q, bits",
+    [
+        # x = a: only the right brace exists
+        (1.0, 1.0, ("0x1.39e615d9b2131p-2", "0x1.39e615d9b2131p-1", "0x1.39e615d9b2131p-1", "0x1.39e615d9b2131p-1")),
+        (
+            1.0,
+            1.5,
+            (
+                "0x1.47b22311666b4p-3", "0x1.47b22311666b4p-1", "0x1.39e615d9b2131p-2",
+                "0x1.39e615d9b2131p-1", "0x1.7b2f2884cafbbp-5", "0x1.7b2f2884cafbbp-1",
+            ),
+        ),
+        (
+            1.0,
+            4.0,
+            (
+                "0x1.a0d0a371a8f09p-8", "0x1.a0d0a371a8f09p-1", "0x1.39e615d9b2131p-7",
+                "0x1.39e615d9b2131p-1", "0x1.96cbecd28a50fp-2", "0x1.42dfe9cf34c63p-1",
+            ),
+        ),
+        # an interior x: both braces
+        (1.4, 1.0, ("0x1.48304af028444p-2", "0x1.8db9039463fb2p-2", "0x1.8db9039463fb2p-2", "0x1.8db9039463fb2p-2")),
+        (
+            1.4,
+            1.5,
+            (
+                "0x1.92a168c29afd8p-3", "0x1.913d34b238f90p-2", "0x1.d4d7467ba73d0p-3",
+                "0x1.8db9039463fb2p-2", "0x1.dbcd4ad50745cp-5", "0x1.9c6a7417dc198p-2",
+            ),
+        ),
+        (
+            1.4,
+            4.0,
+            (
+                "0x1.997b8d7cb759bp-6", "0x1.a44cefd936c02p-2", "0x1.9a91284aa06e6p-6",
+                "0x1.8db9039463fb2p-2", "0x1.1836f11c38be5p-2", "0x1.900e126430dc0p-2",
+            ),
+        ),
+        # x = b: only the left brace exists
+        (2.0, 1.0, ("0x1.e7b5066822dc9p-1", "0x1.e7b5066822dc9p-1", "0x1.e7b5066822dc9p-1", "0x1.e7b5066822dc9p-1")),
+        (
+            2.0,
+            1.5,
+            (
+                "0x1.f57953656f2d7p-2", "0x1.f57953656f2d7p-1", "0x1.e7b5066822dc9p-2",
+                "0x1.e7b5066822dc9p-1", "0x1.0c8978f7ff243p-4", "0x1.0c8978f7ff243p+0",
+            ),
+        ),
+        (
+            2.0,
+            4.0,
+            (
+                "0x1.1640747e5e193p-6", "0x1.1640747e5e193p+0", "0x1.e7b5066822dc9p-7",
+                "0x1.e7b5066822dc9p-1", "0x1.3915cb85e41fbp-1", "0x1.f0fdde7153621p-1",
+            ),
+        ),
+    ],
+)
+def test_bound_bits_of_every_theorem_and_variant(x, q, bits):
+    # f(u) = u^2 has f'(a) != f'(b), so each row's far point shows; T24 needs q > 1.
+    # Pins in row order: theorem, then as_stated before symmetric_corrected.
+    f = {g.label: g for g in corpus()}["square"]
+    p = ParamPoint(1.0, 2.0, x, 1.0 / 3.0, 0.7, q)
+    got = tuple(
+        bound(f, p, theorem, variant).hex()
+        for theorem in Theorem
+        if theorem is not Theorem.T24 or q > 1.0
+        for variant in (Variant.AS_STATED, Variant.SYMMETRIC_CORRECTED)
+    )
+    assert got == bits
