@@ -24,7 +24,7 @@ When |f'|^q is harmonically quasi-convex on [a, b], |I| is bounded by three
 families (T22: power-mean, T23: its q=1 reduction shape, T24: Holder).  All
 three have the shape c1^power * {C2 brace + C3 brace} at a kernel-moment
 exponent kq, so one table (`_FAMILIES`) holds what tells them apart and one
-evaluator, `_bounds`, assembles any of them:
+evaluator assembles any of them:
 
   family  kq         c1 power  as_stated denominators  as_stated second sup
   T22     q          1 - 1/q   x^{2q}, b^{2q}          {|f'(x)|, |f'(a)|}
@@ -36,22 +36,22 @@ form (denominators x^2, b^2; second sup over {|f'(x)|, |f'(b)|}); `as_stated`
 reproduces the source text verbatim, which is refutable and kept for
 counterexample hunting.
 
-`bound` and the harness sweep call the same per-point evaluator, `_bounds`:
-at one (f, a, b, x, lam, alpha) it takes the brace powers and the derivative
-sups once and returns the bound of every (q, theorem, variant) row it is
-given.  `bound` passes it one row; the sweep builds its rows once per run
-(`_rows`), so each record holds the bits `bound` gives at its point.
-
-The brace moments c2(...)^(1/kq) and c3(...)^(1/kq) do not depend on f, so
-`_brace_moment` memoizes them per (alpha, lam, kq, r), in a cache of fixed
-size.  Each is the public `kernels.c2` or `kernels.c3`, which memoize their
-own lam-free parts per (alpha, kq, r), so a sweep over lam computes each
-part's 2F1 values once.
+Only the two sup factors of a bound depend on f, so the evaluator has two
+steps.  The point step, `_point`, takes (a, b, x, lam, alpha), the rows and
+c1(alpha, lam), and gives per (q, theorem, variant) row c1^power and, per
+brace present, its weight factor and its moment c2(...)^(1/kq) or
+c3(...)^(1/kq), computing each moment once per (side, kq) of the point.
+The function step, `_bound_values`, takes the sups of one f (`_sups`, three
+derivative values at most) and gives each row's bound.  `bound` runs both
+steps with one row; the sweep builds each point once and applies it to every
+function, with rows built once per run (`_rows`), so each record holds the
+bits `bound` gives at its point.  No memo keeps a moment beyond its point:
+`kernels.c2` and `kernels.c3` memoize their own lam-free parts per
+(alpha, kq, r), so a sweep over lam computes each part's 2F1 values once.
 """
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections import namedtuple
 from collections.abc import Callable
@@ -275,14 +275,6 @@ _FAMILIES = {
 }
 
 
-# One entry per distinct brace moment: the 9-function dense sweep needs 960.  Bounded
-# like the memos of the kernels' lam-free parts.
-@functools.lru_cache(maxsize=2**16)
-def _brace_moment(right: bool, alpha: float, lam: float, kq: float, r: float) -> float:
-    """c3(alpha, lam, kq, r)^(1/kq) for the right brace, else the same for c2."""
-    return (c3 if right else c2)(alpha, lam, kq, r) ** (1.0 / kq)
-
-
 # One (q, theorem, variant) bound formula: kq is the C2/C3 kernel-moment exponent, the denominators are x^den_exp,
 # b^den_exp (None: the corrected x*x, b*b), far_is_b: the second sup is over {f'(x), f'(b)}, else {f'(x), f'(a)}.
 _Row = namedtuple("_Row", "q theorem variant kq c1_power den_exp far_is_b")
@@ -309,33 +301,65 @@ def _rows(qs: tuple[float, ...], variants: tuple[Variant, ...]) -> tuple[_Row, .
     )
 
 
-def _bounds(
-    f: ScalarFunction, a: float, b: float, x: float, lam: float, alpha: float, rows: tuple[_Row, ...], c1_value: float
-) -> list[float]:
-    """Each row's bound at one point, in row order; c1_value is c1(alpha, lam).
+# The f-free factors of every row's bound at one point: whether the left brace (over [a, x]) and the right
+# brace (over [x, b]) exist, and per row (c1^power, then per brace present its weight factor
+# scale / (span * den) and its kernel moment, then far_is_b).
+_Point = namedtuple("_Point", "left right terms")
 
-    A row's bound is c1_value^power times the sum, left brace first, of each
-    brace's weight scale / (span * den) * sup times its kernel moment.  The
-    left brace over [a, x] exists when x > a, the right one over [x, b] when
-    x < b.  Each derivative is evaluated once per call.
+
+def _point(a: float, b: float, x: float, lam: float, alpha: float, rows: tuple[_Row, ...], c1_value: float) -> _Point:
+    """The point step: everything of each row's bound at (a, b, x, lam, alpha) that does not depend on f.
+
+    c1_value is c1(alpha, lam).  A brace's moment is c2(alpha, lam, kq, r)^(1/kq) on the left, r = a/x,
+    and c3(alpha, lam, kq, r)^(1/kq) on the right, r = x/b; each is computed once per (side, kq) of
+    the point, however many rows share it.
     """
-    dfx = abs(f.df(x))
-    sup_a = max(dfx, abs(f.df(a)))
-    # (right, scale, span, den_base, sup at the brace's own end, moment ratio r)
+    # (moment, scale, span, den_base, r) per brace present, left first
     braces = []
     if x > a:
-        braces.append((False, (x - a) ** (alpha + 1.0), (a * x) ** (alpha - 1.0), x, sup_a, a / x))
+        braces.append((c2, (x - a) ** (alpha + 1.0), (a * x) ** (alpha - 1.0), x, a / x))
     if x < b:
-        braces.append((True, (b - x) ** (alpha + 1.0), (b * x) ** (alpha - 1.0), b, max(dfx, abs(f.df(b))), x / b))
-    values = []
+        braces.append((c3, (b - x) ** (alpha + 1.0), (b * x) ** (alpha - 1.0), b, x / b))
+    moments = {}
+    terms = []
     for row in rows:
-        total = 0.0
-        for right, scale, span, base, sup_end, r in braces:
+        term = [c1_value**row.c1_power]
+        for moment, scale, span, base, r in braces:
             den = base * base if row.den_exp is None else base**row.den_exp
-            weight = scale / (span * den) * (sup_end if row.far_is_b else sup_a)
-            total += weight * _brace_moment(right, alpha, lam, row.kq, r)
-        values.append(c1_value**row.c1_power * total)
-    return values
+            key = moment, row.kq
+            if key not in moments:
+                moments[key] = moment(alpha, lam, row.kq, r) ** (1.0 / row.kq)
+            term += (scale / (span * den), moments[key])
+        term.append(row.far_is_b)
+        terms.append(tuple(term))
+    return _Point(x > a, x < b, terms)
+
+
+def _sups(f: ScalarFunction, a: float, b: float, x: float) -> tuple[float, float | None]:
+    """The sup factors at x: max(|f'(x)|, |f'(a)|), and max(|f'(x)|, |f'(b)|) where the right brace exists (x < b)."""
+    dfx = abs(f.df(x))
+    return max(dfx, abs(f.df(a))), (max(dfx, abs(f.df(b))) if x < b else None)
+
+
+def _bound_values(point: _Point, sup_a: float, sup_b: float | None) -> list[float]:
+    """The function step: each row's bound at the point, in row order, from the sups of one f.
+
+    A row's bound is c1^power times the sum, left brace first, of each brace's
+    weight factor times its sup times its moment.  The left brace takes sup_a;
+    the right one sup_b if the row's far point is b, else sup_a.  The float
+    order is that of `total = 0.0; total += (g * sup) * m` per brace, then
+    `c1^power * total`, which this drops the 0.0 from: 0.0 + t is t for every
+    t but -0.0, and a term is a positive weight factor times a magnitude times
+    a positive moment.
+    """
+    if point.left and point.right:
+        return [
+            p * (g_l * sup_a * m_l + g_r * (sup_b if far_is_b else sup_a) * m_r)
+            for p, g_l, m_l, g_r, m_r, far_is_b in point.terms
+        ]
+    if point.left:
+        return [p * (g * sup_a * m) for p, g, m, _ in point.terms]
+    return [p * (g * (sup_b if far_is_b else sup_a) * m) for p, g, m, far_is_b in point.terms]
 
 
 def bound(
@@ -350,10 +374,13 @@ def bound(
     plain max of derivative magnitudes regardless of q.  The corrected variant
     divides by x^2, b^2 and takes the second sup over {|f'(x)|, |f'(b)|}; the
     as_stated variant takes the family's printed exponent and far point.
-    A sweep calls the same evaluator, `_bounds`, with every row at once.
+    A sweep runs the same two steps, `_point` and `_bound_values`, with every
+    row at once.
     """
     row = _row(theorem, variant, p.q)
-    return _bounds(f, p.a, p.b, p.x, p.lam, p.alpha, (row,), c1(p.alpha, p.lam))[0]
+    c1_value = c1(p.alpha, p.lam)
+    sup_a, sup_b = _sups(f, p.a, p.b, p.x)
+    return _bound_values(_point(p.a, p.b, p.x, p.lam, p.alpha, (row,), c1_value), sup_a, sup_b)[0]
 
 
 def evaluate_bound(

@@ -20,9 +20,15 @@ It runs in stages, and computes each piece of work once where it varies:
                            the lhs, with all of its fractional integrals, and
                            the rhs integrals P, then both sides at every
                            (lam, alpha); it names a failed quadrature's case
-  per identity record      (_identity_stage) the record; (_bound_stage) one
-                           `bounds._bounds` call, which evaluates every row
-                           at that point, kept as one group: the record, its
+  per identity record      (_identity_stage) the record
+  per (interval, x)        (_bound_stage, after the identity stage of every
+                           function of the interval) the f-free factors of
+                           each (lam, alpha) point, `bounds._point`, once
+                           for every function that passed the gate; per
+                           such function, its sups at x (`bounds._sups`)
+  per identity record      (_bound_stage) the function step
+                           `bounds._bound_values`, which gives every row at
+                           that point, kept as one group: the record, its
                            |lhs| and the values in row order
   once per run             (_summary) the violations and the summary block,
                            in one pass over the groups
@@ -30,8 +36,9 @@ It runs in stages, and computes each piece of work once where it varies:
 The lhs, the rhs and the bounds go through the helpers `bounds.identity_lhs`,
 `bounds.identity_rhs` and `bounds.bound` are built from, in the same
 floating-point order, so each record holds the same bits those public
-functions give at its point.  The kernel moments are reused only through
-the memos in `bounds` (per moment) and `kernels` (per lam-free part).
+functions give at its point.  A kernel moment is computed once per point
+that needs it, and only the memos in `kernels` (per lam-free part) outlive
+a run.
 
 `run_constants` puts the closed-form kernel moments next to their quadrature
 oracles; `run_checkfn` exposes the convexity checkers over corpus names or
@@ -70,7 +77,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 
-from .bounds import _SLACK_TOL, Variant, _bounds, _identity_values, _rows
+from .bounds import _SLACK_TOL, Variant, _bound_values, _identity_values, _point, _rows, _sups
 from .harmonic import (
     IntervalDomain,
     ScalarFunction,
@@ -172,12 +179,12 @@ def _int_chunks(values: list) -> Iterator[str]:
 class _BoundRecords:
     """The bound records of a run, kept as one group per identity record.
 
-    A group is (identity record, |lhs|, the bound values `bounds._bounds`
-    gives at that point, in row order), and every group has one value per
-    row.  The view has `len` and iteration, which yields a fresh dict per
-    record, with slack = bound - lhs_abs and holds = slack >= -slack_tol;
-    `CampaignReport.to_payload` gives the records as a list.  Only
-    `json_chunks` writes its text.
+    A group is (identity record, |lhs|, the bound values
+    `bounds._bound_values` gives at that point, in row order), and every
+    group has one value per row.  The view has `len` and iteration, which
+    yields a fresh dict per record, with slack = bound - lhs_abs and
+    holds = slack >= -slack_tol; `CampaignReport.to_payload` gives the
+    records as a list.  Only `json_chunks` writes its text.
     """
 
     __slots__ = ("_rows", "_groups", "_slack_tol")
@@ -535,12 +542,29 @@ def _identity_stage(plan: _Plan, f: ScalarFunction, a: float, b: float, xs: tupl
     return out
 
 
-def _bound_stage(plan: _Plan, f: ScalarFunction, identity: list[dict], groups: list) -> None:
-    """Append one group per identity record: the record, |lhs| and the `_bounds` values of every row at its point."""
-    for ident in identity:
-        lam, alpha = ident["lam"], ident["alpha"]
-        values = _bounds(f, ident["a"], ident["b"], ident["x"], lam, alpha, plan.rows, plan.c1[alpha, lam])
-        groups.append((ident, abs(ident["lhs"]), values))
+def _bound_stage(plan: _Plan, a: float, b: float, xs: tuple[float, ...], gated: list) -> list:
+    """One group per identity record of the gated (f, identity records) pairs, function by function.
+
+    A group is the record, |lhs| and the bound of every row at its point.
+    The f-free factors of each (x, lam, alpha) point are built once
+    (`bounds._point`), one x at a time, and every gated function applies its
+    own sups at that x (`bounds._sups`, `bounds._bound_values`).
+    """
+    if not gated:
+        return []
+    cfg = plan.cfg
+    per_x = len(cfg.lambdas) * len(cfg.alphas)
+    by_function = [[] for _ in gated]
+    for i, x in enumerate(xs):
+        # lam-major, then alpha: the order of the identity records at x
+        points = [
+            _point(a, b, x, lam, alpha, plan.rows, plan.c1[alpha, lam]) for lam in cfg.lambdas for alpha in cfg.alphas
+        ]
+        for (f, identity), groups in zip(gated, by_function):
+            sup_a, sup_b = _sups(f, a, b, x)
+            for ident, point in zip(identity[i * per_x : (i + 1) * per_x], points):
+                groups.append((ident, abs(ident["lhs"]), _bound_values(point, sup_a, sup_b)))
+    return [group for groups in by_function for group in groups]
 
 
 def _summary(
@@ -578,8 +602,9 @@ def _summary(
 def run_verify(cfg: SweepConfig) -> CampaignReport:
     """Evaluate identity residuals and all applicable bounds over the config grid.
 
-    Stages: `_setup` once per run, then per (interval, function) `_gate`,
-    `_identity_stage` and `_bound_stage`, and `_summary` once at the end.
+    Stages: `_setup` once per run, then per interval `_gate` and
+    `_identity_stage` for each function and one `_bound_stage` over the
+    functions that passed the gate, and `_summary` once at the end.
     """
     plan = _setup(cfg)
     groups: list = []
@@ -592,6 +617,7 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
         if not eligible:
             raise ValueError(f"no selected function covers interval [{a}, {b}]")
         xs = _x_points(cfg, a, b)
+        gated = []
         for f in eligible:
             holds = _gate(cfg, f, domain)
             if not holds:
@@ -599,7 +625,8 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
             identity = _identity_stage(plan, f, a, b, xs)
             identity_records += identity
             if holds:
-                _bound_stage(plan, f, identity, groups)
+                gated.append((f, identity))
+        groups += _bound_stage(plan, a, b, xs, gated)
     records = _BoundRecords(plan.rows, groups, plan.slack_tol)
     violations, summary = _summary(plan.variants, records, identity_records, bound_skips)
     return CampaignReport(

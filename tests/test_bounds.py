@@ -5,6 +5,7 @@ The corollary expressions below are written out independently of bounds.py
 transcription slip in either place breaks the 1e-12 agreement checks.
 """
 import inspect
+import itertools
 import math
 import random
 
@@ -223,13 +224,11 @@ def test_t22_equals_t23_at_q_one():
             assert abs(t22 - t23) <= 1e-12 * max(1.0, abs(t22))
 
 
-def test_t24_requires_q_above_one():
-    # the guard fires before any brace moment is looked up or cached
-    hqfi.bounds._brace_moment.cache_clear()
+def test_t24_requires_q_above_one(moment_calls):
+    # the guard fires before any brace moment is computed
     with pytest.raises(ValueError, match="q > 1"):
         bound(FNS["identity"], WORKED, Theorem.T24)
-    info = hqfi.bounds._brace_moment.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert not moment_calls
 
 
 def test_as_stated_variant_counterexample():
@@ -286,8 +285,8 @@ def test_every_theorem_variant_row_matches_hand_assembly():
                         )
 
 
-def test_brace_moments_computed_once_per_argument():
-    # the conftest empties every memo before the test
+def test_brace_moments_computed_once_per_argument(moment_calls):
+    # the conftest empties the part memos before the test
     cfg = SweepConfig.from_dict(
         {
             "lambdas": [0.0, 0.5, 1.0],
@@ -300,15 +299,15 @@ def test_brace_moments_computed_once_per_argument():
     rep = run_verify(cfg)
     assert len({r["function"] for r in rep.records}) >= 2
     # every function, theorem and variant shares the same braces, yet each distinct
-    # (side, alpha, lam, kq, r) misses the moment memo, and so runs its lam step, exactly
+    # (side, alpha, lam, kq, r) moment is computed, and so runs its lam step, exactly
     # once, and each distinct (side, alpha, kq, r) misses a part memo exactly once
-    moments = hqfi.bounds._brace_moment.cache_info()
+    assert moment_calls and set(moment_calls.values()) == {1}, moment_calls
     parts = [memo.cache_info() for memo in (hqfi.kernels._c2_part, hqfi.kernels._c3_part)]
-    for info in (moments, *parts):
+    for info in parts:
         assert info.misses == info.currsize > 0 and info.hits > 0, info
     # each lam step looks its part up once, and every part serves each lam
-    assert sum(info.hits + info.misses for info in parts) == moments.misses
-    assert moments.misses == len(cfg.lambdas) * sum(info.currsize for info in parts)
+    assert sum(info.hits + info.misses for info in parts) == len(moment_calls)
+    assert len(moment_calls) == len(cfg.lambdas) * sum(info.currsize for info in parts)
     for r in rep.records:
         pt = ParamPoint(r["a"], r["b"], r["x"], r["lam"], r["alpha"], r["q"])
         want = _hand_bound(FNS[r["function"]], pt, Theorem(r["theorem"]), Variant(r["variant"]))
@@ -342,6 +341,32 @@ def test_corrected_bound_holds_at_scale_in_the_linear_equality_case(scale, a, b,
     # bound equals |lhs|, and roundoff alone decides the sign of the slack
     f = ScalarFunction(f"{scale:g}u", IntervalDomain(a, b), lambda u: scale * u, lambda u: scale, True)
     assert evaluate_bound(f, ParamPoint(a, b, x, 1.0, alpha, 1.0), theorem, Variant.SYMMETRIC_CORRECTED).holds
+
+
+def _equality_cases():
+    """The linear equality case at scale 1e6: 2 intervals x 3 alpha x 2 x x 2 lam x 3 rows = 72 cases.
+
+    Only the 3 cases at alpha = 2, x = a = 0.1, lam = 0 miss the absolute gate, each by a slack
+    of -1.51e-9 on a bound of 5.69e5, so they are strict xfails and the other 69 are plain.
+    """
+    absolute = pytest.mark.xfail(
+        strict=True, reason="the slack gate is absolute (slack >= -1e-9): at scale it reads roundoff as a violation"
+    )
+    rows = ((Theorem.T22, 1.0), (Theorem.T23, 1.0), (Theorem.T23, 2.0))
+    for (a, b), alpha, end, lam, (theorem, q) in itertools.product(
+        ((1.0, 2.0), (0.1, 0.2)), (0.5, 1.0, 2.0), (0, 1), (0.0, 1.0), rows
+    ):
+        x = (a, b)[end]
+        case = (a, b, x, lam, alpha, q, theorem)
+        yield pytest.param(*case, marks=absolute) if (alpha, x, lam) == (2.0, 0.1, 0.0) else case
+
+
+@pytest.mark.parametrize("a, b, x, lam, alpha, q, theorem", list(_equality_cases()))
+def test_corrected_bound_holds_over_the_linear_equality_grid_at_scale(a, b, x, lam, alpha, q, theorem):
+    # one brace is absent at x = a and at x = b, and the kernel keeps one sign at lam = 0 and 1,
+    # so corrected T22 at q = 1 and T23 at every q equal |lhs| up to roundoff
+    f = ScalarFunction("1e6u", IntervalDomain(a, b), lambda u: 1e6 * u, lambda u: 1e6, True)
+    assert evaluate_bound(f, ParamPoint(a, b, x, lam, alpha, q), theorem, Variant.SYMMETRIC_CORRECTED).holds
 
 
 def test_bounds_hold_on_mini_sweep():

@@ -95,4 +95,4 @@ def test_harness_leaves_the_identity_staging_to_bounds():
         if isinstance(node, ast.ImportFrom) and node.module == "bounds"
         for alias in node.names
     }
-    assert imported == {"_SLACK_TOL", "Variant", "_bounds", "_identity_values", "_rows"}
+    assert imported == {"_SLACK_TOL", "Variant", "_bound_values", "_identity_values", "_point", "_rows", "_sups"}

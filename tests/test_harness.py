@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import hqfi.bounds as bounds
 import hqfi.fracint as fracint
 import hqfi.harness as harness
-from hqfi.bounds import ParamPoint, Theorem, Variant, _brace_moment, bound, identity_lhs, identity_rhs
+import hqfi.kernels as kernels
+from hqfi.bounds import ParamPoint, Theorem, Variant, bound, identity_lhs, identity_rhs
 from hqfi.cli import build_parser, main
-from hqfi.harmonic import check_harmonically_quasiconvex, corpus
+from hqfi.harmonic import IntervalDomain, ScalarFunction, check_harmonically_quasiconvex, corpus
 from hqfi.harness import (
     CampaignReport,
     SweepConfig,
@@ -214,18 +215,52 @@ def test_variants_for():
 # --- run_verify ---
 
 
-def test_verify_deterministic_modulo_timestamp():
+def test_verify_deterministic_modulo_timestamp(moment_calls):
     cfg = SweepConfig.from_dict(SMALL)
-    # p1 fills the brace-moment memo from cold, p2 reads every moment from it
-    _brace_moment.cache_clear()
+    parts = (kernels._c2_part, kernels._c3_part)
+    # p1 fills the part memos from cold, p2 reads every part from them; no memo keeps
+    # a brace moment between runs, so each run computes the same moments itself
     p1 = run_verify(cfg).to_payload()
-    cold = _brace_moment.cache_info()
-    assert cold.misses > 0
+    cold = [memo.cache_info() for memo in parts]
+    first = moment_calls.copy()
+    assert first and sum(info.misses for info in cold) > 0
     p2 = run_verify(cfg).to_payload()
-    warm = _brace_moment.cache_info()
-    assert warm.misses == cold.misses and warm.hits > cold.hits
+    warm = [memo.cache_info() for memo in parts]
+    assert moment_calls == first + first
+    assert [info.misses for info in warm] == [info.misses for info in cold]
+    assert sum(info.hits for info in warm) > sum(info.hits for info in cold)
     p1.pop("generated_at"), p2.pop("generated_at")
     assert p1 == p2
+
+
+def test_verify_takes_each_functions_sups_once_per_x(monkeypatch):
+    # the gate and the identity's quadrature are stubbed out, so every f' call left is the bound step's:
+    # three per (function, x) at most, however many (lam, alpha) points share that x
+    calls = {}
+
+    def counted(label, slope):
+        calls[label] = 0
+
+        def df(u):
+            calls[label] += 1
+            return slope * u
+
+        return ScalarFunction(label, IntervalDomain(1.0, 2.0), lambda u: 0.5 * slope * u * u, df)
+
+    fns = [counted("f", 1.0), counted("g", 3.0)]
+    monkeypatch.setattr(harness, "_select_functions", lambda cfg: fns)
+    monkeypatch.setattr(harness, "_gate", lambda cfg, f, domain: True)
+    monkeypatch.setattr(
+        harness,
+        "_identity_values",
+        lambda f, a, b, x, alphas, lambdas, tol: [(lam, alpha, 0.0, 0.0) for lam in lambdas for alpha in alphas],
+    )
+    cfg = SweepConfig(
+        x_mode="grid", x_count=3, lambdas=(0.0, 0.5, 1.0), alphas=(0.5, 2.0), qs=(1.0, 2.0), variant="both"
+    )
+    rep = run_verify(cfg)
+    assert {r["function"] for r in rep.records} == {"f", "g"}
+    assert all(0 < n <= 3 * cfg.x_count for n in calls.values()), calls
 
 
 def test_verify_summary_consistency():
