@@ -10,9 +10,14 @@ harmonic-interpolation denominator:
 Both c2 and c3 depend on the endpoints only through the ratio r in (0, 1].
 The closed forms split the integral at the kink t = lam^(1/alpha) and resolve
 each piece through 2F1; every identity here is pinned against `kernel_oracle`
-by the tests.  The oracle, and the rhs integrals of `bounds`, go through
-`integrate_kinked`, which splits at the kink too and integrates in s = t^(1/k),
-with k picked from alpha so that the integrand is smooth at s = 0.  With
+by the tests.  The oracle and `integrate_kinked`, which the rhs integrals of
+`bounds` go through, split at the kink too and integrate in s = t^(1/k), on
+the k and the s-edges of `_s_edges`, with k picked from alpha so that the
+integrand is smooth at s = 0.  The oracle alone also grades its panels
+toward the heavy end, where the denominator tu + (1-t)v of its integrand is
+least (s = 1 for c2, s = 0 for c3): it takes the piece next to that end in
+y, s = end -/+ c*expm1(y), with c the distance in s over which the
+integrand falls by about e, wherever that piece is more than 2c wide.  With
 A = 2q and z1 = 1 - r, c2 rests on
 D(z) = 2F1(A, 1; 2; z) - 2F1(A, alpha+1; alpha+2; z)/(alpha+1)
      = (2F1(A-1, alpha; alpha+1; z) - 1) / ((A-1) z),
@@ -155,31 +160,91 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
 def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> float:
     """Adaptive quadrature of int_0^1 |t^alpha - lam| (tu + (1-t)v)^{-2q} dt.
 
-    Independent of the closed forms: no 2F1 involved.  The integrand has a
-    kink at t = lam^(1/alpha), where `integrate_kinked` splits it.  Every
-    piece runs at `integrate`'s default tolerances.
+    Independent of the closed forms: no 2F1 involved.  The integral is split
+    at the kink t = lam^(1/alpha) and taken in s with t = s^k, on the k and
+    the s-edges that `integrate_kinked` uses too (`_s_edges`).  Each piece
+    has one integrand that computes t, the Jacobian, |t^alpha - lam| and
+    A^(-2q), A = tu + (1-t)v, in one call.  Where u != v, A^(1-2q) peaks at
+    the heavy end, where A is least: s = 1 when u < v, s = 0 when u > v.
+    The piece next to it is integrated in y, s = end -/+ c*expm1(y), whose
+    panels grade toward that end.  The scale c is the distance in s over
+    which A^(1-2q) falls by about e: u/((v-u) k (2q-1)) at s = 1 and
+    (v/((u-v)(2q-1)))^(1/k) at s = 0.  A piece with c at least half its
+    width needs no grading and is integrated in s, as is every other piece.
+    Every piece runs at `integrate`'s default tolerances, and the pieces are
+    summed left to right.
     """
     if not (math.isfinite(u) and u > 0.0 and math.isfinite(v) and v > 0.0):
         raise ValueError(f"require positive endpoints, got u={u}, v={v}")
     _check_args(alpha, lam, q, min(u, v) / max(u, v))
 
     two_q = 2.0 * q
+    k, edges = _s_edges(alpha, lam)
+    kf = float(k)
+    km1 = kf - 1.0
+    if k == 1:
 
-    def f(t: float) -> float:
-        return abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** two_q
+        def f(s: float) -> float:
+            return abs(s**alpha - lam) / (s * u + (1.0 - s) * v) ** two_q
 
-    return integrate_kinked(f, alpha, lam)
+    else:
+
+        def f(s: float) -> float:
+            t = s**kf
+            return kf * s**km1 * (abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** two_q)
+
+    if u < v:
+        end, sign, c = 1.0, -1.0, u / ((v - u) * kf * (two_q - 1.0))
+    elif u > v:
+        end, sign, c = 0.0, 1.0, (v / ((u - v) * (two_q - 1.0))) ** (1.0 / kf)
+    else:
+        end = None  # A is constant: no end is heavy
+
+    def graded(y: float) -> float:
+        e = c * math.expm1(y)
+        s = end + sign * e
+        t = s**kf
+        return (c + e) * kf * s**km1 * (abs(t**alpha - lam) / (t * u + (1.0 - t) * v) ** two_q)
+
+    def piece(lo: float, hi: float) -> float:
+        if end in (lo, hi) and c < 0.5 * (hi - lo):
+            return integrate(graded, 0.0, math.log1p((hi - lo) / c))
+        return integrate(f, lo, hi)
+
+    total = piece(edges[0], edges[1])
+    for lo, hi in zip(edges[1:-1], edges[2:]):
+        total += piece(lo, hi)
+    return total
 
 
 # The Jacobian k*s^(k-1) puts the integral's weight within about 1/k of s = 1.
 # From k near 1e4 on, every node of the first GK15 panel lies outside that
 # band, the panel reports an error of 0 and the integral comes out as 0.  Both
-# rules for k in `integrate_kinked` stop here; the smoothness rule needs at most 6.
+# rules for k in `_s_edges` stop here; the smoothness rule needs at most 6.
 _MAX_POWER = 64
 # Bounded derivatives of the term k*s^(k(alpha+1)-1) at s = 0 when k*alpha is not an integer.
 # Of 3, 5 and 8, 5 took the fewest GK15 panels (12,716, 11,852, 12,282) over 576 c1/c2/c3
 # oracle triples at alphas where ceil(1/alpha)*alpha is no integer.
 _SMOOTH_ORDER = 5
+
+
+def _s_edges(alpha: float, lam: float, cuts: tuple[float, ...] = ()) -> tuple[int, list[float]]:
+    """The power k of t = s^k for a kernel |t^alpha - lam|, and the s-edges of the pieces between its cut points.
+
+    k starts at ceil(1/alpha), so that s^(k*alpha) has a bounded derivative;
+    for alpha >= 1 that is k = 1.  When k*alpha is an integer, s^(k*alpha) is
+    a polynomial and k stays.  Otherwise the integrand keeps the non-analytic
+    term k*s^(k(alpha+1)-1) at s = 0, and k rises to the least value with
+    k(alpha+1) - 1 >= _SMOOTH_ORDER, so that GK15 need not bisect toward 0 to
+    resolve it.  Either way k stops at _MAX_POWER.  The edges run from 0 to 1
+    through the cuts and the kink t = lam^(1/alpha), each moved to s = t^(1/k).
+    """
+    k = math.ceil(1.0 / max(alpha, 1.0 / _MAX_POWER))
+    if not (k * alpha).is_integer():
+        k = min(max(k, math.ceil((_SMOOTH_ORDER + 1.0) / (alpha + 1.0))), _MAX_POWER)
+    # t in (0, 1) maps into (0, 1]; a cut that rounds onto s = 1 is no cut
+    inner = sorted({t ** (1.0 / k) for t in (*cuts, lam ** (1.0 / alpha)) if 0.0 < t < 1.0} - {1.0})
+    return k, [0.0, *inner, 1.0]
 
 
 def integrate_kinked(
@@ -188,28 +253,18 @@ def integrate_kinked(
     """int_0^1 f dt, summed left to right over the pieces between the interior cut points.
 
     The cuts are the caller's `cuts` plus the kernel kink t = lam^(1/alpha).
-    The integral is taken in s with t = s^k: the Jacobian k*s^(k-1) is a
-    polynomial, the kernel factor t^alpha becomes s^(k*alpha), and every cut
-    moves to s = t^(1/k).  k starts at ceil(1/alpha), so that s^(k*alpha) has
-    a bounded derivative; for alpha >= 1 that is k = 1, f as given.  When
-    k*alpha is an integer, s^(k*alpha) is a polynomial and k stays.  Otherwise
-    the integrand keeps the non-analytic term k*s^(k(alpha+1)-1) at s = 0, and
-    k rises to the least value with k(alpha+1) - 1 >= _SMOOTH_ORDER, so that
-    GK15 need not bisect toward 0 to resolve it.  Either way k stops at
-    _MAX_POWER.  The `abs_tol` and `rel_tol` keywords are passed on to each
-    piece's `integrate`.
+    The integral is taken in s with t = s^k, on the k and the s-edges of
+    `_s_edges`: the Jacobian k*s^(k-1) is a polynomial, the kernel factor
+    t^alpha becomes s^(k*alpha), and every cut moves to s = t^(1/k).  For
+    alpha >= 1, k = 1 and f is integrated as given.  The `abs_tol` and
+    `rel_tol` keywords are passed on to each piece's `integrate`.
     """
-    k = math.ceil(1.0 / max(alpha, 1.0 / _MAX_POWER))
-    if not (k * alpha).is_integer():
-        k = min(max(k, math.ceil((_SMOOTH_ORDER + 1.0) / (alpha + 1.0))), _MAX_POWER)
-    # t in (0, 1) maps into (0, 1]; a cut that rounds onto s = 1 is no cut
-    inner = sorted({t ** (1.0 / k) for t in (*cuts, lam ** (1.0 / alpha)) if 0.0 < t < 1.0} - {1.0})
+    k, edges = _s_edges(alpha, lam, cuts)
     if k > 1:
         g = f
         kf = float(k)
         km1 = kf - 1.0
         f = lambda s: kf * s**km1 * g(s**kf)
-    edges = [0.0, *inner, 1.0]
     total = integrate(f, edges[0], edges[1], **tol)
     for lo, hi in zip(edges[1:-1], edges[2:]):
         total += integrate(f, lo, hi, **tol)

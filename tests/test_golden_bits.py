@@ -120,6 +120,12 @@ def test_kernel_oracle_bits_at_an_interior_kink():
     assert kernel_oracle(1.5, 1.0 / 3.0, 2.0, 0.6, 1.0).hex() == "0x1.fd567afe32755p-1"
 
 
+def test_kernel_oracle_bits_on_a_graded_piece():
+    # u = 0.01 < v = 1 at q = 8: the one piece, s in [0, 1] with t = s^10, is taken in y toward the
+    # heavy end s = 1.  2.0e-14 relative from a 30-digit referee (1.1e-13 with the piece in s)
+    assert kernel_oracle(0.1, 1.0, 8.0, 0.01, 1.0).hex() == "0x1.01644d816f06bp+82"
+
+
 def test_rl_bits_with_a_cut():
     f = lambda t: abs(t - 1.2)
     assert rl_left(f, 0.5, 0.7, 2.0, cuts=(1.2,)).hex() == "0x1.3d2a705de8a6ep-1"

@@ -231,12 +231,28 @@ def test_identity_rhs_panel_budget_below_alpha_one(monkeypatch, alpha, lam):
 
 
 def test_kernel_oracle_panel_budget_at_a_non_integer_alpha(monkeypatch):
-    # 1 * 1.5 is no integer, so the oracle integrates in s = t^(1/3): 180 GK15 panels in t, 70 in s
+    # 1 * 1.5 is no integer, so the oracle integrates in s = t^(1/3): 180 GK15 panels in t, 70 in s,
+    # 48 with the piece next to the heavy end graded where u != v
     calls = _panels(monkeypatch)
     for lam in (0.0, 1.0 / 3.0, 1.0):
         for u, v in ((0.05, 1.0), (1.0, 0.05), (1.0, 1.0)):
             kernel_oracle(1.5, lam, 1.2415494761666714, u, v)
-    assert 0 < calls[0] <= 90
+    assert 0 < calls[0] <= 60
+
+
+@pytest.mark.parametrize(
+    "alpha, lam, q, u, v, budget",
+    [
+        # u < v, heavy end s = 1: 27 GK15 panels with the last piece taken in s, 9 graded
+        (0.1, 1.0, 8.0, 0.01, 1.0, 12),
+        # u > v, heavy end s = 0: 30 panels with the first piece taken in s, 16 graded
+        (1.0, 0.5, 8.0, 1.0, 0.001, 20),
+    ],
+)
+def test_kernel_oracle_panel_budget_toward_the_heavy_end(monkeypatch, alpha, lam, q, u, v, budget):
+    calls = _panels(monkeypatch)
+    kernel_oracle(alpha, lam, q, u, v)
+    assert 0 < calls[0] <= budget
 
 
 def test_identity_rhs_panel_budget_at_a_non_integer_alpha(monkeypatch):
