@@ -39,10 +39,12 @@ counterexample hunting.
 Only the two sup factors of a bound depend on f, so the evaluator has two
 steps.  The point step, `_point`, takes (a, b, x, lam, alpha), the rows and
 c1(alpha, lam), and gives per (q, theorem, variant) row c1^power and, per
-brace present, its weight factor and its moment c2(...)^(1/kq) or
-c3(...)^(1/kq), computing each moment once per (side, kq) of the point.
-The function step, `_bound_values`, takes the sups of one f (`_sups`, three
-derivative values at most) and gives each row's bound.  `bound` runs both
+brace, its weight factor and its moment c2(...)^(1/kq) or c3(...)^(1/kq),
+computing each moment once per (side, kq) of the point.  Every row has both
+braces: an empty one (x = a on the left, x = b on the right) has weight
+factor and moment 0.0 and adds an exact 0.  The function step,
+`_bound_values`, takes the sups of one f (`_sups`, three derivative values,
+which must be finite) and gives each row's bound.  `bound` runs both
 steps with one row; the sweep builds each point once and applies it to every
 function, with rows built once per run (`_rows`), so each record holds the
 bits `bound` gives at its point.  No memo keeps a moment beyond its point:
@@ -301,30 +303,29 @@ def _rows(qs: tuple[float, ...], variants: tuple[Variant, ...]) -> tuple[_Row, .
     )
 
 
-# The f-free factors of every row's bound at one point: whether the left brace (over [a, x]) and the right
-# brace (over [x, b]) exist, and per row (c1^power, then per brace present its weight factor
-# scale / (span * den) and its kernel moment, then far_is_b).
-_Point = namedtuple("_Point", "left right terms")
-
-
-def _point(a: float, b: float, x: float, lam: float, alpha: float, rows: tuple[_Row, ...], c1_value: float) -> _Point:
+def _point(a: float, b: float, x: float, lam: float, alpha: float, rows: tuple[_Row, ...], c1_value: float) -> list:
     """The point step: everything of each row's bound at (a, b, x, lam, alpha) that does not depend on f.
 
-    c1_value is c1(alpha, lam).  A brace's moment is c2(alpha, lam, kq, r)^(1/kq) on the left, r = a/x,
-    and c3(alpha, lam, kq, r)^(1/kq) on the right, r = x/b; each is computed once per (side, kq) of
-    the point, however many rows share it.
+    Per row: (c1^power, g_l, m_l, g_r, m_r, far_is_b), with each brace's weight factor
+    g = scale / (span * den) and moment m, the left brace (over [a, x]) first.  c1_value is
+    c1(alpha, lam).  A brace's moment is c2(alpha, lam, kq, r)^(1/kq) on the left, r = a/x,
+    and c3(alpha, lam, kq, r)^(1/kq) on the right, r = x/b; each is computed once per (side, kq)
+    of the point, however many rows share it.  A brace whose scale is 0, as at x = a or x = b,
+    gives (0.0, 0.0) and computes no moment.
     """
-    # (moment, scale, span, den_base, r) per brace present, left first
-    braces = []
-    if x > a:
-        braces.append((c2, (x - a) ** (alpha + 1.0), (a * x) ** (alpha - 1.0), x, a / x))
-    if x < b:
-        braces.append((c3, (b - x) ** (alpha + 1.0), (b * x) ** (alpha - 1.0), b, x / b))
+    # (moment, scale, span, den_base, r) per brace, left first
+    braces = (
+        (c2, (x - a) ** (alpha + 1.0), (a * x) ** (alpha - 1.0), x, a / x),
+        (c3, (b - x) ** (alpha + 1.0), (b * x) ** (alpha - 1.0), b, x / b),
+    )
     moments = {}
     terms = []
     for row in rows:
         term = [c1_value**row.c1_power]
         for moment, scale, span, base, r in braces:
+            if scale == 0.0:
+                term += (0.0, 0.0)
+                continue
             den = base * base if row.den_exp is None else base**row.den_exp
             key = moment, row.kq
             if key not in moments:
@@ -332,16 +333,26 @@ def _point(a: float, b: float, x: float, lam: float, alpha: float, rows: tuple[_
             term += (scale / (span * den), moments[key])
         term.append(row.far_is_b)
         terms.append(tuple(term))
-    return _Point(x > a, x < b, terms)
+    return terms
 
 
-def _sups(f: ScalarFunction, a: float, b: float, x: float) -> tuple[float, float | None]:
-    """The sup factors at x: max(|f'(x)|, |f'(a)|), and max(|f'(x)|, |f'(b)|) where the right brace exists (x < b)."""
-    dfx = abs(f.df(x))
-    return max(dfx, abs(f.df(a))), (max(dfx, abs(f.df(b))) if x < b else None)
+def _sups(f: ScalarFunction, a: float, b: float, x: float) -> tuple[float, float]:
+    """The sup factors at x: max(|f'(x)|, |f'(a)|) and max(|f'(x)|, |f'(b)|).
+
+    A derivative value that is not finite raises ValueError: an infinite sup
+    makes a bound vacuous, and times the 0.0 weight of an empty brace it
+    gives NaN.
+    """
+    dfx, dfa, dfb = abs(f.df(x)), abs(f.df(a)), abs(f.df(b))
+    if not (math.isfinite(dfx) and math.isfinite(dfa) and math.isfinite(dfb)):
+        raise ValueError(
+            f"bound of {f.label} at a={a}, b={b}, x={x} needs finite derivatives, "
+            f"got |f'(x)|={dfx}, |f'(a)|={dfa}, |f'(b)|={dfb}"
+        )
+    return max(dfx, dfa), max(dfx, dfb)
 
 
-def _bound_values(point: _Point, sup_a: float, sup_b: float | None) -> list[float]:
+def _bound_values(terms: list, sup_a: float, sup_b: float) -> list[float]:
     """The function step: each row's bound at the point, in row order, from the sups of one f.
 
     A row's bound is c1^power times the sum, left brace first, of each brace's
@@ -350,16 +361,15 @@ def _bound_values(point: _Point, sup_a: float, sup_b: float | None) -> list[floa
     order is that of `total = 0.0; total += (g * sup) * m` per brace, then
     `c1^power * total`, which this drops the 0.0 from: 0.0 + t is t for every
     t but -0.0, and a term is a positive weight factor times a magnitude times
-    a positive moment.
+    a positive moment.  An empty brace (x = a on the left, x = b on the right)
+    has weight factor and moment 0.0, and the sups are finite (`_sups`), so its
+    term is an exact +0.0: 0.0 + t == t and t + 0.0 == t for every t >= +0.0,
+    and the bound is the other brace's term times c1^power.
     """
-    if point.left and point.right:
-        return [
-            p * (g_l * sup_a * m_l + g_r * (sup_b if far_is_b else sup_a) * m_r)
-            for p, g_l, m_l, g_r, m_r, far_is_b in point.terms
-        ]
-    if point.left:
-        return [p * (g * sup_a * m) for p, g, m, _ in point.terms]
-    return [p * (g * (sup_b if far_is_b else sup_a) * m) for p, g, m, far_is_b in point.terms]
+    return [
+        p * (g_l * sup_a * m_l + g_r * (sup_b if far_is_b else sup_a) * m_r)
+        for p, g_l, m_l, g_r, m_r, far_is_b in terms
+    ]
 
 
 def bound(

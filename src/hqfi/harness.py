@@ -23,22 +23,24 @@ It runs in stages, and computes each piece of work once where it varies:
   per identity record      (_identity_stage) the record
   per (interval, x)        (_bound_stage, after the identity stage of every
                            function of the interval) the f-free factors of
-                           each (lam, alpha) point, `bounds._point`, once
-                           for every function that passed the gate; per
-                           such function, its sups at x (`bounds._sups`)
+                           each (lam, alpha) point, two braces per row
+                           (`bounds._point`), once for every function that
+                           passed the gate; per such function, its sups at
+                           x (`bounds._sups`)
   per identity record      (_bound_stage) the function step
                            `bounds._bound_values`, which gives every row at
                            that point, kept as one group: the record, its
                            |lhs| and the values in row order
   once per run             (_summary) the violations and the summary block,
-                           in one pass over the groups
+                           in one pass over the groups, per variant of the
+                           rows
 
 The lhs, the rhs and the bounds go through the helpers `bounds.identity_lhs`,
 `bounds.identity_rhs` and `bounds.bound` are built from, in the same
 floating-point order, so each record holds the same bits those public
 functions give at its point.  A kernel moment is computed once per point
-that needs it, and only the memos in `kernels` (per lam-free part) outlive
-a run.
+whose brace is not empty, and only the memos in `kernels` (per lam-free
+part) outlive a run.
 
 `run_constants` puts the closed-form kernel moments next to their quadrature
 oracles; `run_checkfn` exposes the convexity checkers over corpus names or
@@ -490,20 +492,18 @@ def _x_points(cfg: SweepConfig, a: float, b: float) -> tuple[float, ...]:
 
 
 # What every (function, interval) of one run shares, worked out once from the config; c1 maps (alpha, lam) to c1
-_Plan = namedtuple("_Plan", "cfg fns variants quad_args id_tol slack_tol rows c1")
+_Plan = namedtuple("_Plan", "cfg fns quad_args id_tol slack_tol rows c1")
 
 
 def _setup(cfg: SweepConfig) -> _Plan:
     """Select the functions and fix the tolerances, the bound rows and the c1 values of the run."""
-    variants = variants_for(cfg.variant)
     return _Plan(
         cfg=cfg,
         fns=_select_functions(cfg),
-        variants=variants,
         quad_args={"abs_tol": cfg.tol_quad_abs * cfg.tol_scale, "rel_tol": cfg.tol_quad_rel * cfg.tol_scale},
         id_tol=cfg.tol_identity * cfg.tol_scale,
         slack_tol=cfg.tol_slack * cfg.tol_scale,
-        rows=_rows(cfg.qs, variants),
+        rows=_rows(cfg.qs, variants_for(cfg.variant)),
         c1={(alpha, lam): c1(alpha, lam) for alpha, lam in itertools.product(cfg.alphas, cfg.lambdas)},
     )
 
@@ -567,15 +567,16 @@ def _bound_stage(plan: _Plan, a: float, b: float, xs: tuple[float, ...], gated: 
     return [group for groups in by_function for group in groups]
 
 
-def _summary(
-    variants: tuple[Variant, ...], records: _BoundRecords, identity_records: list, bound_skips: int
-) -> tuple[list[int], dict]:
-    """The violations (indices of the records that do not hold) and the summary block, in one pass over the groups."""
+def _summary(records: _BoundRecords, identity_records: list, bound_skips: int) -> tuple[list[int], dict]:
+    """The violations (indices of the records that do not hold) and the summary block, in one pass over the groups.
+
+    The variants are those of the rows, in order of first appearance, which is the sweep's variant order.
+    """
     names = [row.variant for row in records._rows]
     floor = -records._slack_tol
     violations = []
-    by_variant = {v.value: 0 for v in variants}
-    min_slack: dict[str, float | None] = {v.value: None for v in variants}
+    by_variant = dict.fromkeys(names, 0)
+    min_slack: dict[str, float | None] = dict.fromkeys(names)
     index = 0
     for _, lhs_abs, values in records._groups:
         for name, value in zip(names, values):
@@ -628,7 +629,7 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
                 gated.append((f, identity))
         groups += _bound_stage(plan, a, b, xs, gated)
     records = _BoundRecords(plan.rows, groups, plan.slack_tol)
-    violations, summary = _summary(plan.variants, records, identity_records, bound_skips)
+    violations, summary = _summary(records, identity_records, bound_skips)
     return CampaignReport(
         version=TOOL_VERSION,
         generated_at=_utc_isoformat(time.time_ns()),

@@ -56,8 +56,6 @@ def _check_args(alpha: float, lam: float, q: float, r: float) -> None:
 def c1(alpha: float, lam: float) -> float:
     """int_0^1 |t^alpha - lam| dt."""
     _check_args(alpha, lam, 1.0, 1.0)
-    if lam == 0.0:
-        return 1.0 / (alpha + 1.0)
     return (2.0 * alpha * lam ** (1.0 + 1.0 / alpha) + 1.0) / (alpha + 1.0) - lam
 
 
@@ -240,7 +238,7 @@ def _s_edges(alpha: float, lam: float, cuts: tuple[float, ...] = ()) -> tuple[in
     through the cuts and the kink t = lam^(1/alpha), each moved to s = t^(1/k).
     """
     k = math.ceil(1.0 / max(alpha, 1.0 / _MAX_POWER))
-    if not (k * alpha).is_integer():
+    if not float(k * alpha).is_integer():
         k = min(max(k, math.ceil((_SMOOTH_ORDER + 1.0) / (alpha + 1.0))), _MAX_POWER)
     # t in (0, 1) maps into (0, 1]; a cut that rounds onto s = 1 is no cut
     inner = sorted({t ** (1.0 / k) for t in (*cuts, lam ** (1.0 / alpha)) if 0.0 < t < 1.0} - {1.0})

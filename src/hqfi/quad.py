@@ -203,9 +203,6 @@ def integrate(
     res, err = gk15(f, lo, hi)
     if not (math.isfinite(res) and math.isfinite(err)):
         raise _nonfinite(lo, hi, lo, hi, res, err)
-    if err <= max(abs_tol, rel_tol * abs(res)):
-        # what the loop below returns when it runs zero times: fsum([res]) == res + 0.0
-        return res + 0.0
     # heap entries: (-err, tiebreak, lo, hi, depth, result, err)
     heap = [(-err, 0, lo, hi, 0, res, err)]
     seq = 1
@@ -268,7 +265,7 @@ def integrate_singular(
     For exponent g < 1 the weight is removed exactly: with u = (t - lo)^g the
     lower-weighted integral becomes (1/g) * int_0^{(hi-lo)^g} f(lo + u^(1/g)) du,
     and mirrored for the upper side.  f itself must stay finite on the closed
-    interval; g == 1 reduces to the plain rule.
+    interval; g >= 1 samples the weight directly.
 
     Interior `cuts` (points where f is not smooth) split the interval, and the
     pieces are summed left to right.  Only the piece that touches the weight's
@@ -293,10 +290,8 @@ def integrate_singular(
             else:
                 total += integrate(lambda t: w(t) * f(t), plo, phi, abs_tol=abs_tol, rel_tol=rel_tol)
         return total
-    if g == 1.0:
-        return integrate(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol)
-    if g > 1.0:
-        # weight is continuous (0 at the endpoint); sample it directly
+    if g >= 1.0:
+        # the weight is continuous (1 at g = 1, else 0 at the endpoint); sample it directly
         return integrate(lambda t: w(t) * f(t), lo, hi, abs_tol=abs_tol, rel_tol=rel_tol)
     span_g = (hi - lo) ** g
     inv_g = 1.0 / g

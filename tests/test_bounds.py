@@ -512,6 +512,28 @@ def test_ostrowski_homogeneous_in_m_and_matches_transcription():
             assert got == pytest.approx(M * pre * braces, rel=1e-12)
 
 
+# f' is +inf at a, or NaN from the interior point 1.5 on (so at x = a it is f'(b) that is NaN)
+_NOT_FINITE = {
+    "inf_at_a": lambda u: math.inf if u == 1.0 else 2.0 * u,
+    "nan_inside": lambda u: math.nan if u >= 1.5 else 2.0 * u,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_FINITE))
+@pytest.mark.parametrize("x", [1.0, 1.5, 2.0])
+def test_bound_refuses_a_derivative_that_is_not_finite(kind, x):
+    # an infinite sup makes a bound vacuous (inf), and a NaN one, or an infinite one times the
+    # 0.0 weight of an empty brace, makes it NaN, which would read as a violation
+    f = ScalarFunction(kind, IntervalDomain(1.0, 2.0), lambda u: u * u, _NOT_FINITE[kind])
+    p = ParamPoint(1.0, 2.0, x, 0.5, 1.5, 2.0)
+    message = f"bound of {kind} at a=1.0, b=2.0, x={x} needs finite derivatives"
+    for theorem in Theorem:
+        with pytest.raises(ValueError, match=message):
+            bound(f, p, theorem)
+        with pytest.raises(ValueError, match=message):
+            evaluate_bound(f, p, theorem, Variant.AS_STATED)
+
+
 # --- property sweeps ---
 
 

@@ -77,6 +77,15 @@ def test_c2_c3_bits(lam, r, c2_bits, c3_bits):
     assert (c2(1.5, lam, 2.0, r).hex(), c3(1.5, lam, 2.0, r).hex()) == (c2_bits, c3_bits)
 
 
+@pytest.mark.parametrize(
+    "alpha, bits", [(0.05, "0x1.e79e79e79e79ep-1"), (1.0, "0x1.0000000000000p-1"), (10.0, "0x1.745d1745d1746p-4")]
+)
+def test_c1_bits_at_lam_zero(alpha, bits):
+    # the general form at lam = 0, (2 alpha 0.0 + 1)/(alpha + 1) - 0.0, is 1/(alpha + 1) bit for bit
+    assert c1(alpha, 0.0).hex() == bits
+    assert c1(alpha, 0.0) == 1.0 / (alpha + 1.0)
+
+
 def test_integrate_singular_bits_lower_weight():
     assert integrate_singular(math.exp, 0.3, "lower", 1.0, 3.0).hex() == "0x1.550c1a7dfc67bp+4"
 
@@ -90,6 +99,15 @@ def test_integrate_singular_bits_where_the_scaled_absolute_tolerance_decides():
 def test_integrate_singular_bits_upper_weight_with_a_cut():
     got = integrate_singular(lambda t: abs(t - 1.2), 0.7, "upper", 0.5, 2.0, cuts=(1.2,))
     assert got.hex() == "0x1.9bb2dfdb2eee7p-1"
+
+
+def test_integrate_singular_bits_at_a_unit_exponent():
+    # g = 1 samples the weight (t - lo)^0.0 == 1.0, so the result is the plain rule's
+    got = integrate_singular(math.exp, 1.0, "lower", 1.0, 3.0)
+    assert got.hex() == "0x1.15e046e0d2619p+4"
+    assert got == integrate(math.exp, 1.0, 3.0)
+    got = integrate_singular(lambda t: abs(t - 1.2), 1.0, "upper", 0.5, 2.0, cuts=(1.2,))
+    assert got.hex() == "0x1.2147ae147ae15p-1"
 
 
 def test_integrate_bits_through_the_heap_loop(monkeypatch):

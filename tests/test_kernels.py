@@ -279,6 +279,16 @@ def test_integrate_kinked_keeps_k_where_k_alpha_is_an_integer(alpha):
         assert integrate_kinked(f, alpha, lam, **_TOL) == expected, lam
 
 
+def test_integer_arguments_give_the_values_of_float_ones():
+    # int.is_integer exists only from Python 3.12 on: k * alpha must be a float before the test
+    f = lambda t: abs(t - 0.3) / (0.3 * t + 0.7) ** 3
+    square = {g.label: g for g in corpus()}["square"]
+    assert kernel_oracle(1, 0, 1, 1, 1) == kernel_oracle(1.0, 0.0, 1.0, 1.0, 1.0)
+    assert integrate_kinked(f, 1, 0) == integrate_kinked(f, 1.0, 0.0)
+    assert run_constants(1, 0, 1, 1)["results"] == run_constants(1.0, 0.0, 1.0, 1.0)["results"]
+    assert identity_rhs(square, ParamPoint(1, 2, 1.5, 0, 1)) == identity_rhs(square, ParamPoint(1.0, 2.0, 1.5, 0.0, 1.0))
+
+
 _PLATEAU = {g.label: g for g in corpus()}["piecewise_plateau"]
 _POINT = ParamPoint(0.1, 4.0, 2.0, 1.0 / 3.0, 0.5)
 _TOLERANCE_FORWARDERS = {
