@@ -30,7 +30,7 @@ _VARIANT_FLAG = {"corrected": "symmetric_corrected", "verbatim": "as_stated", "b
 # verify flags whose argparse dest is the SweepConfig key they override
 _SAME_NAME_FLAGS = (
     "x_mode", "x_count", "x_values", "lambdas", "alphas", "qs", "seed",
-    "tol_identity", "tol_slack", "tol_quad_abs", "tol_quad_rel", "checker_n",
+    "tol_identity", "tol_slack", "checker_n",
 )
 
 
@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, help="checker sampling seed")
     verify.add_argument("--tol-identity", type=float)
     verify.add_argument("--tol-slack", type=float)
-    verify.add_argument("--tol-quad-abs", type=float)
-    verify.add_argument("--tol-quad-rel", type=float)
     verify.add_argument("--checker-n", type=int)
 
     constants = sub.add_parser("constants", help="closed-form kernel moments vs quadrature oracles")

@@ -5,14 +5,18 @@ per (function, a, b, x, lam, alpha) and every applicable bound per q, theorem
 and variant on top of it.  Bound families are only asserted where their
 hypothesis holds: |f'|^q must be harmonically quasi-convex on [a, b].  For
 q >= 1 that is the same property as for |f'| (same sublevel sets), so |f'| is
-checked once per (function, interval); a failing pair contributes identity
-records only, and summary.bound_skips counts its (x, lam, alpha, q) points.
+checked once per (function, interval), by `_gate`, the run's only hypothesis
+check: the corpus `quasi` flags are not re-proven per run (`validate_corpus`
+proves them in the tests), and the run reads none of them.  A failing pair
+contributes identity records only, and summary.bound_skips counts its
+(x, lam, alpha, q) points.
 
 It runs in stages, and computes each piece of work once where it varies:
 
-  once per run             (_setup) the functions, the tolerances, every
-                           (q, theorem, variant) bound row in record order,
-                           and c1(alpha, lam) per (alpha, lam)
+  once per run             (_setup) the functions, the tolerances scaled by
+                           tol_scale, every (q, theorem, variant) bound row
+                           in record order, and c1(alpha, lam) per
+                           (alpha, lam)
   per (function, interval) (_gate) the hypothesis verdict
   per x                    (_identity_stage) one `bounds._identity_values`
                            call: the rhs integrals Q of each brace (free of
@@ -88,7 +92,6 @@ from .harmonic import (
     check_harmonically_convex,
     check_harmonically_quasiconvex,
     corpus,
-    validate_corpus,
 )
 from .kernels import _check_args, c1, c2, c3, kernel_oracle
 from .quad import _ABS_TOL, _REL_TOL
@@ -103,7 +106,10 @@ __all__ = [
     "run_checkfn",
 ]
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
+
+# the keywords and base values of the sweep's quadrature tolerances, which the run scales by tol_scale
+_QUAD_TOLS = {"abs_tol": _ABS_TOL, "rel_tol": _REL_TOL}
 
 _X_MODES = ("h_point", "grid", "explicit")
 _VARIANT_SELECTORS = ("as_stated", "symmetric_corrected", "both")
@@ -305,13 +311,14 @@ class SweepConfig(_Record):
     `x_mode` picks evaluation points per interval: the harmonic mean
     ("h_point"), an inclusive equispaced grid of x_count points ("grid"),
     or the literal x_values ("explicit", each value must lie inside every
-    swept interval).  tol_scale multiplies every tolerance in the config;
-    the CLI wires HQFI_TOL_SCALE into it.
+    swept interval).  tol_scale multiplies tol_identity, tol_slack and the
+    quadrature's own tolerances (`quad._ABS_TOL`, `quad._REL_TOL`); the CLI
+    wires HQFI_TOL_SCALE into it.
     """
 
     __slots__ = _fields = (
         "intervals", "x_mode", "x_count", "x_values", "lambdas", "alphas", "qs", "functions",
-        "variant", "seed", "tol_identity", "tol_slack", "tol_quad_abs", "tol_quad_rel", "checker_n", "tol_scale",
+        "variant", "seed", "tol_identity", "tol_slack", "checker_n", "tol_scale",
     )
 
     def __init__(
@@ -328,14 +335,12 @@ class SweepConfig(_Record):
         seed: int = 0,
         tol_identity: float = 1e-8,
         tol_slack: float = _SLACK_TOL,
-        tol_quad_abs: float = _ABS_TOL,
-        tol_quad_rel: float = _REL_TOL,
         checker_n: int = 15,
         tol_scale: float = 1.0,
     ) -> None:
         self._init(
             intervals, x_mode, x_count, x_values, lambdas, alphas, qs, functions,
-            variant, seed, tol_identity, tol_slack, tol_quad_abs, tol_quad_rel, checker_n, tol_scale,
+            variant, seed, tol_identity, tol_slack, checker_n, tol_scale,
         )
         # a JSON config can hold any type: one that does not convert is a bad value too
         for name, convert in _CONVERT.items():
@@ -366,13 +371,14 @@ class SweepConfig(_Record):
             raise ValueError("functions selection is empty; use \"all\" or a list of labels")
         if self.variant not in _VARIANT_SELECTORS:
             raise ValueError(f"variant must be one of {_VARIANT_SELECTORS}, got {self.variant!r}")
-        for name in ("tol_identity", "tol_slack", "tol_quad_abs", "tol_quad_rel", "tol_scale"):
+        for name in ("tol_identity", "tol_slack", "tol_scale"):
             v = getattr(self, name)
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be a positive real, got {v!r}")
-        # the run uses each tolerance times tol_scale: inf would pass every check, 0 none
-        for name in ("tol_identity", "tol_slack", "tol_quad_abs", "tol_quad_rel"):
-            scaled = getattr(self, name) * self.tol_scale
+        # the run uses each tolerance times tol_scale, the quadrature's too: inf would pass every check, 0 none
+        quad = ((f"quadrature {key}", tol) for key, tol in _QUAD_TOLS.items())
+        for name, tol in (("tol_identity", self.tol_identity), ("tol_slack", self.tol_slack), *quad):
+            scaled = tol * self.tol_scale
             if not (math.isfinite(scaled) and scaled > 0.0):
                 raise ValueError(f"{name} * tol_scale must be a positive finite real, got {scaled!r}")
         if self.checker_n < 2:
@@ -469,7 +475,7 @@ def _csv_text(v) -> str:
 
 
 def _select_functions(cfg: SweepConfig) -> list[ScalarFunction]:
-    fns = validate_corpus()
+    fns = corpus()
     if cfg.functions == "all":
         return fns
     by_label = {f.label: f for f in fns}
@@ -496,11 +502,17 @@ _Plan = namedtuple("_Plan", "cfg fns quad_args id_tol slack_tol rows c1")
 
 
 def _setup(cfg: SweepConfig) -> _Plan:
-    """Select the functions and fix the tolerances, the bound rows and the c1 values of the run."""
+    """Select the functions and fix the tolerances, the bound rows and the c1 values of the run.
+
+    The functions are the selected `corpus()` entries as they stand; `_gate`
+    checks the hypothesis per interval.  The identity, slack and quadrature
+    tolerances are tol_identity, tol_slack and `_QUAD_TOLS`, each times
+    tol_scale.
+    """
     return _Plan(
         cfg=cfg,
         fns=_select_functions(cfg),
-        quad_args={"abs_tol": cfg.tol_quad_abs * cfg.tol_scale, "rel_tol": cfg.tol_quad_rel * cfg.tol_scale},
+        quad_args={key: tol * cfg.tol_scale for key, tol in _QUAD_TOLS.items()},
         id_tol=cfg.tol_identity * cfg.tol_scale,
         slack_tol=cfg.tol_slack * cfg.tol_scale,
         rows=_rows(cfg.qs, variants_for(cfg.variant)),
