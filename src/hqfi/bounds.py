@@ -50,6 +50,12 @@ function, with rows built once per run (`_rows`), so each record holds the
 bits `bound` gives at its point.  No memo keeps a moment beyond its point:
 `kernels.c2` and `kernels.c3` memoize their own lam-free parts per
 (alpha, kq, r), so a sweep over lam computes each part's 2F1 values once.
+
+A bound holds when its slack, bound - |lhs|, is at least -tol.  That rule
+lives in one function, `_verdicts`, which takes the bound values of a group
+that shares one |lhs| and gives their slacks and verdicts: `evaluate_bound`
+calls it with one value at _SLACK_TOL, and the harness once per group of a
+sweep at the run's scaled tol_slack.
 """
 from __future__ import annotations
 
@@ -393,17 +399,24 @@ def bound(
     return _bound_values(_point(p.a, p.b, p.x, p.lam, p.alpha, (row,), c1_value), sup_a, sup_b)[0]
 
 
+def _verdicts(values: list[float], lhs_abs: float, tol: float) -> tuple[list[float], list[bool]]:
+    """The slacks value - lhs_abs and the verdicts slack >= -tol of bound values sharing one |lhs|, in order."""
+    slacks = [value - lhs_abs for value in values]
+    floor = -tol
+    return slacks, [slack >= floor for slack in slacks]
+
+
 def evaluate_bound(
     f: ScalarFunction,
     p: ParamPoint,
     theorem: Theorem,
     variant: Variant = Variant.SYMMETRIC_CORRECTED,
 ) -> BoundReport:
-    """|identity_lhs| against the requested bound; holds when slack >= -_SLACK_TOL (1e-9)."""
+    """|identity_lhs| against the requested bound, decided by `_verdicts` at _SLACK_TOL (1e-9)."""
     lhs_abs = abs(identity_lhs(f, p))
     value = bound(f, p, theorem, variant)
-    slack = value - lhs_abs
-    return BoundReport(theorem, variant, lhs_abs, value, slack, slack >= -_SLACK_TOL)
+    (slack,), (holds,) = _verdicts([value], lhs_abs, _SLACK_TOL)
+    return BoundReport(theorem, variant, lhs_abs, value, slack, holds)
 
 
 def specialize(kind: str, base: ParamPoint) -> ParamPoint:

@@ -55,7 +55,11 @@ UTC time from `time.time_ns`, in the `datetime.isoformat` shape (`_utc_isoformat
 
 The bound records of `run_verify` are a sized iterable over those groups
 (`_BoundRecords`), which builds each record dict as iteration reaches it;
-`CampaignReport.to_payload` gives them as a list.
+`CampaignReport.to_payload` gives them as a list.  A record's verdict,
+slack = bound - |lhs| and holds = slack >= -tol_slack*tol_scale, is decided
+in one place, `bounds._verdicts`, which `_BoundRecords.groups` calls once
+per group; the record dicts, the JSON writer and `_summary` (so the
+violations, the summary and the CLI's exit code) all read that iterator.
 
 `CampaignReport.to_json` writes the exact bytes of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every report: it
@@ -83,7 +87,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 
-from .bounds import _SLACK_TOL, Variant, _bound_values, _identity_values, _point, _rows, _sups
+from .bounds import _SLACK_TOL, Variant, _bound_values, _identity_values, _point, _rows, _sups, _verdicts
 from .harmonic import (
     IntervalDomain,
     ScalarFunction,
@@ -189,25 +193,31 @@ class _BoundRecords:
 
     A group is (identity record, |lhs|, the bound values
     `bounds._bound_values` gives at that point, in row order), and every
-    group has one value per row.  The view has `len` and iteration, which
-    yields a fresh dict per record, with slack = bound - lhs_abs and
-    holds = slack >= -slack_tol; `CampaignReport.to_payload` gives the
-    records as a list.  Only `json_chunks` writes its text.
+    group has one value per row.  `groups` is the one place a group's slacks
+    and verdicts are made, by `bounds._verdicts` at the run's slack
+    tolerance; iteration, `json_chunks` and `_summary` all read them there.
+    The view has `len` and iteration, which yields a fresh dict per record;
+    `CampaignReport.to_payload` gives the records as a list.  Only
+    `json_chunks` writes its text.
     """
 
-    __slots__ = ("_rows", "_groups", "_slack_tol")
+    __slots__ = ("rows", "_groups", "_slack_tol")
 
     def __init__(self, rows: tuple, groups: list, slack_tol: float) -> None:
-        self._rows, self._groups, self._slack_tol = rows, groups, slack_tol
+        self.rows, self._groups, self._slack_tol = rows, groups, slack_tol
 
     def __len__(self) -> int:
-        return len(self._groups) * len(self._rows)
+        return len(self._groups) * len(self.rows)
+
+    def groups(self) -> Iterator[tuple]:
+        """Each group in record order as (identity record, |lhs|, values, slacks, holds), one entry per row."""
+        tol = self._slack_tol
+        for ident, lhs_abs, values in self._groups:
+            yield (ident, lhs_abs, values, *_verdicts(values, lhs_abs, tol))
 
     def __iter__(self) -> Iterator[dict]:
-        floor = -self._slack_tol
-        for ident, lhs_abs, values in self._groups:
-            for row, value in zip(self._rows, values):
-                slack = value - lhs_abs
+        for ident, lhs_abs, values, slacks, holds in self.groups():
+            for row, value, slack, ok in zip(self.rows, values, slacks, holds):
                 yield {
                     "function": ident["function"],
                     "a": ident["a"],
@@ -221,7 +231,7 @@ class _BoundRecords:
                     "lhs_abs": lhs_abs,
                     "bound": value,
                     "slack": slack,
-                    "holds": slack >= floor,
+                    "holds": ok,
                     "identity_residual": ident["residual_scaled"],
                 }
 
@@ -242,11 +252,10 @@ class _BoundRecords:
                 f'{_scalar_text(row.q)},\n      "slack": ',
                 f',\n      "theorem": {_scalar_text(row.theorem)},\n      "variant": {_scalar_text(row.variant)}',
             )
-            for row in self._rows
+            for row in self.rows
         ]
-        floor = -self._slack_tol
         sep = "["
-        for ident, lhs_abs, values in self._groups:
+        for ident, lhs_abs, values, slacks, holds in self.groups():
             a, alpha, b, function, residual, lam, x = (
                 _scalar_text(ident[key]) for key in ("a", "alpha", "b", "function", "residual_scaled", "lam", "x")
             )
@@ -254,13 +263,12 @@ class _BoundRecords:
             mid = f',\n      "function": {function},\n      "holds": '
             tail = f',\n      "identity_residual": {residual},\n      "lam": {lam},\n      "lhs_abs": {_scalar_text(lhs_abs)},\n      "q": '
             end = f',\n      "x": {x}\n    }}'
-            slacks = [value - lhs_abs for value in values]
             # a finite sum means every slack, and so every value, is finite
             text = float.__repr__ if math.isfinite(sum(slacks)) else _scalar_text
             parts = []
-            for (q_slack, theorem_variant), value, slack in zip(rows, values, slacks):
-                holds = "true" if slack >= floor else "false"
-                parts.append(f"{sep}{head}{text(value)}{mid}{holds}{tail}{q_slack}{text(slack)}{theorem_variant}{end}")
+            for (q_slack, theorem_variant), value, slack, ok in zip(rows, values, slacks, holds):
+                flag = "true" if ok else "false"
+                parts.append(f"{sep}{head}{text(value)}{mid}{flag}{tail}{q_slack}{text(slack)}{theorem_variant}{end}")
                 sep = ","
             yield "".join(parts)
         yield "\n  ]"
@@ -582,18 +590,17 @@ def _bound_stage(plan: _Plan, a: float, b: float, xs: tuple[float, ...], gated: 
 def _summary(records: _BoundRecords, identity_records: list, bound_skips: int) -> tuple[list[int], dict]:
     """The violations (indices of the records that do not hold) and the summary block, in one pass over the groups.
 
-    The variants are those of the rows, in order of first appearance, which is the sweep's variant order.
+    The slacks and verdicts are those of `_BoundRecords.groups`.  The variants are those of the rows, in order
+    of first appearance, which is the sweep's variant order.
     """
-    names = [row.variant for row in records._rows]
-    floor = -records._slack_tol
+    names = [row.variant for row in records.rows]
     violations = []
     by_variant = dict.fromkeys(names, 0)
     min_slack: dict[str, float | None] = dict.fromkeys(names)
     index = 0
-    for _, lhs_abs, values in records._groups:
-        for name, value in zip(names, values):
-            slack = value - lhs_abs
-            if not slack >= floor:
+    for _, _, _, slacks, holds in records.groups():
+        for name, slack, ok in zip(names, slacks, holds):
+            if not ok:
                 violations.append(index)
                 by_variant[name] += 1
             cur = min_slack[name]

@@ -262,15 +262,14 @@ def integrate_singular(
     """Integrate f(t) * w(t) over [lo, hi] with the endpoint weight
     w(t) = (t - lo)^(exponent-1) (side 'lower') or (hi - t)^(exponent-1) (side 'upper').
 
-    For exponent g < 1 the weight is removed exactly: with u = (t - lo)^g the
-    lower-weighted integral becomes (1/g) * int_0^{(hi-lo)^g} f(lo + u^(1/g)) du,
-    and mirrored for the upper side.  f itself must stay finite on the closed
-    interval; g >= 1 samples the weight directly.
-
     Interior `cuts` (points where f is not smooth) split the interval, and the
-    pieces are summed left to right.  Only the piece that touches the weight's
-    singular end needs the substitution; the others sample w directly, since it
-    is bounded away from that end.
+    pieces, [lo, *cuts, hi], are integrated in one loop and summed left to
+    right.  Where the weight is bounded, for exponent g >= 1 or on a piece away
+    from the singular end, the piece samples w * f.  For g < 1 the piece that
+    touches the singular end removes the weight exactly: with u = (t - lo)^g
+    the lower-weighted integral over [lo, c] becomes
+    (1/g) * int_0^{(c-lo)^g} f(lo + u^(1/g)) du, and mirrored for the upper
+    side.  f itself must stay finite on the closed interval.
     """
     _check(lo, hi, abs_tol, rel_tol)
     if not (math.isfinite(exponent) and exponent > 0.0):
@@ -280,23 +279,16 @@ def integrate_singular(
     g = exponent
     lower = side == "lower"
     w = (lambda t: (t - lo) ** (g - 1.0)) if lower else (lambda t: (hi - t) ** (g - 1.0))
-    interior = sorted({c for c in cuts if lo < c < hi})
-    if interior:
-        edges = [lo, *interior, hi]
-        total = 0.0
-        for plo, phi in zip(edges, edges[1:]):
-            if (plo == lo) if lower else (phi == hi):
-                total += integrate_singular(f, g, side, plo, phi, abs_tol=abs_tol, rel_tol=rel_tol)
-            else:
-                total += integrate(lambda t: w(t) * f(t), plo, phi, abs_tol=abs_tol, rel_tol=rel_tol)
-        return total
-    if g >= 1.0:
-        # the weight is continuous (1 at g = 1, else 0 at the endpoint); sample it directly
-        return integrate(lambda t: w(t) * f(t), lo, hi, abs_tol=abs_tol, rel_tol=rel_tol)
-    span_g = (hi - lo) ** g
     inv_g = 1.0 / g
-    if lower:
-        sub = lambda u: f(min(lo + u**inv_g, hi))
-    else:
-        sub = lambda u: f(max(hi - u**inv_g, lo))
-    return integrate(sub, 0.0, span_g, abs_tol=abs_tol * g, rel_tol=rel_tol) / g
+    edges = [lo, *sorted({c for c in cuts if lo < c < hi}), hi]
+    total = 0.0
+    for plo, phi in zip(edges, edges[1:]):
+        if g >= 1.0 or ((plo != lo) if lower else (phi != hi)):
+            total += integrate(lambda t: w(t) * f(t), plo, phi, abs_tol=abs_tol, rel_tol=rel_tol)
+            continue
+        if lower:
+            sub = lambda u: f(min(lo + u**inv_g, phi))
+        else:
+            sub = lambda u: f(max(hi - u**inv_g, plo))
+        total += integrate(sub, 0.0, (phi - plo) ** g, abs_tol=abs_tol * g, rel_tol=rel_tol) / g
+    return total

@@ -88,11 +88,48 @@ def test_bounds_reaches_the_kernel_moments_through_public_names():
 
 
 def test_harness_leaves_the_identity_staging_to_bounds():
-    # the lam/alpha staging of both sides and the naming of a failed quadrature stay inside bounds
+    # the lam/alpha staging of both sides, the naming of a failed quadrature and the verdict rule stay inside bounds
     imported = {
         alias.name
         for node in ast.walk(MODULES["harness"])
         if isinstance(node, ast.ImportFrom) and node.module == "bounds"
         for alias in node.names
     }
-    assert imported == {"_SLACK_TOL", "Variant", "_bound_values", "_identity_values", "_point", "_rows", "_sups"}
+    assert imported == {
+        "_SLACK_TOL", "Variant", "_bound_values", "_identity_values", "_point", "_rows", "_sups", "_verdicts"
+    }
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) of every function, methods as Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_the_bound_verdict_rule_lives_in_one_function():
+    # slack = bound - |lhs| and holds = slack >= -tol are written once, in bounds._verdicts
+    subtracts, compares = set(), set()
+    for module, tree in MODULES.items():
+        for name, func in _functions(tree):
+            for node in ast.walk(func):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                    if isinstance(node.right, ast.Name) and node.right.id == "lhs_abs":
+                        subtracts.add(f"{module}.{name}")
+                if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) and node.left.id == "slack":
+                    if any(isinstance(op, ast.GtE) for op in node.ops):
+                        compares.add(f"{module}.{name}")
+    assert subtracts == compares == {"bounds._verdicts"}
+    # the summary reads the view through its public names only
+    summary = dict(_functions(MODULES["harness"]))["_summary"]
+    private = {
+        node.attr
+        for node in ast.walk(summary)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "records"
+        if node.attr.startswith("_")
+    }
+    assert not private, private

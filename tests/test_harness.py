@@ -799,6 +799,53 @@ def test_bound_records_with_non_finite_values_write_what_the_encoder_writes():
     assert "NaN" in rep.to_json() and "-Infinity" in rep.to_json()
 
 
+def test_every_reader_of_a_bound_agrees_at_the_slack_tolerance(monkeypatch):
+    # |lhs| = 1 and tol = 2^-30: a bound of 1 - 2^-30 has slack exactly -tol and holds; the float
+    # below it has slack -(2^-30 + 2^-53) and fails.  Records, JSON, CSV, violations, summary and
+    # evaluate_bound all decide through bounds._verdicts, so they agree at the edge.
+    tol = 2.0**-30
+    at = 1.0 - tol
+    below = math.nextafter(at, 0.0)
+    assert at - 1.0 == -tol and below - 1.0 < -tol
+    rows = bounds._rows((1.0,), variants_for("both"))  # T22 and T23, each as_stated then corrected
+    assert [row.variant for row in rows] == ["as_stated", "symmetric_corrected"] * 2
+    ident = {"function": "f", "a": 1.0, "b": 2.0, "x": 1.5, "lam": 0.5, "alpha": 1.0, "residual_scaled": 0.0}
+    groups = [(ident, 1.0, [at, below, at, at]), (dict(ident, x=2.0), 1.0, [below, at, at, below])]
+    want_holds = [True, False, True, True, False, True, True, False]
+    want_slacks = [value - 1.0 for _, _, values in groups for value in values]
+    view = harness._BoundRecords(rows, groups, tol)
+    violations, summary = harness._summary(view, [], 0)
+    rep = CampaignReport(
+        version="0", generated_at="", config={}, records=view, identity_records=[], violations=violations, summary=summary
+    )
+
+    records = list(view)
+    assert [r["holds"] for r in records] == want_holds
+    assert [r["slack"] for r in records] == want_slacks
+    text = rep.to_json()
+    _assert_reference_json(text, rep.to_payload())
+    parsed = json.loads(text)
+    assert [(r["slack"], r["holds"]) for r in parsed["records"]] == list(zip(want_slacks, want_holds))
+    bound_rows = [row for row in csv.DictReader(rep.to_csv().splitlines()) if row["kind"] == "bound"]
+    assert [(float(r["slack"]), r["holds"]) for r in bound_rows] == [
+        (slack, "true" if ok else "false") for slack, ok in zip(want_slacks, want_holds)
+    ]
+    assert violations == parsed["violations"] == [1, 4, 7]
+    assert summary["violations"] == 3 and summary["cases"] == 8
+    assert summary["violations_by_variant"] == {"as_stated": 1, "symmetric_corrected": 2}
+    assert summary["min_slack_by_variant"] == {"as_stated": below - 1.0, "symmetric_corrected": below - 1.0}
+
+    # evaluate_bound on the same numbers: |lhs| = 1 and the same tolerance
+    monkeypatch.setattr(bounds, "_SLACK_TOL", tol)
+    monkeypatch.setattr(bounds, "identity_lhs", lambda f, p: -1.0)
+    f = corpus()[0]
+    p = ParamPoint(1.0, 2.0, 1.5, 0.5, 1.0)
+    for value, ok in ((at, True), (below, False)):
+        monkeypatch.setattr(bounds, "bound", lambda f, p, theorem, variant, value=value: value)
+        report = bounds.evaluate_bound(f, p, Theorem.T22)
+        assert (report.lhs_abs, report.bound, report.slack, report.holds) == (1.0, value, value - 1.0, ok)
+
+
 @pytest.mark.parametrize("value", [0, -7, 10**30, True, False, None, 2.5, -0.0, math.nan, -math.inf, "\xe9\n\""])
 def test_scalar_text_is_the_encoders_text(value):
     assert harness._scalar_text(value) == json.dumps(value)

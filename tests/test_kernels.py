@@ -346,6 +346,15 @@ def test_float_overflow_in_a_bound_names_the_moment():
         bound(f, ParamPoint(0.01, 1.0, 1.0, 0.0, 1.0, 400.0), Theorem.T22)
 
 
+def test_cli_constants_where_one_minus_r_rounds_to_one_exits_2(capsys):
+    # today's behaviour, pinned until the moments carry r itself (ROADMAP item 16): at r = 1e-17,
+    # z1 = 1 - r rounds to 1.0, which hyp2f1 refuses as outside [0, 1)
+    assert main(["constants", "--alpha", "1", "--lambda", "0.5", "--q", "1", "--r", "1e-17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hyp2f1 defined for z in [0, 1), got z=1.0\n"
+
+
 def test_cli_float_overflow_in_a_moment_exits_3_naming_it(capsys):
     assert main(["constants", "--alpha", "1", "--lambda", "0", "--q", "400", "--r", "0.01", "--which", "c2"]) == 3
     captured = capsys.readouterr()

@@ -278,6 +278,34 @@ def test_identity_rhs_next_to_an_endpoint_against_referee(alpha):
     assert abs(got - ref) <= 1e-15 * (1 + abs(ref))
 
 
+_NEAR_EITHER_END = "rl_left and rl_right integrate over [1/x, 1/a] and [1/b, 1/x], widths from rounded reciprocals"
+
+
+@pytest.mark.parametrize(
+    "x, alpha",
+    [
+        # a(1 + 1e-12) and b(1 - 1e-12); the comments give today's lhs, where the exact value is 0
+        pytest.param(0.3000000000003, 0.05, marks=pytest.mark.xfail(reason=_NEAR_EITHER_END)),  # -9.9e-8
+        pytest.param(0.3000000000003, 0.5, marks=pytest.mark.xfail(reason=_NEAR_EITHER_END)),  # -6.8e-12
+        pytest.param(0.6999999999993, 0.05, marks=pytest.mark.xfail(reason=_NEAR_EITHER_END)),  # -6.5e-7
+        pytest.param(0.6999999999993, 0.5, marks=pytest.mark.xfail(reason=_NEAR_EITHER_END)),  # -3.0e-11
+    ],
+)
+def test_identity_lhs_next_to_either_endpoint_of_the_plateau_against_referee(x, alpha):
+    # piecewise_plateau is the constant 1 on [0.3, 0.7], so Gamma(alpha+1) times each fractional
+    # integral of it is exactly wa or wb, and the identity value at lam = 1/2 is exactly 0
+    f = FNS["piecewise_plateau"]
+    assert [f(u) for u in (0.3, x, 0.7)] == [1.0, 1.0, 1.0]
+    assert abs(identity_lhs(f, ParamPoint(0.3, 0.7, x, 0.5, alpha))) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [0.3000000000003, 0.6999999999993])
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_identity_rhs_next_to_either_endpoint_of_the_plateau_against_referee(x, alpha):
+    # the control: f' is 0 on the plateau, so the kernel-integral form is exactly 0 there
+    assert identity_rhs(FNS["piecewise_plateau"], ParamPoint(0.3, 0.7, x, 0.5, alpha)) == 0.0
+
+
 def _moment_ref(closed, alpha, lam, q, r):
     """c2 (u, v) = (r, 1) or c3 (u, v) = (1, r) at 50 digits, split at the kink and near the heavy end.
 
@@ -307,6 +335,10 @@ _SMALL_R = "z1 = 1 - r, then w = 1 - z1 in hyp2f1: w carries about 1.1e-16 absol
         pytest.param(1.0, 0.5, 1.0, 1e-8, marks=pytest.mark.xfail(reason=_SMALL_R)),  # 5.0e-9, 8.3e-9
         pytest.param(0.5, 1.0 / 3.0, 2.0, 1e-6, marks=pytest.mark.xfail(reason=_SMALL_R)),  # 8.6e-11, 5.0e-11
         pytest.param(0.5, 1.0 / 3.0, 2.0, 1e-8, marks=pytest.mark.xfail(reason=_SMALL_R)),  # 1.5e-8, 1.6e-8
+        pytest.param(1.0, 0.5, 1.0, 1e-10, marks=pytest.mark.xfail(reason=_SMALL_R)),  # 8.3e-8, 8.3e-8
+        pytest.param(1.0, 0.5, 1.0, 1e-12, marks=pytest.mark.xfail(reason=_SMALL_R)),  # 2.2e-5, 8.9e-5
+        pytest.param(0.5, 1.0 / 3.0, 2.0, 1e-10, marks=pytest.mark.xfail(reason=_SMALL_R)),  # 2.5e-7, 4.9e-7
+        pytest.param(0.5, 1.0 / 3.0, 2.0, 1e-12, marks=pytest.mark.xfail(reason=_SMALL_R)),  # 6.6e-5, 8.2e-5
     ],
 )
 def test_moments_at_small_r_against_referee(alpha, lam, q, r):
