@@ -48,8 +48,8 @@ which must be finite) and gives each row's bound.  `bound` runs both
 steps with one row; the sweep builds each point once and applies it to every
 function, with rows built once per run (`_rows`), so each record holds the
 bits `bound` gives at its point.  No memo keeps a moment beyond its point:
-`kernels.c2` and `kernels.c3` memoize their own lam-free parts per
-(alpha, kq, r), so a sweep over lam computes each part's 2F1 values once.
+`kernels` memoizes each 2F1-level value of c2 and c3 by the arguments it
+depends on, so a sweep over lam computes each value once.
 
 A bound holds when its slack, bound - |lhs|, is at least -tol.  That rule
 lives in one function, `_verdicts`, which takes the bound values of a group

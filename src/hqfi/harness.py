@@ -43,8 +43,8 @@ The lhs, the rhs and the bounds go through the helpers `bounds.identity_lhs`,
 `bounds.identity_rhs` and `bounds.bound` are built from, in the same
 floating-point order, so each record holds the same bits those public
 functions give at its point.  A kernel moment is computed once per point
-whose brace is not empty, and only the memos in `kernels` (per lam-free
-part) outlive a run.
+whose brace is not empty, and only the memos in `kernels` (one entry per
+2F1-level value of the moments) outlive a run.
 
 `run_constants` puts the closed-form kernel moments next to their quadrature
 oracles; `run_checkfn` exposes the convexity checkers over corpus names or

@@ -22,11 +22,13 @@ A = 2q and z1 = 1 - r, c2 rests on
 D(z) = 2F1(A, 1; 2; z) - 2F1(A, alpha+1; alpha+2; z)/(alpha+1)
      = (2F1(A-1, alpha; alpha+1; z) - 1) / ((A-1) z),
 summed without the subtraction, and c3 on the elementary
-2F1(A, 1; 2; z) = ((1-z)^(1-A) - 1) / ((A-1) z).  Each moment is a lam-free
-part at (alpha, q, r) (`_c2_part`, `_c3_part`, memoized here per point) and a
-lam step on top of it (`_c2_at`, `_c3_at`); c2 and c3 compose the two and are
-plain functions themselves.  Each public function takes plain floats and
-checks them with `_check_args` (alpha > 0, lam in [0, 1], q >= 1, r in (0, 1]),
+2F1(A, 1; 2; z) = ((1-z)^(1-A) - 1) / ((A-1) z).  Each 2F1-level value
+is memoized by exactly the arguments it depends on: `_g(A, b, alpha, z)`,
+2F1(A, b; alpha+2; z)/(alpha+1), and `_d(A, alpha, z)`.  `_c2_at` and
+`_c3_at` ask only for the values their lam keeps, so at lam = 0 and lam = 1
+each moment needs one memoized value; c2 and c3 call them and are plain
+functions themselves.  Each public function takes plain floats and checks
+them with `_check_args` (alpha > 0, lam in [0, 1], q >= 1, r in (0, 1]),
 the one check that `bounds.ParamPoint` and `harness.run_constants` call too.
 """
 from __future__ import annotations
@@ -69,6 +71,18 @@ def _hyp_a12(a: float, z: float) -> float:
         return math.inf
 
 
+# One entry per distinct argument tuple: the 9-function dense sweep needs 834 over both
+# memos.  The fixed size keeps a long-lived library process from growing without limit.
+_MEMO_SIZE = 2**16
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _g(a: float, b: float, alpha: float, z: float) -> float:
+    """2F1(a, b; alpha+2; z)/(alpha+1): c2's F1 at b = alpha+1, c3's G at b = 1."""
+    return hyp2f1(a, b, alpha + 2.0, z) / (alpha + 1.0)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _d(a: float, alpha: float, z: float) -> float:
     """D(z) = 2F1(a, 1; 2; z) - 2F1(a, alpha+1; alpha+2; z)/(alpha+1) = (2F1(a-1, alpha; alpha+1; z) - 1) / ((a-1) z).
 
@@ -77,27 +91,17 @@ def _d(a: float, alpha: float, z: float) -> float:
     return _hyp2f1_tail(a - 1.0, alpha, alpha + 1.0, z) / (a - 1.0)
 
 
-# One entry per distinct (alpha, q, r): the 9-function dense sweep needs 240 over both
-# memos.  The fixed size keeps a long-lived library process from growing without limit.
-_PART_CACHE_SIZE = 2**16
-
-
-@functools.lru_cache(maxsize=_PART_CACHE_SIZE)
-def _c2_part(alpha: float, q: float, r: float) -> tuple[float, float]:
-    """The lam-free part of c2 at (alpha, q, r): 2F1(2q, alpha+1; alpha+2; z1)/(alpha+1) and D(z1), z1 = 1 - r."""
-    a, z1 = 2.0 * q, 1.0 - r
-    return hyp2f1(a, alpha + 1.0, alpha + 2.0, z1) / (alpha + 1.0), _d(a, alpha, z1)
-
-
 def _c2_at(alpha: float, lam: float, q: float, r: float) -> float:
-    """c2 at one lam on `_c2_part`: (1-lam) F1 - lam D(z1) + 2 lam^(1+1/alpha) D(z2), z2 = lam^(1/alpha) z1."""
-    main, d1 = _c2_part(alpha, q, r)
-    if lam == 0.0:
-        return main
+    """c2 at one lam: F1 alone at lam = 0, D(z1) alone at lam = 1, else all three terms."""
+    a, z1 = 2.0 * q, 1.0 - r
     if lam == 1.0:
-        return d1  # z2 = z1, and -D(z1) + 2 D(z1) = D(z1)
-    d2 = _d(2.0 * q, alpha, lam ** (1.0 / alpha) * (1.0 - r))
-    return (1.0 - lam) * main - lam * d1 + 2.0 * lam ** (1.0 + 1.0 / alpha) * d2
+        return _d(a, alpha, z1)  # z2 = z1, and -D(z1) + 2 D(z1) = D(z1)
+    f1 = _g(a, alpha + 1.0, alpha, z1)
+    if lam == 0.0:
+        return f1
+    d1 = _d(a, alpha, z1)
+    d2 = _d(a, alpha, lam ** (1.0 / alpha) * z1)
+    return (1.0 - lam) * f1 - lam * d1 + 2.0 * lam ** (1.0 + 1.0 / alpha) * d2
 
 
 def c2(alpha: float, lam: float, q: float, r: float) -> float:
@@ -106,34 +110,26 @@ def c2(alpha: float, lam: float, q: float, r: float) -> float:
     With z1 = 1 - r, F1 = 2F1(2q, alpha+1; alpha+2; z1)/(alpha+1) and
     D(z) = (2F1(2q-1, alpha; alpha+1; z) - 1) / ((2q-1) z),
         c2 = (1-lam) F1 - lam D(z1) + 2 lam^(1+1/alpha) D(lam^(1/alpha) z1).
-    F1 and D(z1) do not depend on lam (`_c2_part`); the lam step on top of
-    them (`_c2_at`) needs one more 2F1 value for 0 < lam < 1 and none at
-    lam = 0 or 1.  `_c2_part` is memoized; this function composes the two.
+    At lam = 0 that is F1 alone, and at lam = 1 D(z1) alone; `_c2_at`
+    computes only the terms its lam keeps, each through its memo (`_g`, `_d`).
     """
     _check_args(alpha, lam, q, r)
     return _finite("c2", _c2_at, alpha=alpha, lam=lam, q=q, r=r)
 
 
-@functools.lru_cache(maxsize=_PART_CACHE_SIZE)
-def _c3_part(alpha: float, q: float, r: float) -> tuple[float, float]:
-    """The lam-free part of c3 at (alpha, q, r): 2F1(2q, 1; alpha+2; z1)/(alpha+1) and 2F1(2q, 1; 2; z1), z1 = 1 - r."""
-    a, z1 = 2.0 * q, 1.0 - r
-    return hyp2f1(a, 1.0, alpha + 2.0, z1) / (alpha + 1.0), _hyp_a12(a, z1)
-
-
 def _c3_at(alpha: float, lam: float, q: float, r: float) -> float:
-    """c3 at one lam on `_c3_part`; the interior-lam correction is taken at z3 = m(1-r)/s."""
-    main, e1 = _c3_part(alpha, q, r)
+    """c3 at one lam: G(z1) alone at lam = 0, E(z1) - G(z1) at lam = 1, else the correction at z3 = m(1-r)/s too."""
+    a, z1 = 2.0 * q, 1.0 - r
+    g1 = _g(a, 1.0, alpha, z1)
     if lam == 0.0:
-        return main
+        return g1
     if lam == 1.0:
-        return e1 - main  # m = 1, so s = 1, z3 = z1 and G - E + 2 (E - G) = E - G
-    a = 2.0 * q
+        return _hyp_a12(a, z1) - g1  # m = 1, so s = 1, z3 = z1 and G - E + 2 (E - G) = E - G
     m = lam ** (1.0 / alpha)
-    s = r + m * (1.0 - r)
-    z3 = m * (1.0 - r) / s
-    g3, e3 = hyp2f1(a, 1.0, alpha + 2.0, z3) / (alpha + 1.0), _hyp_a12(a, z3)
-    return main - lam * e1 + 2.0 * lam ** (1.0 + 1.0 / alpha) * s ** (-a) * (e3 - g3)
+    s = r + m * z1
+    z3 = m * z1 / s
+    g3 = _g(a, 1.0, alpha, z3)
+    return g1 - lam * _hyp_a12(a, z1) + 2.0 * lam ** (1.0 + 1.0 / alpha) * s ** (-a) * (_hyp_a12(a, z3) - g3)
 
 
 def c3(alpha: float, lam: float, q: float, r: float) -> float:
@@ -147,9 +143,9 @@ def c3(alpha: float, lam: float, q: float, r: float) -> float:
     correction rescales the denominator to the kink point.  The source text
     prints it without the rescaling; tests/test_kernels.py keeps that form
     (`c3_as_stated`) and shows it diverging from kernel_oracle for
-    0 < lam < 1.  G(z1) and E(z1) do not depend on lam (`_c3_part`); the lam
-    step (`_c3_at`) adds G(z3) and E(z3).  `_c3_part` is memoized; this
-    function composes the two.
+    0 < lam < 1.  At lam = 0 that is G(z1) alone, and at lam = 1
+    E(z1) - G(z1); `_c3_at` computes only the terms its lam keeps, each G
+    through the memo `_g`.
     """
     _check_args(alpha, lam, q, r)
     return _finite("c3", _c3_at, alpha=alpha, lam=lam, q=q, r=r)

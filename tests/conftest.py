@@ -1,9 +1,10 @@
 """Every test starts and ends with the kernel-moment memos empty.
 
-`kernels._c2_part`/`_c3_part` live for the process, so without this a value
-an earlier test cached would answer a later test that patches or refuses a
-2F1 or quadrature route, and whether that route is checked would depend on
-the test order.  The `moment_calls` fixture counts the brace moments the
+`kernels._g` and `kernels._d`, which memoize each 2F1-level value of the
+moments, live for the process, so without this a value an earlier test
+cached would answer a later test that patches or refuses a 2F1 or
+quadrature route, and whether that route is checked would depend on the
+test order.  The `moment_calls` fixture counts the brace moments the
 bound evaluator computes.
 """
 import collections
@@ -12,7 +13,7 @@ import pytest
 
 from hqfi import bounds, kernels
 
-_MEMOS = (kernels._c2_part, kernels._c3_part)
+_MEMOS = (kernels._g, kernels._d)
 
 
 @pytest.fixture(autouse=True)

@@ -4,6 +4,7 @@ The corollary expressions below are written out independently of bounds.py
 (straight from the specialized formulas, using only the kernel moments), so a
 transcription slip in either place breaks the 1e-12 agreement checks.
 """
+import collections
 import inspect
 import itertools
 import math
@@ -285,8 +286,17 @@ def test_every_theorem_variant_row_matches_hand_assembly():
                         )
 
 
-def test_brace_moments_computed_once_per_argument(moment_calls):
-    # the conftest empties the part memos before the test
+def test_brace_moments_computed_once_per_argument(moment_calls, monkeypatch):
+    # the conftest empties the 2F1-value memos before the test; every 2F1 value the
+    # kernels compute goes through one of these two bindings, and is counted per argument tuple
+    computed = collections.Counter()
+    for name in ("hyp2f1", "_hyp2f1_tail"):
+
+        def counted(*args, name=name, inner=getattr(hqfi.kernels, name)):
+            computed[name, *args] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(hqfi.kernels, name, counted)
     cfg = SweepConfig.from_dict(
         {
             "lambdas": [0.0, 0.5, 1.0],
@@ -299,15 +309,15 @@ def test_brace_moments_computed_once_per_argument(moment_calls):
     rep = run_verify(cfg)
     assert len({r["function"] for r in rep.records}) >= 2
     # every function, theorem and variant shares the same braces, yet each distinct
-    # (side, alpha, lam, kq, r) moment is computed, and so runs its lam step, exactly
-    # once, and each distinct (side, alpha, kq, r) misses a part memo exactly once
+    # (side, alpha, lam, kq, r) moment is computed exactly once
     assert moment_calls and set(moment_calls.values()) == {1}, moment_calls
-    parts = [memo.cache_info() for memo in (hqfi.kernels._c2_part, hqfi.kernels._c3_part)]
-    for info in parts:
-        assert info.misses == info.currsize > 0 and info.hits > 0, info
-    # each lam step looks its part up once, and every part serves each lam
-    assert sum(info.hits + info.misses for info in parts) == len(moment_calls)
-    assert len(moment_calls) == len(cfg.lambdas) * sum(info.currsize for info in parts)
+    # each memo miss computes one 2F1 value at an argument tuple no other miss had, and
+    # the moments at different lam read the values they share from the memos
+    assert computed and set(computed.values()) == {1}, computed
+    memos = {"hyp2f1": hqfi.kernels._g.cache_info(), "_hyp2f1_tail": hqfi.kernels._d.cache_info()}
+    for name, info in memos.items():
+        assert info.misses == info.currsize == sum(key[0] == name for key in computed) > 0, (name, info)
+        assert info.hits > 0, (name, info)
     for r in rep.records:
         pt = ParamPoint(r["a"], r["b"], r["x"], r["lam"], r["alpha"], r["q"])
         want = _hand_bound(FNS[r["function"]], pt, Theorem(r["theorem"]), Variant(r["variant"]))

@@ -76,7 +76,7 @@ def test_every_private_helper_is_referenced():
 
 
 def test_bounds_reaches_the_kernel_moments_through_public_names():
-    # one route to each moment: the lam split of c2/c3 and the memo of its parts stay inside kernels
+    # one route to each moment: the lam steps of c2/c3 and the memos of their 2F1 values stay inside kernels
     private = {
         alias.name
         for node in ast.walk(MODULES["bounds"])

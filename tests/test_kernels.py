@@ -51,6 +51,31 @@ def test_c3_frozen_goldens():
     assert c3(1.0, 0.0, 2.0, 2.0 / 3.0) == pytest.approx(7.0 / 8.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, lam, want",
+    [
+        ("c2", 0.0, (1, 0)),  # F1 alone
+        ("c2", 1.0, (0, 1)),  # D(z1) alone
+        ("c2", 0.5, (1, 2)),  # F1, D(z1) and D(z2)
+        ("c3", 0.0, (1, 0)),  # G(z1) alone
+        ("c3", 1.0, (1, 0)),  # G(z1); E(z1) is elementary
+        ("c3", 0.5, (2, 0)),  # G(z1) and G(z3)
+    ],
+)
+def test_each_moment_computes_only_the_2f1_values_its_lam_keeps(monkeypatch, name, lam, want):
+    # one cold call (the conftest empties the memos), counted through the two 2F1 bindings of kernels
+    calls = {"hyp2f1": 0, "_hyp2f1_tail": 0}
+    for binding in calls:
+
+        def counted(*args, binding=binding, inner=getattr(kernels, binding)):
+            calls[binding] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(kernels, binding, counted)
+    {"c2": c2, "c3": c3}[name](0.5, lam, 2.0, 0.5)
+    assert (calls["hyp2f1"], calls["_hyp2f1_tail"]) == want
+
+
 def test_kernel_oracle_golden():
     # int_0^1 t/(2-t)^2 dt = 1 - ln 2
     assert kernel_oracle(1.0, 0.0, 1.0, 1.0, 2.0) == pytest.approx(1.0 - math.log(2.0), rel=1e-11)
@@ -339,7 +364,7 @@ def test_float_overflow_on_the_euler_integral_route_names_the_point(monkeypatch,
 
 
 def test_float_overflow_in_a_bound_names_the_moment():
-    # the bounds reach c2 through their brace-moment memo, and c2 its lam-free part through the kernels' memo;
+    # the bounds reach c2 through its public name, and c2 its 2F1 values through the kernels' memos;
     # x = b leaves only the left brace, r = a/x = 0.01
     f = ScalarFunction("linear", IntervalDomain(0.01, 1.0), lambda u: u, lambda u: 1.0)
     with pytest.raises(OverflowError, match=re.escape("c2(alpha=1.0, lam=0.0, q=400.0, r=0.01) overflows")):
