@@ -252,7 +252,8 @@ def _identity_values(
     """(lam, alpha, lhs, rhs) for every (lam, alpha) at one (f, a, b, x), lam-major.
 
     Q runs once, then per alpha in order the lhs's fractional part and P; each lam is a few products on top.
-    A `QuadratureError` names its case, with alpha only where the work depends on it.
+    A `QuadratureError` or an `ArithmeticError` (Gamma(alpha) past the double range, say) is raised
+    again as its own type, naming its case, with alpha only where the work depends on it.
     """
     where = ""
     try:
@@ -261,8 +262,8 @@ def _identity_values(
         for alpha in alphas:
             where = f", alpha={alpha}"
             sides.append((alpha, _lhs(f, a, b, x, alpha, tol), _rhs(f, a, b, x, alpha, qs, tol)))
-    except QuadratureError as exc:
-        raise QuadratureError(f"{exc} [case: function={f.label}, a={a}, b={b}, x={x}{where}]") from exc
+    except (QuadratureError, ArithmeticError) as exc:
+        raise type(exc)(f"{exc} [case: function={f.label}, a={a}, b={b}, x={x}{where}]") from exc
     return [(lam, alpha, lhs(lam), rhs(lam)) for lam in lambdas for alpha, lhs, rhs in sides]
 
 

@@ -9,8 +9,11 @@ stays exact as d = c - a - b nears an integer and becomes the log form of
 A&S 15.3.10-12 (DLMF 15.8.8-10) at one.  The Euler integral remains the route
 for a <= 0 and for the large parameters where those series cancel.  Each
 route takes a, b, c and z as plain floats and checks them itself (`_check`):
-all finite, c > b > 0 and 0 <= z < 1.  `_hyp2f1_tail` gives (2F1 - 1)/z, the
-power series from its n = 1 term, for the kernel moments.
+all finite, c > b > 0 and 0 <= z < 1.  `hyp2f1` composes the route bodies
+`_hyp2f1_series` and `_hyp2f1_integral`, not their public wrappers, so a value
+past the double range is named once: by `_finite`, under the public name that
+was called.  `_hyp2f1_tail` gives (2F1 - 1)/z, the power series from its n = 1
+term, for the kernel moments.
 """
 from __future__ import annotations
 
@@ -65,7 +68,8 @@ def _check(a: float, b: float, c: float, z: float) -> None:
 def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
     """2F1 by its power series; terms stop at 1e-16 relative.
 
-    A value past the double range raises an OverflowError naming hyp2f1_series(a, b, c, z).
+    A value past the double range raises an OverflowError naming hyp2f1_series(a, b, c, z);
+    `hyp2f1` calls the body `_hyp2f1_series`, and names its own failures.
     """
     return _finite("hyp2f1_series", _hyp2f1_series, a=a, b=b, c=c, z=z)
 
@@ -105,7 +109,8 @@ def hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
     int_0^1 t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) dt / beta(b, c-b).  A weight
     exponent below 1 is integrable-singular and goes through the exact
     substitution; at or above 1 the factor is sampled directly.  A value past
-    the double range raises an OverflowError naming hyp2f1_integral(a, b, c, z).
+    the double range raises an OverflowError naming hyp2f1_integral(a, b, c, z);
+    `hyp2f1` calls the body `_hyp2f1_integral`, and names its own failures.
     """
     return _finite("hyp2f1_integral", _hyp2f1_integral, a=a, b=b, c=c, z=z)
 
@@ -135,24 +140,20 @@ def _hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
 def _finite(name: str, fn: Callable[..., float], **args: float) -> float:
     """fn at the values of `args`, in order; an overflow or a non-finite value raises an OverflowError naming them.
 
-    An overflow that `_finite` already named at the very same arguments (a
-    2F1 route that `hyp2f1` took) is said again under `name`, in its words.
+    The error is raised from the overflow, or from None for an inf or nan
+    value, and its text is built only on failure.  An error that `fn` named
+    itself is nested, not renamed: `c2` and `c3` carry the `hyp2f1(...)` text
+    inside theirs, and `hyp2f1` runs the route bodies, which name nothing.
     """
-    cause = None
     try:
         value = fn(*args.values())
         if math.isfinite(value):
             return value
         # an inf or nan value would make every bound on it hold, and is no JSON number
-        detail = f"= {value} is not finite in double precision"
+        cause, detail = None, f"= {value} is not finite in double precision"
     except OverflowError as exc:  # a power or a Gamma value past the double range
-        if getattr(exc, "named_args", None) == args:
-            cause, detail = exc.__cause__, exc.detail
-        else:
-            cause, detail = exc, f"overflows double precision: {exc}"
-    error = OverflowError(f"{name}({', '.join(f'{key}={v}' for key, v in args.items())}) {detail}")
-    error.named_args, error.detail = args, detail
-    raise error from cause
+        cause, detail = exc, f"overflows double precision: {exc}"
+    raise OverflowError(f"{name}({', '.join(f'{key}={v}' for key, v in args.items())}) {detail}") from cause
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
@@ -162,8 +163,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     integer or not.  The Euler integral takes the rest: a <= 0, a + b + c > 150,
     and points where those series cancel more than 100-fold.  On the four
     families of the kernel moments (a = 2q up to 32, alpha up to 10) they
-    cancel at most 9-fold.  A value past the double range raises an
-    OverflowError that names hyp2f1(a, b, c, z), whichever route it takes.
+    cancel at most 9-fold.  The routes are the bodies `_hyp2f1_series` and
+    `_hyp2f1_integral`, which name nothing, so a value past the double range
+    raises one OverflowError, naming hyp2f1(a, b, c, z) whichever route it takes.
     """
     return _finite("hyp2f1", _hyp2f1_routes, a=a, b=b, c=c, z=z)
 
@@ -171,7 +173,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 def _hyp2f1_routes(a: float, b: float, c: float, z: float) -> float:
     """`hyp2f1` without the overflow naming: the route choice and its value."""
     if z <= _SERIES_Z_LIMIT:
-        return hyp2f1_series(a, b, c, z)
+        return _hyp2f1_series(a, b, c, z)
     _check(a, b, c, z)
     w = 1.0 - z
     d = c - a - b
@@ -186,10 +188,10 @@ def _hyp2f1_routes(a: float, b: float, c: float, z: float) -> float:
         # whenever a + d and b + d are, with eps in (-1, 0)
         m, eps = m + 1, eps - 1.0
     if a <= 0.0 or a + b + c > _W_SERIES_MAX_PARAMS or min(sa, sb) + m + min(eps, 0.0) <= 0.0:
-        return hyp2f1_integral(a, b, c, z)
+        return _hyp2f1_integral(a, b, c, z)
     value, magnitude = _w_series(sa, sb, c, w, m, eps)
     if magnitude > _W_SERIES_MAX_CANCELLATION * abs(value):
-        return hyp2f1_integral(a, b, c, z)
+        return _hyp2f1_integral(a, b, c, z)
     return scale * value
 
 

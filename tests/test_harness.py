@@ -435,6 +435,13 @@ def test_quadrature_failure_names_its_case(monkeypatch):
         run_verify(cfg)
     assert str(info.value) == f"no convergence [case: {case}, alpha=2.0]"
 
+    # an arithmetic failure names its case too: Gamma(200) overflows inside the lhs
+    monkeypatch.undo()
+    cfg = SweepConfig.from_dict({"lambdas": [0.0], "alphas": [200.0], "qs": [1.0], "functions": ["identity"]})
+    with pytest.raises(OverflowError) as info:
+        run_verify(cfg)
+    assert str(info.value) == "math range error [case: function=identity, a=1.0, b=2.0, x=1.3333333333333333, alpha=200.0]"
+
 
 def test_nonfinite_kernel_moments_fail_loudly():
     # 2F1(2000, b; 3; 0.5) is past the double range: a bound of inf would hold, and is no JSON number

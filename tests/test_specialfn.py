@@ -12,6 +12,8 @@ from hqfi.quad import integrate_singular
 from hqfi.specialfn import _lgamma_slope, beta, gamma, hyp2f1, hyp2f1_integral, hyp2f1_series
 
 EULER_GAMMA = 0.5772156649015329
+# above z = 0.9, where the w-series cancels more than 100-fold and hyp2f1 takes the Euler integral
+_W_CANCELS = (26.626786447863417, 28.529754408299173, 56.372857676315924, 0.9221868645536049)
 
 
 def test_gamma_goldens():
@@ -110,14 +112,25 @@ def test_public_2f1_routes_name_their_overflow(route, args, message):
     assert str(info.value).startswith(message)
 
 
-def test_hyp2f1_says_the_overflow_of_its_route_in_its_own_name(monkeypatch):
-    # hyp2f1 still reaches the public series route, and names the route's overflow at its
-    # own arguments as hyp2f1, in the route's words
-    seen = []
-    monkeypatch.setattr(specialfn, "hyp2f1_series", lambda *p: seen.append(p) or hyp2f1_series(*p))
+def _refuse_public_route(*args):
+    raise AssertionError(f"public 2F1 route called with {args}")
+
+
+def test_hyp2f1_composes_the_route_bodies_not_the_public_routes(monkeypatch):
+    # hyp2f1 names a failure once, itself: it never passes through the public routes,
+    # which would name the failure first
+    monkeypatch.setattr(specialfn, "hyp2f1_series", _refuse_public_route)
+    monkeypatch.setattr(specialfn, "hyp2f1_integral", _refuse_public_route)
+    for params, bits in (
+        ((2.0, 1.5, 3.0, 0.5), "0x1.f0ed99bed9b2ep+0"),  # power series
+        ((2.0, 1.5, 3.0, 0.97), "0x1.0c747a0a699c6p+4"),  # w-series
+        ((-0.5, 1.0, 2.0, 0.95), "0x1.6347fab2d796cp-1"),  # a <= 0: Euler integral
+        (_W_CANCELS, "0x1.536336dd62822p+34"),  # w-series cancels: Euler integral
+        ((120.0, 20.0, 30.0, 0.95), "0x1.99f15cc918a19p+453"),  # a + b + c > 150: Euler integral
+    ):
+        assert hyp2f1(*params).hex() == bits, params
     with pytest.raises(OverflowError) as info:
         hyp2f1(2000, 2, 3, 0.5)
-    assert seen == [(2000, 2, 3, 0.5)]
     assert str(info.value) == "hyp2f1(a=2000, b=2, c=3, z=0.5) = inf is not finite in double precision"
     assert info.value.__cause__ is None
 
@@ -240,14 +253,15 @@ def test_moments_near_z_one_run_without_quadrature(monkeypatch):
     "params",
     [
         (-0.5, 1.0, 2.0, 0.95),  # a <= 0
-        (26.626786447863417, 28.529754408299173, 56.372857676315924, 0.9221868645536049),  # w-series cancels
+        _W_CANCELS,
         (120.0, 20.0, 30.0, 0.95),  # a + b + c > 150
     ],
 )
 def test_fallback_points_reach_the_integral(params, monkeypatch):
+    # hyp2f1 takes the Euler integral through its body, which the public route wraps
     expected = hyp2f1_integral(*params)
     seen = []
-    monkeypatch.setattr(specialfn, "hyp2f1_integral", lambda *p: seen.append(p) or expected)
+    monkeypatch.setattr(specialfn, "_hyp2f1_integral", lambda *p: seen.append(p) or expected)
     assert hyp2f1(*params) == expected
     assert seen == [params]
 
