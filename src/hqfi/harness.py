@@ -66,15 +66,23 @@ violations, the summary and the CLI's exit code) all read that iterator.
 is the join of `CampaignReport.json_chunks`, the one encoder, which yields
 the report a record or a group at a time so the CLI can write it as it is
 encoded.  It picks the writer of each value by the value's type and shape,
-never by its key.  The grouped bound records write themselves: the text of
-each row's q, theorem and variant is made once per run and that of the eight
-fields a group shares with its identity record once per group, so per record
-only the bound, the slack and holds are written.  A non-empty list of flat
-records, dicts whose values are all exact JSON scalars, is laid out here with
-one call of the C encoder per record (`_record_chunks`), not by the
-pure-Python `indent=2` path, which holds one string per token; a non-empty
-list of exact ints, as `violations` is, is written in slices of 1,024
-(`_int_chunks`); every other value goes through `indent=2` whole.
+never by its key.  The grouped bound records write themselves, each text
+once where it varies: each row's q, theorem and variant, and each
+coordinate (a, b, x, lam, alpha, function), once per run; a group's residual
+and |lhs| once per group; and the bound, its slack and holds once per
+distinct bound value of the group.  Values repeat within a group: corrected
+T23 has kernel exponent 1 and c1 power 0, so it is one number at every q,
+corrected T22 at q = 1 equals it, and corrected T24 at q = 2 equals
+corrected T22 at q = 2; where a function's two sups are equal, more rows
+coincide (on the benchmark's dense sweep, 10,820 of 19,800 bound values are
+distinct within their group).  The caches key each value as `_cached_text`
+does, which keeps apart what a dict would merge but JSON writes apart: 0.0
+and -0.0, and 1.0 and 1.  A non-empty list of flat records, dicts whose
+values are all exact JSON scalars, is laid out here with one call of the C
+encoder per record (`_record_chunks`), not by the pure-Python `indent=2`
+path, which holds one string per token; a non-empty list of exact ints, as
+`violations` is, is written in slices of 1,024 (`_int_chunks`); every other
+value goes through `indent=2` whole.
 `CampaignReport.csv_chunks` yields the CSV a line at a time in the same way.
 """
 from __future__ import annotations
@@ -161,6 +169,19 @@ def _scalar_text(value) -> str:
     return json.dumps(value)
 
 
+def _cached_text(cache: dict, value) -> str:
+    """`_scalar_text(value)`, made once per key of cache; only values of one JSON text share a key.
+
+    Equal floats have one text unless they are zeros, so a nonzero float is
+    its own key.  0.0 and -0.0, or 1.0, 1 and True, are equal as dict keys
+    but written apart, so any other value is keyed by its type and repr.
+    """
+    key = value if type(value) is float and value else (type(value), repr(value))
+    if key not in cache:
+        cache[key] = _scalar_text(value)
+    return cache[key]
+
+
 def _is_record(item) -> bool:
     """Whether item is a flat record: a non-empty dict whose values are all exact JSON scalars."""
     return type(item) is dict and bool(item) and all(type(value) in _JSON_SCALARS for value in item.values())
@@ -238,10 +259,13 @@ class _BoundRecords:
     def json_chunks(self) -> Iterator[str]:
         """The list as `indent=2` lays it out at the top level of the report, one chunk per group.
 
-        The keys are written in sorted order.  The text of each row's q,
-        theorem and variant is made once per run, and that of a group's eight
-        identity fields once per group; per record only the bound, the slack
-        and holds are written.  A group with a non-finite value writes its
+        The keys are written in sorted order.  The texts of each row's q,
+        theorem and variant and of each coordinate are made once per run, a
+        group's residual and |lhs| once per group, and the stretch from
+        "bound" to "q" (value, holds and the group's fields) with the slack
+        once per distinct value of the group, keyed as `_cached_text` keys
+        (inlined, as it runs per record); the slacks and verdicts are those
+        of `bounds._verdicts`.  A group with a non-finite value writes its
         floats as the encoder does.
         """
         if not self._groups:
@@ -254,21 +278,26 @@ class _BoundRecords:
             )
             for row in self.rows
         ]
+        coords = {}  # the texts of the coordinates of every group, by `_cached_text`
         sep = "["
         for ident, lhs_abs, values, slacks, holds in self.groups():
-            a, alpha, b, function, residual, lam, x = (
-                _scalar_text(ident[key]) for key in ("a", "alpha", "b", "function", "residual_scaled", "lam", "x")
+            a, alpha, b, function, lam, x = (
+                _cached_text(coords, ident[key]) for key in ("a", "alpha", "b", "function", "lam", "x")
             )
             head = f'\n    {{\n      "a": {a},\n      "alpha": {alpha},\n      "b": {b},\n      "bound": '
             mid = f',\n      "function": {function},\n      "holds": '
-            tail = f',\n      "identity_residual": {residual},\n      "lam": {lam},\n      "lhs_abs": {_scalar_text(lhs_abs)},\n      "q": '
+            tail = f',\n      "identity_residual": {_scalar_text(ident["residual_scaled"])},\n      "lam": {lam},\n      "lhs_abs": {_scalar_text(lhs_abs)},\n      "q": '
             end = f',\n      "x": {x}\n    }}'
             # a finite sum means every slack, and so every value, is finite
             text = float.__repr__ if math.isfinite(sum(slacks)) else _scalar_text
+            seen = {}  # per distinct value: its text from "bound" to "q": (holds included), and its slack's text
             parts = []
             for (q_slack, theorem_variant), value, slack, ok in zip(rows, values, slacks, holds):
-                flag = "true" if ok else "false"
-                parts.append(f"{sep}{head}{text(value)}{mid}{flag}{tail}{q_slack}{text(slack)}{theorem_variant}{end}")
+                key = value if type(value) is float and value else (type(value), repr(value))
+                if key not in seen:
+                    seen[key] = f"{head}{text(value)}{mid}{'true' if ok else 'false'}{tail}", text(slack)
+                stretch, slack_text = seen[key]
+                parts.append(f"{sep}{stretch}{q_slack}{slack_text}{theorem_variant}{end}")
                 sep = ","
             yield "".join(parts)
         yield "\n  ]"

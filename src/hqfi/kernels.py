@@ -92,7 +92,13 @@ def _d(a: float, alpha: float, z: float) -> float:
 
 
 def _c2_at(alpha: float, lam: float, q: float, r: float) -> float:
-    """c2 at one lam: F1 alone at lam = 0, D(z1) alone at lam = 1, else all three terms."""
+    """c2 at one lam: F1 alone at lam = 0, D(z1) alone at lam = 1, else all three terms.
+
+    From alpha = 2^53 on, alpha + 1 rounds to alpha or alpha + 2 to alpha + 1,
+    so the 2F1 parameters are lost: an OverflowError, not a c <= b to reject.
+    """
+    if not alpha < alpha + 1.0 < alpha + 2.0:
+        raise OverflowError("alpha, alpha + 1 and alpha + 2 are not distinct in double precision")
     a, z1 = 2.0 * q, 1.0 - r
     if lam == 1.0:
         return _d(a, alpha, z1)  # z2 = z1, and -D(z1) + 2 D(z1) = D(z1)

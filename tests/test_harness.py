@@ -870,6 +870,10 @@ def test_bound_records_with_non_finite_values_write_what_the_encoder_writes():
         (ident, 0.25, [math.nan] + [1e300] * (len(rows) - 2) + [math.inf]),
         (dict(ident, x=2.0), math.inf, [1.0] * len(rows)),
         (dict(ident, x=1.0), 0.5, [1e308] * len(rows)),  # finite slacks whose sum is not
+        # equal as dict keys, apart in JSON: a text made once per value or coordinate must keep them apart
+        (dict(ident, lam=0.0), 0.0, [0.0, -0.0] * (len(rows) // 2)),
+        (dict(ident, lam=-0.0, alpha=1), 0.0, [-0.0, 0.0] * (len(rows) // 2)),
+        (dict(ident, lam=0.0), 0.25, [math.inf, math.nan, float("nan"), -math.inf] * (len(rows) // 4)),
     ]
     view = harness._BoundRecords(rows, groups, 1e-9)
     rep = CampaignReport(version="0", generated_at="", config={}, records=view, identity_records=[], violations=[], summary={})
@@ -1238,6 +1242,9 @@ def test_cli_checkfn_parse_error_exits_2(capsys):
         ["constants", "--alpha", "1", "--lambda", "0", "--q", "1000", "--r", "0.5"],
         # OverflowError at w**d in hyp2f1
         ["constants", "--alpha", "1", "--lambda", "0.5", "--q", "3000", "--r", "0.05"],
+        # OverflowError in c2 where alpha + 1 and alpha + 2 round together, not a c <= b to reject
+        ["constants", "--alpha", "1e300", "--lambda", "0.5", "--q", "1", "--r", "0.5"],
+        ["constants", "--alpha", "1e17", "--lambda", "0.5", "--q", "1", "--r", "0.5"],
         # OverflowError at s**(-2q) in the bound's c3
         ["verify", "--interval", "1:4", "--functions", "piecewise_plateau", "--qs", "1000", "--alphas", "1",
          "--lambdas", "0.5", "--x-mode", "grid"],
