@@ -14,6 +14,15 @@ all finite, c > b > 0 and 0 <= z < 1.  `hyp2f1` composes the route bodies
 past the double range is named once: by `_finite`, under the public name that
 was called.  `_hyp2f1_tail` gives (2F1 - 1)/z, the power series from its n = 1
 term, for the kernel moments.
+
+The inner loops skip the tests their arguments already settle, so each value
+keeps its bits.  The power series (`_series_from`) drops `abs` from its
+stopping test when a > 0: with c > b > 0 and z >= 0 from `_check`, every term
+and the total are then >= 0, and `abs` would return them unchanged.  For
+a <= 0, which `hyp2f1` and `hyp2f1_series` accept, terms can be negative and
+the loop keeps `abs`.  The w-series (`_w_series`) tests its term factor p, not
+|p|: p starts positive and `hyp2f1`'s guard (a + m, b + m > 0, w > 0) keeps
+every factor it is multiplied by positive.
 """
 from __future__ import annotations
 
@@ -36,8 +45,8 @@ _W_SERIES_MAX_CANCELLATION = 100.0
 # ln Gamma differences recur upward to here before Stirling's series; from 12 on,
 # its terms through B_14 leave less than 1e-17.
 _STIRLING_FROM = 12.0
-# B_2k / (2k (2k - 1)), k = 1..7: Stirling's series is sum_k B_2k / (2k (2k - 1) x^(2k - 1))
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+# (2k - 1, B_2k / (2k (2k - 1))), k = 1..7: Stirling's series is sum_k B_2k / (2k (2k - 1) x^(2k - 1))
+_STIRLING = tuple(zip(range(1, 15, 2), (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)))
 
 
 def gamma(x: float) -> float:
@@ -56,9 +65,9 @@ def beta(x: float, y: float) -> float:
 
 def _check(a: float, b: float, c: float, z: float) -> None:
     """The arguments of every 2F1 route: finite, c > b > 0 and 0 <= z < 1."""
-    for name, value in (("a", a), ("b", b), ("c", c), ("z", z)):
-        if not math.isfinite(value):
-            raise ValueError(f"hyp2f1 parameter {name} must be finite")
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(z)):
+        name = next(name for name, value in (("a", a), ("b", b), ("c", c), ("z", z)) if not math.isfinite(value))
+        raise ValueError(f"hyp2f1 parameter {name} must be finite")
     if not c > b > 0.0:
         raise ValueError(f"hyp2f1 requires c > b > 0, got b={b}, c={c}")
     if not 0.0 <= z < 1.0:
@@ -80,14 +89,27 @@ def _hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
 
 
 def _series_from(a: float, b: float, c: float, z: float, term: float, start: int) -> float:
-    """The 2F1 power series summed from its term `term` at index `start` on; terms stop at 1e-16 relative."""
+    """The 2F1 power series summed from its term `term` at index `start` on; terms stop at 1e-16 relative.
+
+    The routes' `_check` gives c > b > 0 and z >= 0, so for a > 0 every factor,
+    every term and the total are >= 0, and the stopping test skips `abs`, which
+    would return its argument.  For a <= 0 a term can be negative, and the loop
+    keeps `abs`.
+    """
     total = term
     # a float index keeps every step on float arithmetic; a + n rounds the same either way
-    for n in map(float, range(start, _SERIES_MAX_TERMS)):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) <= _SERIES_TERM_CUTOFF * abs(total):
-            return total
+    if a > 0.0:
+        for n in map(float, range(start, _SERIES_MAX_TERMS)):
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+            total += term
+            if term <= _SERIES_TERM_CUTOFF * total:
+                return total
+    else:
+        for n in map(float, range(start, _SERIES_MAX_TERMS)):
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+            total += term
+            if abs(term) <= _SERIES_TERM_CUTOFF * abs(total):
+                return total
     raise RuntimeError(f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms for {(a, b, c, z)}")
 
 
@@ -218,7 +240,7 @@ def _lgamma_slope(x: float, e: float) -> float:
     # divided difference of (y - 1/2) ln y - y
     slope = (x - 0.5) * (log1pu / u if u else 1.0) / x + math.log(x + e) - 1.0
     inv = 1.0 / x
-    for n, coef in zip(range(1, 2 * len(_STIRLING), 2), _STIRLING):
+    for n, coef in _STIRLING:
         # divided difference of coef * y^-n
         slope += coef * inv**n * (math.expm1(-n * log1pu) / e if e else -n * inv)
     return slope - shift
@@ -260,8 +282,9 @@ def _w_series(a: float, b: float, c: float, w: float, m: int, eps: float) -> tup
         term = p * (math.expm1(eps * e) / eps if eps else e)
         total += term
         spread += abs(term)
-        # e can cross 0, so the test uses |p| beside it
-        if abs(p) * (abs(e) + 1.0) <= _SERIES_TERM_CUTOFF * abs(total):
+        # e can cross 0, so the test puts p beside it.  p needs no abs: it starts at
+        # 1/(Gamma(1 - eps) m!) > 0, and the routes' guard keeps every factor it takes > 0
+        if p * (abs(e) + 1.0) <= _SERIES_TERM_CUTOFF * abs(total):
             break
         ak, bk, mk, k1 = am + k, bm + k, m + k + 1.0, k + 1.0
         if eps:

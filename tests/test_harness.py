@@ -609,6 +609,57 @@ def test_witness_grid_flags_an_inflated_moment(monkeypatch, tmp_path, name):
     assert code != 0
 
 
+# The default grid with both variants and the two sweep grids of the benchmark, written out here,
+# each with its count of (T23, T22) and (T23, T24) pairs
+_DOMINATION_GRIDS = {
+    "default": ({"variant": "both"}, 324),
+    "dense": (
+        {
+            "intervals": [[1.0, 2.0]],
+            "x_mode": "grid",
+            "x_count": 5,
+            "alphas": [0.1, 0.5, 1.0, 2.0, 5.0],
+            "qs": [1.0, 1.5, 2.0, 4.0],
+            "functions": "all",
+            "variant": "both",
+        },
+        6300,
+    ),
+    "wide": (
+        {
+            "intervals": [[0.1, 4.0], [0.5, 4.0], [1.0, 4.0]],
+            "x_mode": "grid",
+            "x_count": 9,
+            "alphas": [0.05, 0.25, 1.0, 4.0, 10.0],
+            "qs": [1.0, 2.0, 8.0],
+            "functions": ["piecewise_plateau"],
+            "variant": "symmetric_corrected",
+        },
+        900,
+    ),
+}
+
+
+@pytest.mark.parametrize("grid, comparisons", _DOMINATION_GRIDS.values(), ids=_DOMINATION_GRIDS)
+def test_corrected_t23_is_the_tightest_corrected_family(grid, comparisons):
+    # Hoelder's inequality with equal sup factors: at every group and q, corrected T23 <= corrected T22
+    # and, at q > 1, corrected T23 <= corrected T24 (ROADMAP item 20, "Domination")
+    bounds_at = {}
+    for r in run_verify(SweepConfig.from_dict(grid)).records:
+        if r["variant"] == "symmetric_corrected":
+            key = tuple(r[k] for k in ("function", "a", "b", "x", "lam", "alpha", "q"))
+            bounds_at.setdefault(key, {})[r["theorem"]] = r["bound"]
+    pairs = [
+        (key, theorem, by["T23"], value)
+        for key, by in bounds_at.items()
+        for theorem, value in by.items()
+        if theorem != "T23"
+    ]
+    assert len(pairs) == comparisons
+    above = [(key, theorem, t23, other) for key, theorem, t23, other in pairs if t23 > other]
+    assert not above, above[:3]
+
+
 def test_verify_explicit_x_outside_interval():
     cfg = SweepConfig.from_dict(dict(SMALL, x_mode="explicit", x_values=[1.5, 2.5]))
     with pytest.raises(ValueError, match="outside interval"):

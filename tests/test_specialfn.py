@@ -146,6 +146,11 @@ def test_hyp2f1_goldens():
     )
     # 2F1(1,1;2;z) = -ln(1-z)/z at z = 1/2 gives 2 ln 2
     assert hyp2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-10)
+    # a <= 0: the series' first term is negative, so its stopping test needs abs.  At a = -3 it
+    # terminates: 1 - 9/5 + 162/125 - 1458/4375 = 712/4375 at z = 9/10
+    assert hyp2f1_series(-3.0, 1.0, 1.5, 0.9) == pytest.approx(712 / 4375, rel=1e-14, abs=0.0)
+    # 0.75879773408334033 from mpmath at 40 digits
+    assert hyp2f1(-0.5, 1.0, 2.0, 0.8) == pytest.approx(0.75879773408334033, rel=1e-14, abs=0.0)
 
 
 def test_hyp2f1_binomial_identity():
