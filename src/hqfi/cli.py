@@ -6,18 +6,16 @@ violations without --expect-violations); 2 = configuration or domain errors;
 3 = numerical failure (quadrature non-convergence, or a float overflow or
 division by zero).
 
-`verify` reads an optional JSON config (SweepConfig schema) and lets every
-field be overridden by a flag (flag wins).  The report goes to stdout or
---out, as canonical JSON or a flat CSV, written as it is encoded, record
-by record.  HQFI_TOL_SCALE multiplies the config's tol_scale for
-robustness studies.
+`verify` reads an optional JSON config (SweepConfig schema) and lets a flag
+override every field but tol_scale, which is set in the file alone (flag
+wins).  The report goes to stdout or --out, as canonical JSON or a flat
+CSV, written as it is encoded, record by record.  Nothing is read from the
+environment: a run is fixed by its command line and its config.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from collections.abc import Iterable
 
@@ -99,19 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_tol_scale() -> float:
-    raw = os.environ.get("HQFI_TOL_SCALE")
-    if raw is None:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError:
-        raise ValueError(f"HQFI_TOL_SCALE must be a positive real, got {raw!r}") from None
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"HQFI_TOL_SCALE must be a positive real, got {raw!r}")
-    return scale
-
-
 def _verify_config(args: argparse.Namespace) -> SweepConfig:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
@@ -131,7 +116,6 @@ def _verify_config(args: argparse.Namespace) -> SweepConfig:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val
-    merged["tol_scale"] = merged["tol_scale"] * _env_tol_scale()
     return SweepConfig.from_dict(merged)
 
 

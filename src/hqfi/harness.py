@@ -350,7 +350,7 @@ class SweepConfig(_Record):
     or the literal x_values ("explicit", each value must lie inside every
     swept interval).  tol_scale multiplies tol_identity, tol_slack and the
     quadrature's own tolerances (`quad._ABS_TOL`, `quad._REL_TOL`); the CLI
-    wires HQFI_TOL_SCALE into it.
+    has no flag for it, so it is set in the config file alone.
     """
 
     __slots__ = _fields = (

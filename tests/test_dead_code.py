@@ -133,3 +133,14 @@ def test_the_bound_verdict_rule_lives_in_one_function():
         if node.attr.startswith("_")
     }
     assert not private, private
+
+
+def test_no_module_reads_the_environment():
+    # a run is fixed by its command line and its config file: no os.environ, os.getenv or os.putenv
+    found = sorted(
+        f"{module}:{node.lineno}"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in {"environ", "getenv", "putenv"}
+    )
+    assert not found, found

@@ -3,10 +3,13 @@
 A change that reorders the arithmetic of 2F1, the kernel moments, any
 quadrature layer (integrate, integrate_kinked, kernel_oracle, the
 fractional integrals and the two sides of the identity) or the bound
-evaluator fails here, not only in a benchmark's report hash.  A change that
-moves these bits on purpose updates the pins and says why.
+evaluator fails here, not only in a benchmark's report hash.  The last pins
+hold the sha256 of whole reports, so a change to either writer fails here
+too.  A change that moves these bits on purpose updates the pins and says why.
 """
+import hashlib
 import math
+import re
 
 import pytest
 
@@ -14,6 +17,7 @@ from hqfi import quad, specialfn
 from hqfi.bounds import ParamPoint, Theorem, Variant, bound, identity_lhs, identity_rhs
 from hqfi.fracint import rl_left, rl_right
 from hqfi.harmonic import corpus
+from hqfi.harness import SweepConfig, run_verify
 from hqfi.kernels import c1, c2, c3, integrate_kinked, kernel_oracle
 from hqfi.quad import integrate, integrate_singular
 from hqfi.specialfn import hyp2f1, hyp2f1_integral
@@ -235,3 +239,21 @@ def test_bound_bits_of_every_theorem_and_variant(x, q, bits):
         for variant in (Variant.AS_STATED, Variant.SYMMETRIC_CORRECTED)
     )
     assert got == bits
+
+
+@pytest.mark.parametrize(
+    "grid, json_sha, csv_sha",
+    [
+        ({}, "e93902a93434a19754759676988fcf5274af629e50b0d2c8b39380dd7a6a7a09",
+         "19012f7ae273c6720a6986c0869ed72b85ad1e0c506162087ce86a6aa9c18f02"),
+        ({"x_mode": "grid", "x_count": 3}, "8336d1cc8e998cb4710b7972ef78dfcee2229f80a5b861fed7421d0b00c3e336",
+         "c0ef399d9fac993a6d0b74d12fbc98c2562e9787f9c6806fe4799e594f5b918c"),
+    ],
+)
+def test_report_bytes(grid, json_sha, csv_sha):
+    # the JSON report (455,802 and 1,308,332 bytes) with its one timestamp emptied, and the CSV (183,536 and 489,966)
+    report = run_verify(SweepConfig(variant="both", **grid))
+    text, stamps = re.subn(r'"generated_at": "[^"]*"', '"generated_at": ""', report.to_json())
+    assert stamps == 1
+    assert hashlib.sha256(text.encode()).hexdigest() == json_sha
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == csv_sha

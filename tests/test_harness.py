@@ -1193,23 +1193,37 @@ def test_cli_repeated_grid_value_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_tol_scale_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HQFI_TOL_SCALE", "2.5")
+def _tol_scale_config(tmp_path, scale):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol_scale": scale}))
+    return str(cfg)
+
+
+def test_cli_tol_scale_from_the_config(tmp_path, capsys):
     out = tmp_path / "rep.json"
-    assert main(["verify", "--lambdas", "0", "--alphas", "1", "--qs", "1", "--functions", "identity", "--out", str(out)]) == 0
+    args = ["--lambdas", "0", "--alphas", "1", "--qs", "1", "--functions", "identity", "--out", str(out)]
+    assert main(["verify", "--config", _tol_scale_config(tmp_path, 2.5), *args]) == 0
     assert json.loads(out.read_text())["config"]["tol_scale"] == 2.5
-    monkeypatch.setenv("HQFI_TOL_SCALE", "0")
-    assert main(["verify"]) == 2
-    monkeypatch.setenv("HQFI_TOL_SCALE", "soft")
-    assert main(["verify"]) == 2
+    assert main(["verify", "--config", _tol_scale_config(tmp_path, 0)]) == 2
+    assert main(["verify", "--config", _tol_scale_config(tmp_path, "soft")]) == 2
     capsys.readouterr()
 
 
-def test_cli_overflowing_scaled_tolerance_exits_2(tmp_path, monkeypatch, capsys):
-    # the verbatim run has violations and exits 1; an infinite slack tolerance would hide them all
-    monkeypatch.setenv("HQFI_TOL_SCALE", "1e300")
+def test_cli_reads_no_tol_scale_from_the_environment(tmp_path, monkeypatch):
+    # a run is fixed by its command line and its config: HQFI_TOL_SCALE, once read, is ignored even when invalid
     out = tmp_path / "rep.json"
-    assert main(["verify", "--variant", "verbatim", "--tol-slack", "1e10", "--out", str(out)]) == 2
+    args = ["verify", "--lambdas", "0", "--alphas", "1", "--qs", "1", "--functions", "identity", "--out", str(out)]
+    for raw in ("0", "soft"):
+        monkeypatch.setenv("HQFI_TOL_SCALE", raw)
+        assert main(args) == 0, raw
+        assert json.loads(out.read_text())["config"]["tol_scale"] == 1.0, raw
+
+
+def test_cli_overflowing_scaled_tolerance_exits_2(tmp_path, capsys):
+    # the verbatim run has violations and exits 1; an infinite slack tolerance would hide them all
+    out = tmp_path / "rep.json"
+    args = ["verify", "--config", _tol_scale_config(tmp_path, 1e300), "--variant", "verbatim", "--tol-slack", "1e10"]
+    assert main([*args, "--out", str(out)]) == 2
     assert "tol_slack * tol_scale must be a positive finite real, got inf" in capsys.readouterr().err
     assert not out.exists()
 
@@ -1218,9 +1232,8 @@ def test_cli_underflowing_quadrature_tolerance_exits_2_before_any_work(tmp_path,
     # _ABS_TOL * 1e-313 rounds to 0, while the identity and slack tolerances stay positive subnormals
     assert _ABS_TOL * 1e-313 == 0.0 < SweepConfig().tol_slack * 1e-313 and 0.0 < SweepConfig().tol_identity * 1e-313
     monkeypatch.setattr(harness, "_setup", lambda cfg: pytest.fail("the run started"))
-    monkeypatch.setenv("HQFI_TOL_SCALE", "1e-313")
     out = tmp_path / "rep.json"
-    assert main(["verify", "--out", str(out)]) == 2
+    assert main(["verify", "--config", _tol_scale_config(tmp_path, 1e-313), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: quadrature abs_tol * tol_scale must be a positive finite real, got 0.0\n"
     assert not out.exists()
 
@@ -1314,10 +1327,10 @@ def test_cli_float_overflow_exits_3(argv, tmp_path, capsys):
     assert not out.exists()  # the report is streamed to --out, which is opened only after the run
 
 
-def test_cli_tolerance_below_the_roundoff_floor_exits_3(monkeypatch, capsys):
+def test_cli_tolerance_below_the_roundoff_floor_exits_3(tmp_path, capsys):
     # without the roundoff-floor check, integrate spends its 10,000-panel budget here, several seconds
-    monkeypatch.setenv("HQFI_TOL_SCALE", "1e-6")
-    assert main(["verify", "--functions", "expx", "--alphas", "1", "--qs", "1", "--lambdas", "0"]) == 3
+    args = ["--functions", "expx", "--alphas", "1", "--qs", "1", "--lambdas", "0"]
+    assert main(["verify", "--config", _tol_scale_config(tmp_path, 1e-6), *args]) == 3
     err = capsys.readouterr().err
     assert err.startswith("quadrature failure: ") and "roundoff floor" in err and err.count("\n") == 1
 
