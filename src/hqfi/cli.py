@@ -7,10 +7,10 @@ violations without --expect-violations); 2 = configuration or domain errors;
 division by zero).
 
 `verify` reads an optional JSON config (SweepConfig schema) and lets a flag
-override every field but tol_scale, which is set in the file alone (flag
-wins).  The report goes to stdout or --out, as canonical JSON or a flat
-CSV, written as it is encoded, record by record.  Nothing is read from the
-environment: a run is fixed by its command line and its config.
+override every field but tol_scale, which has no flag (flag wins).  The
+report goes to stdout or --out, as canonical JSON or a flat CSV, written as
+it is encoded, record by record.  Nothing is read from the environment: a
+run is fixed by its command line and its config.
 """
 from __future__ import annotations
 
