@@ -15,7 +15,7 @@ from hqfi.harness import SweepConfig, _x_points
 FNS = {f.label: f for f in corpus()}
 
 # the default grid, the sweep_dense benchmark grid, and the sweep_wide one with every power function on it.
-# k is about 10x the worst error measured, in units of 1 + sum |terms|: lhs 1.7e-16 and rhs 1.3e-16 (default),
+# k is at least 10x the worst error measured, in units of 1 + sum |terms|: lhs 1.7e-16 and rhs 1.3e-16 (default),
 # 4.5e-16 and 2.8e-16 (sweep_dense), 3.7e-15 and 1.7e-14 (sweep_wide, both at square and alpha = 10)
 GRIDS = {
     "default": (SweepConfig(), 1e-14, 1e-14),

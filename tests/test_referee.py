@@ -265,12 +265,12 @@ def _lhs_ref(F, a, b, x, lam, alpha, breaks=()):
 @pytest.mark.parametrize("label", sorted(POWERS))
 def test_exact_sides_against_referee(label, a, b, x, lam, alpha):
     # both closed forms against the two integral forms, each integrated by the referee with f and f' in mpmath;
-    # the worst case is 3.4e-16 of 1 + sum |terms|
+    # the worst case is 3.3e-16 of 1 + sum |terms|
     C, p = POWERS[label]
-    df = SimpleNamespace(df=lambda u: C * p * u ** (p - 1))
+    f = SimpleNamespace(df=lambda u: C * p * u ** (p - 1))
     for terms, ref in (
         (lhs_terms(C, p, a, b, x, lam, alpha), _lhs_ref(lambda u: C * u**p, a, b, x, lam, alpha)),
-        (rhs_terms(C, p, a, b, x, lam, alpha), _rhs_ref(df, a, b, x, lam, alpha)),
+        (rhs_terms(C, p, a, b, x, lam, alpha), _rhs_ref(f, a, b, x, lam, alpha)),
     ):
         value, size = side(terms)
         assert abs(value - ref) <= 1e-14 * (1.0 + size)
