@@ -57,9 +57,10 @@ The bound records of `run_verify` are a sized iterable over those groups
 (`_BoundRecords`), which builds each record dict as iteration reaches it;
 `CampaignReport.to_payload` gives them as a list.  A record's verdict,
 slack = bound - |lhs| and holds = slack >= -tol_slack*tol_scale, is decided
-in one place, `bounds._verdicts`, which `_BoundRecords.groups` calls once
-per group; the record dicts, the JSON writer and `_summary` (so the
-violations, the summary and the CLI's exit code) all read that iterator.
+in one place, `bounds._verdicts`, which the view calls once per group each
+time it is read: the record dicts and `_summary` (so the violations, the
+summary and the CLI's exit code) read its `groups`, and the JSON writer calls
+it as it writes each group.
 
 `CampaignReport.to_json` writes the exact bytes of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every report: it
@@ -67,22 +68,27 @@ is the join of `CampaignReport.json_chunks`, the one encoder, which yields
 the report a record or a group at a time so the CLI can write it as it is
 encoded.  It picks the writer of each value by the value's type and shape,
 never by its key.  The grouped bound records write themselves, each text
-once where it varies: each row's q, theorem and variant, and each
-coordinate (a, b, x, lam, alpha, function), once per run; a group's residual
-and |lhs| once per group; and the bound, its slack and holds once per
-distinct bound value of the group.  Values repeat within a group: corrected
-T23 has kernel exponent 1 and c1 power 0, so it is one number at every q,
-corrected T22 at q = 1 equals it, and corrected T24 at q = 2 equals
-corrected T22 at q = 2; where a function's two sups are equal, more rows
-coincide (on the benchmark's dense sweep, 10,820 of 19,800 bound values are
-distinct within their group).  The caches key each value as `_cached_text`
-does, which keeps apart what a dict would merge but JSON writes apart: 0.0
-and -0.0, and 1.0 and 1.  A non-empty list of flat records, dicts whose
-values are all exact JSON scalars, is laid out here with one call of the C
-encoder per record (`_record_chunks`), not by the pure-Python `indent=2`
-path, which holds one string per token; a non-empty list of exact ints, as
-`violations` is, is written in slices of 1,024 (`_int_chunks`); every other
-value goes through `indent=2` whole.
+once where it varies: each row's q, theorem and variant, and each lam and
+alpha, once per run; function, a, b and x once per stretch of groups that
+hold the same four objects; a group's residual and |lhs| once per group;
+and the bound, its slack and holds once per distinct bound value of the
+group.  Values repeat within a group: corrected T23 has kernel exponent 1
+and c1 power 0, so it is one number at every q, corrected T22 at q = 1
+equals it, and corrected T24 at q = 2 equals corrected T22 at q = 2; where
+a function's two sups are equal, more rows coincide (on the benchmark's
+dense sweep, 10,820 of 19,800 bound values are distinct within their
+group).  The caches key each value as `_cached_text` does, which keeps
+apart what a dict would merge but JSON writes apart: 0.0 and -0.0, and 1.0
+and 1.  A non-empty list of flat records, dicts whose values are all exact
+JSON scalars, is laid out here a record at a time (`_record_chunks`), not
+by the pure-Python `indent=2` path, which holds one string per token.  A
+record with the keys of an identity record is filled into a template, with
+the texts of function, a, b and x made once per stretch of records that
+hold the same four objects and those of lam and alpha once per run, so
+only its lhs, rhs, residuals and ok are made per record; a record of any
+other shape is one call of the C encoder.  A non-empty list of exact ints,
+as `violations` is, is written in slices of 1,024 (`_int_chunks`); every
+other value goes through `indent=2` whole.
 `CampaignReport.csv_chunks` yields the CSV a line at a time in the same way.
 """
 from __future__ import annotations
@@ -155,11 +161,17 @@ _CSV_COLUMNS = (
 # `json.dumps(..., indent=2)` runs the pure-Python encoder, which keeps one small
 # string per token until its final join: about a million for a 20k-record
 # report.  `_record_chunks` and `_BoundRecords.json_chunks` lay out the record
-# lists themselves, a record or a group at a time.  A flat record is one call
-# of the C encoder, whose item separator puts each field on its own line at
-# the depth `indent=2` gives a field of a top-level list item.
+# lists themselves, a record or a group at a time.  A flat record of any other
+# shape than an identity record is one call of the C encoder, whose item
+# separator puts each field on its own line at the depth `indent=2` gives a
+# field of a top-level list item.
 _FIELDS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-_JSON_SCALARS = (str, int, float, bool, type(None))
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+# the keys of an identity record of `run_verify`, and a getter of its values in the sorted order of those keys
+_IDENTITY_KEYS = frozenset(("a", "alpha", "b", "function", "lam", "lhs", "ok", "residual", "residual_scaled", "rhs", "x"))
+_identity_fields = operator.itemgetter(*sorted(_IDENTITY_KEYS))
+# the fields of its identity record that a group of bound records writes
+_group_fields = operator.itemgetter("function", "a", "b", "x", "alpha", "lam", "residual_scaled")
 
 
 def _scalar_text(value) -> str:
@@ -184,14 +196,42 @@ def _cached_text(cache: dict, value) -> str:
 
 def _is_record(item) -> bool:
     """Whether item is a flat record: a non-empty dict whose values are all exact JSON scalars."""
-    return type(item) is dict and bool(item) and all(type(value) in _JSON_SCALARS for value in item.values())
+    return type(item) is dict and bool(item) and _JSON_SCALARS.issuperset(map(type, item.values()))
 
 
 def _record_chunks(records: list) -> Iterator[str]:
-    """A non-empty top-level list of flat records, laid out as `indent=2` does at that depth, one chunk per record."""
+    """A non-empty top-level list of flat records, laid out as `indent=2` does at that depth, one chunk per record.
+
+    A record with the keys of an identity record, and only those, is filled
+    into a template, and each text is made once where it varies: those of
+    function, a, b and x once per stretch of consecutive such records that
+    hold the same four objects, those of lam and alpha once per run, keyed
+    as `_cached_text` keys, and only lhs, rhs, residual, residual_scaled and
+    ok per record.  Any other record is one call of the C encoder.
+    """
+    texts = {}  # the texts of every lam and alpha, by `_cached_text`
+    coords = None  # the function, a, b and x objects whose texts head, mid and end hold
     sep = "["
     for record in records:
-        yield f"{sep}\n    {{\n      {_FIELDS.encode(record)[1:-1]}\n    }}"
+        if record.keys() != _IDENTITY_KEYS:
+            yield f"{sep}\n    {{\n      {_FIELDS.encode(record)[1:-1]}\n    }}"
+            sep = ","
+            continue
+        a, alpha, b, function, lam, lhs, ok, residual, scaled, rhs, x = _identity_fields(record)
+        if coords is None or function is not coords[0] or a is not coords[1] or b is not coords[2] or x is not coords[3]:
+            coords = function, a, b, x
+            head = f'\n    {{\n      "a": {_scalar_text(a)},\n      "alpha": '
+            mid = f',\n      "b": {_scalar_text(b)},\n      "function": {_scalar_text(function)},\n      "lam": '
+            end = f',\n      "x": {_scalar_text(x)}\n    }}'
+        # a finite sum of four floats means each of them is finite
+        finite = type(lhs) is type(residual) is type(scaled) is type(rhs) is float and math.isfinite(lhs + residual + scaled + rhs)
+        text = float.__repr__ if finite else _scalar_text
+        ok = "true" if ok is True else "false" if ok is False else _scalar_text(ok)
+        yield (
+            f"{sep}{head}{_cached_text(texts, alpha)}{mid}{_cached_text(texts, lam)},\n"
+            f'      "lhs": {text(lhs)},\n      "ok": {ok},\n      "residual": {text(residual)},\n'
+            f'      "residual_scaled": {text(scaled)},\n      "rhs": {text(rhs)}{end}'
+        )
         sep = ","
     yield "\n  ]"
 
@@ -214,12 +254,12 @@ class _BoundRecords:
 
     A group is (identity record, |lhs|, the bound values
     `bounds._bound_values` gives at that point, in row order), and every
-    group has one value per row.  `groups` is the one place a group's slacks
-    and verdicts are made, by `bounds._verdicts` at the run's slack
-    tolerance; iteration, `json_chunks` and `_summary` all read them there.
-    The view has `len` and iteration, which yields a fresh dict per record;
-    `CampaignReport.to_payload` gives the records as a list.  Only
-    `json_chunks` writes its text.
+    group has one value per row.  A group's slacks and verdicts are made by
+    `bounds._verdicts` at the run's slack tolerance, and never stored:
+    `groups` (which iteration and `_summary` read) and `json_chunks` call it
+    once per group.  The view has `len` and iteration, which yields a fresh
+    dict per record; `CampaignReport.to_payload` gives the records as a
+    list.  Only `json_chunks` writes its text.
     """
 
     __slots__ = ("rows", "_groups", "_slack_tol")
@@ -257,49 +297,55 @@ class _BoundRecords:
                 }
 
     def json_chunks(self) -> Iterator[str]:
-        """The list as `indent=2` lays it out at the top level of the report, one chunk per group.
+        """The list as `indent=2` lays it out at the top level of the report, a group at a time.
 
         The keys are written in sorted order.  The texts of each row's q,
-        theorem and variant and of each coordinate are made once per run, a
-        group's residual and |lhs| once per group, and the stretch from
-        "bound" to "q" (value, holds and the group's fields) with the slack
-        once per distinct value of the group, keyed as `_cached_text` keys
-        (inlined, as it runs per record); the slacks and verdicts are those
-        of `bounds._verdicts`.  A group with a non-finite value writes its
-        floats as the encoder does.
+        theorem and variant and of each lam and alpha are made once per run,
+        those of function, a, b and x once per stretch of consecutive groups
+        that hold the same four objects, a group's residual and |lhs| once
+        per group, and the stretch from "bound" to "q" (value, holds and the
+        group's fields) with the slack once per distinct value of the group,
+        keyed as `_cached_text` keys (inlined, as it runs per record); the
+        slacks and verdicts are those of `bounds._verdicts`.  A group with a
+        non-finite value writes its floats as the encoder does.
         """
         if not self._groups:
             yield "[]"
             return
-        rows = [
-            (
-                f'{_scalar_text(row.q)},\n      "slack": ',
-                f',\n      "theorem": {_scalar_text(row.theorem)},\n      "variant": {_scalar_text(row.variant)}',
-            )
+        # per row, the text from its q to the slack's, and from its theorem to the x of the stretch's groups
+        q_texts = [f'{_scalar_text(row.q)},\n      "slack": ' for row in self.rows]
+        theorem_texts = [
+            f',\n      "theorem": {_scalar_text(row.theorem)},\n      "variant": {_scalar_text(row.variant)}'
             for row in self.rows
         ]
-        coords = {}  # the texts of the coordinates of every group, by `_cached_text`
+        texts = {}  # the texts of every lam and alpha, by `_cached_text`
+        coords = None  # the function, a, b and x objects whose texts a_text, b_text, mid and ends hold
+        tol = self._slack_tol
         sep = "["
-        for ident, lhs_abs, values, slacks, holds in self.groups():
-            a, alpha, b, function, lam, x = (
-                _cached_text(coords, ident[key]) for key in ("a", "alpha", "b", "function", "lam", "x")
-            )
-            head = f'\n    {{\n      "a": {a},\n      "alpha": {alpha},\n      "b": {b},\n      "bound": '
-            mid = f',\n      "function": {function},\n      "holds": '
-            tail = f',\n      "identity_residual": {_scalar_text(ident["residual_scaled"])},\n      "lam": {lam},\n      "lhs_abs": {_scalar_text(lhs_abs)},\n      "q": '
-            end = f',\n      "x": {x}\n    }}'
+        for ident, lhs_abs, values in self._groups:
+            slacks, holds = _verdicts(values, lhs_abs, tol)
+            function, a, b, x, alpha, lam, residual = _group_fields(ident)
+            if coords is None or function is not coords[0] or a is not coords[1] or b is not coords[2] or x is not coords[3]:
+                coords = function, a, b, x
+                a_text, b_text = _scalar_text(a), _scalar_text(b)
+                mid = f',\n      "function": {_scalar_text(function)},\n      "holds": '
+                x_text = f',\n      "x": {_scalar_text(x)}\n    }}'
+                ends = [theorem_text + x_text for theorem_text in theorem_texts]
+            head = f'\n    {{\n      "a": {a_text},\n      "alpha": {_cached_text(texts, alpha)},\n      "b": {b_text},\n      "bound": '
+            tail = f',\n      "identity_residual": {_scalar_text(residual)},\n      "lam": {_cached_text(texts, lam)},\n      "lhs_abs": {_scalar_text(lhs_abs)},\n      "q": '
             # a finite sum means every slack, and so every value, is finite
             text = float.__repr__ if math.isfinite(sum(slacks)) else _scalar_text
             seen = {}  # per distinct value: its text from "bound" to "q": (holds included), and its slack's text
             parts = []
-            for (q_slack, theorem_variant), value, slack, ok in zip(rows, values, slacks, holds):
+            for q_text, end, value, slack, ok in zip(q_texts, ends, values, slacks, holds):
                 key = value if type(value) is float and value else (type(value), repr(value))
-                if key not in seen:
-                    seen[key] = f"{head}{text(value)}{mid}{'true' if ok else 'false'}{tail}", text(slack)
-                stretch, slack_text = seen[key]
-                parts.append(f"{sep}{stretch}{q_slack}{slack_text}{theorem_variant}{end}")
-                sep = ","
-            yield "".join(parts)
+                entry = seen.get(key)
+                if entry is None:
+                    entry = seen[key] = f"{head}{text(value)}{mid}{'true' if ok else 'false'}{tail}", text(slack)
+                parts.append(f"{entry[0]}{q_text}{entry[1]}{end}")
+            yield sep
+            yield ",".join(parts)
+            sep = ","
         yield "\n  ]"
 
 

@@ -5,13 +5,16 @@ import enum
 import json
 import math
 import pickle
+import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hqfi.bounds as bounds
+import hqfi.cli as cli
 import hqfi.fracint as fracint
 import hqfi.harmonic as harmonic
 import hqfi.harness as harness
@@ -925,11 +928,113 @@ def test_bound_records_with_non_finite_values_write_what_the_encoder_writes():
         (dict(ident, lam=0.0), 0.0, [0.0, -0.0] * (len(rows) // 2)),
         (dict(ident, lam=-0.0, alpha=1), 0.0, [-0.0, 0.0] * (len(rows) // 2)),
         (dict(ident, lam=0.0), 0.25, [math.inf, math.nan, float("nan"), -math.inf] * (len(rows) // 4)),
+        # Consecutive groups whose function, a, b or x are equal to the group before but other objects:
+        # equal texts, or equal values written apart (-0.0 after 0.0, 2 and True after 2.0 and 1.0).
+        (dict(ident, x=float("2")), 0.5, [0.75] * len(rows)),
+        (dict(ident, x=float("2")), 0.5, [0.75] * len(rows)),
+        (dict(ident, x=2), 0.5, [0.75] * len(rows)),
+        (dict(ident, x=2, a=-0.0), 0.5, [0.75] * len(rows)),
+        (dict(ident, x=2, a=0.0), 0.5, [0.75] * len(rows)),
+        (dict(ident, x=2, a=0.0, b=True), 0.5, [0.75] * len(rows)),
+        (dict(ident, x=2, a=0.0, b=1.0, function="fn"), 0.5, [0.75] * len(rows)),
+        (dict(ident, x=2, a=0.0, b=1.0, function="".join(("f", "n"))), 0.5, [0.75] * len(rows)),
     ]
     view = harness._BoundRecords(rows, groups, 1e-9)
     rep = CampaignReport(version="0", generated_at="", config={}, records=view, identity_records=[], violations=[], summary={})
     _assert_reference_json(rep.to_json(), rep.to_payload())
     assert "NaN" in rep.to_json() and "-Infinity" in rep.to_json()
+
+
+def _with_identity_records(identity_records: list) -> CampaignReport:
+    return CampaignReport(
+        version="0", generated_at="", config={}, records=[], identity_records=identity_records, violations=[], summary={}
+    )
+
+
+class _CountingFields(json.JSONEncoder):
+    """harness._FIELDS, counting its calls: one per record that takes the C-encoder path."""
+
+    calls = 0
+
+    def encode(self, o):
+        _CountingFields.calls += 1
+        return super().encode(o)
+
+
+@pytest.fixture
+def encoder_calls(monkeypatch):
+    """A function giving the number of records `_record_chunks` has passed to the C encoder so far."""
+    monkeypatch.setattr(_CountingFields, "calls", 0)
+    monkeypatch.setattr(harness, "_FIELDS", _CountingFields(sort_keys=True, separators=(",\n      ", ": ")))
+    return lambda: _CountingFields.calls
+
+
+def test_identity_records_out_of_their_run_order_write_what_the_encoder_writes(encoder_calls):
+    # The identity writer makes the texts of function, a, b and x once per stretch of records holding the
+    # same four objects.  Shuffled, sliced, copied or re-parsed records break those stretches, and after
+    # json.loads every record holds its own objects, equal to those of the record before.
+    identity = run_verify(SweepConfig.from_dict(dict(_ENDPOINT_SWEEP, variant="both"))).identity_records
+    shuffled = list(identity)
+    random.Random(0).shuffle(shuffled)
+    for records in (shuffled, identity[1::3], identity[7:], copy.deepcopy(identity), json.loads(json.dumps(identity))):
+        _assert_reference_json(_with_identity_records(records).to_json(), _with_identity_records(records).to_payload())
+    assert encoder_calls() == 0
+
+
+def test_identity_records_at_lam_minus_zero_write_what_the_encoder_writes():
+    # -0.0 equals 0.0 as a dict key, but its text is its own: lam's text is made once per run
+    rep = run_verify(SweepConfig.from_dict(dict(_ENDPOINT_SWEEP, lambdas=[-0.0, 0.5, 1.0], variant="both")))
+    text = rep.to_json()
+    _assert_reference_json(text, rep.to_payload())
+    assert '"lam": -0.0,' in text and '"lam": 0.0,' not in text
+
+
+def test_hand_built_identity_records_write_what_the_encoder_writes(encoder_calls):
+    # records with exactly the keys of an identity record take the identity writer, whatever their scalars
+    base = {
+        "function": "f", "a": 1.0, "b": 2.0, "x": 1.5, "lam": 0.5, "alpha": 1.0,
+        "lhs": 0.25, "rhs": 0.25, "residual": 0.0, "residual_scaled": 0.0, "ok": True,
+    }
+    records = [
+        base,
+        dict(base, lhs=math.nan, rhs=math.inf, residual=-math.inf, residual_scaled=float("nan"), ok=False),
+        dict(base, lhs=1e308, rhs=1e308, residual=-1e308, residual_scaled=1e308),  # finite values, a sum that is not
+        dict(base, lhs=1, rhs=True, residual=None, residual_scaled="0", ok=None),
+        dict(base, ok=1),
+        dict(base, ok=0.0),
+        # lam and alpha: texts made once per run, for values that are equal as dict keys and written apart
+        dict(base, lam=0.0, alpha=1),
+        dict(base, lam=-0.0, alpha=True),
+        dict(base, lam=False, alpha=1.0),
+        dict(base, lam=0, alpha=math.inf),
+        # function, a, b and x: the same objects, then equal objects written apart, then other texts
+        dict(base, a=0.0),
+        dict(base, a=-0.0),
+        dict(base, a=-0.0, b=2),
+        dict(base, a=-0.0, b=2, x=None),
+        dict(base, a=-0.0, b=2, x=None, function='f"\n\xe9\U0001f600'),
+        dict(base, a=-0.0, b=2, x=math.nan, function=None),
+        dict(base, a=-0.0, b=2, x=float("nan"), function=None),
+    ]
+    rep = _with_identity_records(records)
+    text = rep.to_json()
+    _assert_reference_json(text, rep.to_payload())
+    assert "NaN" in text and "-Infinity" in text and '"a": -0.0,' in text
+    assert encoder_calls() == 0
+
+
+def test_records_of_another_shape_take_the_encoder(encoder_calls):
+    # a record with a key more or less than an identity record is laid out by the C encoder, beside
+    # identity records that are not
+    ident = {
+        "function": "f", "a": 1.0, "b": 2.0, "x": 1.5, "lam": 0.5, "alpha": 1.0,
+        "lhs": 0.25, "rhs": 0.25, "residual": 0.0, "residual_scaled": 0.0, "ok": True,
+    }
+    missing = {key: value for key, value in ident.items() if key != "ok"}
+    records = [ident, dict(ident, extra=math.nan), missing, ident, dict(ident, a=-0.0), {"a": 0.5}]
+    rep = _with_identity_records(records)
+    _assert_reference_json(rep.to_json(), rep.to_payload())
+    assert encoder_calls() == 3
 
 
 def test_every_reader_of_a_bound_agrees_at_the_slack_tolerance(monkeypatch):
@@ -1362,3 +1467,50 @@ def test_cli_report_bytes_are_canonical_json(tmp_path, capsys):
     (out_body, n_out), (stdout_body, n_stdout) = (stamp.subn("", report) for report in (text, stdout))
     same = out_body == stdout_body  # a bool, so a failure prints no diff of two long strings
     assert (n_out, n_stdout, same) == (1, 1, True)
+
+
+class _Sink:
+    """A text stream that keeps each write."""
+
+    def __init__(self) -> None:
+        self.writes = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+
+# the benchmark's dense sweep: a 7.8 MB report
+_DENSE_SWEEP = {
+    "x_mode": "grid",
+    "x_count": 5,
+    "alphas": [0.1, 0.5, 1.0, 2.0, 5.0],
+    "qs": [1.0, 1.5, 2.0, 4.0],
+    "variant": "both",
+}
+
+
+def test_cli_writes_the_report_in_pieces_of_at_least_64_kib(monkeypatch):
+    rep = run_verify(SweepConfig.from_dict(_DENSE_SWEEP))
+    want = rep.to_json()
+    opened = []
+
+    def fake_open(path, mode, encoding):
+        assert (path, mode, encoding) == ("r.json", "w", "utf-8")
+        opened.append(_Sink())
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    cli._emit(rep.json_chunks(), "r.json")
+    stdout = _Sink()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._emit(rep.json_chunks(), None)
+    for sink in (*opened, stdout):
+        assert "".join(sink.writes) == want
+        assert len(sink.writes) > 100 and min(map(len, sink.writes[:-1])) >= 65536
