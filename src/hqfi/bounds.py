@@ -51,7 +51,8 @@ bits `bound` gives at its point.  No memo keeps a moment beyond its point:
 `kernels` memoizes each 2F1-level value of c2 and c3 by the arguments it
 depends on, so a sweep over lam computes each value once.
 
-A bound holds when its slack, bound - |lhs|, is at least -tol.  That rule
+A bound holds when its slack, bound - |lhs|, is at least -tol * (1 + bound),
+so the allowance for roundoff grows with the bound's scale.  That rule
 lives in one function, `_verdicts`, which takes the bound values of a group
 that shares one |lhs| and gives their slacks and verdicts: `evaluate_bound`
 calls it with one value at _SLACK_TOL, and the harness once per group of a
@@ -401,10 +402,14 @@ def bound(
 
 
 def _verdicts(values: list[float], lhs_abs: float, tol: float) -> tuple[list[float], list[bool]]:
-    """The slacks value - lhs_abs and the verdicts slack >= -tol of bound values sharing one |lhs|, in order."""
+    """The slacks value - lhs_abs and the verdicts slack >= -tol * (1 + value) of bound values sharing one |lhs|.
+
+    The allowance grows with the bound, so the roundoff of a bound attained
+    at scale (f(u) = 1e6 u at an endpoint) is no violation.  Both lists are
+    in the order of `values`.
+    """
     slacks = [value - lhs_abs for value in values]
-    floor = -tol
-    return slacks, [slack >= floor for slack in slacks]
+    return slacks, [slack >= -tol * (1.0 + value) for slack, value in zip(slacks, values)]
 
 
 def evaluate_bound(

@@ -56,11 +56,11 @@ UTC time from `time.time_ns`, in the `datetime.isoformat` shape (`_utc_isoformat
 The bound records of `run_verify` are a sized iterable over those groups
 (`_BoundRecords`), which builds each record dict as iteration reaches it;
 `CampaignReport.to_payload` gives them as a list.  A record's verdict,
-slack = bound - |lhs| and holds = slack >= -tol_slack*tol_scale, is decided
-in one place, `bounds._verdicts`, which the view calls once per group each
-time it is read: the record dicts and `_summary` (so the violations, the
-summary and the CLI's exit code) read its `groups`, and the JSON writer calls
-it as it writes each group.
+slack = bound - |lhs| and holds = slack >= -tol_slack*tol_scale*(1 + bound),
+is decided in one place, `bounds._verdicts`, which the view calls once per
+group each time it is read: the record dicts and `_summary` (so the
+violations, the summary and the CLI's exit code) read its `groups`, and the
+JSON writer calls it as it writes each group.
 
 `CampaignReport.to_json` writes the exact bytes of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every report: it
@@ -79,16 +79,17 @@ a function's two sups are equal, more rows coincide (on the benchmark's
 dense sweep, 10,820 of 19,800 bound values are distinct within their
 group).  The caches key each value as `_cached_text` does, which keeps
 apart what a dict would merge but JSON writes apart: 0.0 and -0.0, and 1.0
-and 1.  A non-empty list of flat records, dicts whose values are all exact
-JSON scalars, is laid out here a record at a time (`_record_chunks`), not
-by the pure-Python `indent=2` path, which holds one string per token.  A
-record with the keys of an identity record is filled into a template, with
-the texts of function, a, b and x made once per stretch of records that
-hold the same four objects and those of lam and alpha once per run, so
-only its lhs, rhs, residuals and ok are made per record; a record of any
-other shape is one call of the C encoder.  A non-empty list of exact ints,
-as `violations` is, is written in slices of 1,024 (`_int_chunks`); every
-other value goes through `indent=2` whole.
+and 1.  A non-empty list of identity records, each a dict of exactly the
+identity keys with exact JSON scalar values (`_is_identity_record`, the one
+shape test), is laid out here a record at a time (`_record_chunks`), not by
+the pure-Python `indent=2` path, which holds one string per token: each
+record is filled into a template, with the texts of function, a, b and x
+made once per stretch of records that hold the same four objects and those
+of lam and alpha once per run, so only its lhs, rhs, residuals and ok are
+made per record.  A list holding any other record takes the reference
+`indent=2` path whole, which writes the same bytes.  A non-empty list of
+exact ints, as `violations` is, is written in slices of 1,024
+(`_int_chunks`); every other value goes through `indent=2` whole.
 `CampaignReport.csv_chunks` yields the CSV a line at a time in the same way.
 """
 from __future__ import annotations
@@ -161,11 +162,7 @@ _CSV_COLUMNS = (
 # `json.dumps(..., indent=2)` runs the pure-Python encoder, which keeps one small
 # string per token until its final join: about a million for a 20k-record
 # report.  `_record_chunks` and `_BoundRecords.json_chunks` lay out the record
-# lists themselves, a record or a group at a time.  A flat record of any other
-# shape than an identity record is one call of the C encoder, whose item
-# separator puts each field on its own line at the depth `indent=2` gives a
-# field of a top-level list item.
-_FIELDS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+# lists of `run_verify` themselves, a record or a group at a time.
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 # the keys of an identity record of `run_verify`, and a getter of its values in the sorted order of those keys
 _IDENTITY_KEYS = frozenset(("a", "alpha", "b", "function", "lam", "lhs", "ok", "residual", "residual_scaled", "rhs", "x"))
@@ -194,29 +191,25 @@ def _cached_text(cache: dict, value) -> str:
     return cache[key]
 
 
-def _is_record(item) -> bool:
-    """Whether item is a flat record: a non-empty dict whose values are all exact JSON scalars."""
-    return type(item) is dict and bool(item) and _JSON_SCALARS.issuperset(map(type, item.values()))
+def _is_identity_record(item) -> bool:
+    """Whether item is shaped as an identity record: a dict of exactly its keys, with exact JSON scalar values."""
+    return type(item) is dict and item.keys() == _IDENTITY_KEYS and _JSON_SCALARS.issuperset(map(type, item.values()))
 
 
 def _record_chunks(records: list) -> Iterator[str]:
-    """A non-empty top-level list of flat records, laid out as `indent=2` does at that depth, one chunk per record.
+    """A non-empty top-level list of identity records, laid out as `indent=2` does there, a record per chunk.
 
-    A record with the keys of an identity record, and only those, is filled
-    into a template, and each text is made once where it varies: those of
-    function, a, b and x once per stretch of consecutive such records that
-    hold the same four objects, those of lam and alpha once per run, keyed
-    as `_cached_text` keys, and only lhs, rhs, residual, residual_scaled and
-    ok per record.  Any other record is one call of the C encoder.
+    Each record is filled into a template, and each text is made once where
+    it varies: those of function, a, b and x once per stretch of consecutive
+    records that hold the same four objects, those of lam and alpha once per
+    run, keyed as `_cached_text` keys, and only lhs, rhs, residual,
+    residual_scaled and ok per record.  `CampaignReport.json_chunks` calls
+    it only on a list whose every record `_is_identity_record` accepts.
     """
     texts = {}  # the texts of every lam and alpha, by `_cached_text`
     coords = None  # the function, a, b and x objects whose texts head, mid and end hold
     sep = "["
     for record in records:
-        if record.keys() != _IDENTITY_KEYS:
-            yield f"{sep}\n    {{\n      {_FIELDS.encode(record)[1:-1]}\n    }}"
-            sep = ","
-            continue
         a, alpha, b, function, lam, lhs, ok, residual, scaled, rhs, x = _identity_fields(record)
         if coords is None or function is not coords[0] or a is not coords[1] or b is not coords[2] or x is not coords[3]:
             coords = function, a, b, x
@@ -504,12 +497,13 @@ class CampaignReport(
     def json_chunks(self) -> Iterator[str]:
         """The text of `to_json`, in pieces: a record list one record or group at a time.
 
-        Each value's writer is picked by its type and shape: the grouped
-        bound records of `run_verify` write themselves
-        (`_BoundRecords.json_chunks`), a non-empty list of flat records goes
-        through `_record_chunks` and a non-empty list of exact ints through
-        `_int_chunks`; any other value goes through `indent=2` whole,
-        re-indented one level.
+        Each value's writer is picked once, by its type and shape: the
+        grouped bound records of `run_verify` write themselves
+        (`_BoundRecords.json_chunks`), a non-empty list of identity records
+        (`_is_identity_record`) goes through `_record_chunks` and a
+        non-empty list of exact ints through `_int_chunks`; any other value,
+        a list with any record of another shape included, goes through
+        `indent=2` whole, re-indented one level.
         """
         payload = self._asdict()
         sep = "{"
@@ -518,7 +512,7 @@ class CampaignReport(
             yield f"{sep}\n  {json.dumps(key)}: "
             if type(value) is _BoundRecords:
                 yield from value.json_chunks()
-            elif type(value) is list and value and all(map(_is_record, value)):
+            elif type(value) is list and value and all(map(_is_identity_record, value)):
                 yield from _record_chunks(value)
             elif type(value) is list and value and all(type(v) is int for v in value):
                 yield from _int_chunks(value)

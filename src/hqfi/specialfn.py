@@ -1,7 +1,8 @@
 """Gamma, beta, and the Gauss hypergeometric function 2F1 on the real slice used here.
 
 2F1 has two independent public routes: the defining power series and the
-Euler integral representation evaluated with this package's own quadrature.
+Euler integral representation evaluated with this package's own quadrature,
+whose `integrate_singular` treats both endpoint weights of the integral.
 Both are exposed so cross-checks between them stay meaningful.  `hyp2f1` sums
 the power series for z <= 0.9.  Above that it sums series in w = 1 - z < 0.1:
 the 1 - z connection formula (A&S 15.3.6, DLMF 15.8.4), written so that it
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .quad import integrate, integrate_singular
+from .quad import integrate_singular
 
 __all__ = ["gamma", "beta", "hyp2f1", "hyp2f1_series", "hyp2f1_integral"]
 
@@ -128,10 +129,12 @@ def _hyp2f1_tail(a: float, b: float, c: float, z: float) -> float:
 def hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
     """2F1 by the Euler integral, split at 1/2 so each endpoint weight is declared.
 
-    int_0^1 t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) dt / beta(b, c-b).  A weight
-    exponent below 1 is integrable-singular and goes through the exact
-    substitution; at or above 1 the factor is sampled directly.  A value past
-    the double range raises an OverflowError naming hyp2f1_integral(a, b, c, z);
+    int_0^1 t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) dt / beta(b, c-b).  Each half
+    hands its endpoint weight to `quad.integrate_singular`: t^(b-1) on
+    [0, 1/2] as the lower weight, (1-t)^(c-b-1) on [1/2, 1] as the upper one.
+    That function decides how to treat it: it samples a weight whose exponent
+    is at least 1 and substitutes away one below 1.  A value past the double
+    range raises an OverflowError naming hyp2f1_integral(a, b, c, z);
     `hyp2f1` calls the body `_hyp2f1_integral`, and names its own failures.
     """
     return _finite("hyp2f1_integral", _hyp2f1_integral, a=a, b=b, c=c, z=z)
@@ -140,22 +143,8 @@ def hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
 def _hyp2f1_integral(a: float, b: float, c: float, z: float) -> float:
     _check(a, b, c, z)
     cb = c - b
-
-    def full(t: float) -> float:
-        return t ** (b - 1.0) * (1.0 - t) ** (cb - 1.0) * (1.0 - z * t) ** (-a)
-
-    if b < 1.0:
-        low = integrate_singular(
-            lambda t: (1.0 - t) ** (cb - 1.0) * (1.0 - z * t) ** (-a), b, "lower", 0.0, 0.5, **_INNER_TOL
-        )
-    else:
-        low = integrate(full, 0.0, 0.5, **_INNER_TOL)
-    if cb < 1.0:
-        high = integrate_singular(
-            lambda t: t ** (b - 1.0) * (1.0 - z * t) ** (-a), cb, "upper", 0.5, 1.0, **_INNER_TOL
-        )
-    else:
-        high = integrate(full, 0.5, 1.0, **_INNER_TOL)
+    low = integrate_singular(lambda t: (1.0 - t) ** (cb - 1.0) * (1.0 - z * t) ** (-a), b, "lower", 0.0, 0.5, **_INNER_TOL)
+    high = integrate_singular(lambda t: t ** (b - 1.0) * (1.0 - z * t) ** (-a), cb, "upper", 0.5, 1.0, **_INNER_TOL)
     return (low + high) / beta(b, cb)
 
 

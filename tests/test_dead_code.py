@@ -144,3 +144,25 @@ def test_no_module_reads_the_environment():
         if {getattr(node, "id", None), getattr(node, "attr", None)} & {"environ", "getenv", "putenv"}
     )
     assert not found, found
+
+
+def test_the_euler_integral_leaves_its_endpoint_weights_to_quad():
+    # whether an endpoint weight is sampled or substituted away is decided in quad.integrate_singular
+    # alone: specialfn reaches quadrature only through it, and its integral route branches on nothing
+    imported = {
+        alias.name
+        for node in ast.walk(MODULES["specialfn"])
+        if isinstance(node, ast.ImportFrom) and node.module == "quad"
+        for alias in node.names
+    }
+    assert imported == {"integrate_singular"}
+    route = dict(_functions(MODULES["specialfn"]))["_hyp2f1_integral"]
+    assert not [node.lineno for node in ast.walk(route) if isinstance(node, (ast.If, ast.IfExp))]
+
+
+def test_one_shape_test_picks_the_identity_record_writer():
+    # the JSON writer tests a record's shape in one function, and has no encoder of its own for other shapes
+    readers = {name for name, func in _functions(MODULES["harness"]) if "_IDENTITY_KEYS" in _reads(func)}
+    assert readers == {"_is_identity_record"}
+    encoders = [node.lineno for node in ast.walk(MODULES["harness"]) if getattr(node, "attr", None) == "JSONEncoder"]
+    assert not encoders

@@ -885,7 +885,7 @@ def _rebuilt_records(cfg: SweepConfig, rep: CampaignReport) -> list[dict]:
                             "lhs_abs": lhs_abs,
                             "bound": value,
                             "slack": slack,
-                            "holds": slack >= -cfg.tol_slack * cfg.tol_scale,
+                            "holds": slack >= -cfg.tol_slack * cfg.tol_scale * (1.0 + value),
                             "identity_residual": ident["residual_scaled"],
                         }
                     )
@@ -951,34 +951,26 @@ def _with_identity_records(identity_records: list) -> CampaignReport:
     )
 
 
-class _CountingFields(json.JSONEncoder):
-    """harness._FIELDS, counting its calls: one per record that takes the C-encoder path."""
-
-    calls = 0
-
-    def encode(self, o):
-        _CountingFields.calls += 1
-        return super().encode(o)
-
-
 @pytest.fixture
-def encoder_calls(monkeypatch):
-    """A function giving the number of records `_record_chunks` has passed to the C encoder so far."""
-    monkeypatch.setattr(_CountingFields, "calls", 0)
-    monkeypatch.setattr(harness, "_FIELDS", _CountingFields(sort_keys=True, separators=(",\n      ", ": ")))
-    return lambda: _CountingFields.calls
+def templated(monkeypatch):
+    """The record lists `CampaignReport.json_chunks` hands to the identity template `_record_chunks`, in order."""
+    seen = []
+    inner = harness._record_chunks
+    monkeypatch.setattr(harness, "_record_chunks", lambda records: seen.append(records) or inner(records))
+    return seen
 
 
-def test_identity_records_out_of_their_run_order_write_what_the_encoder_writes(encoder_calls):
+def test_identity_records_out_of_their_run_order_write_what_the_encoder_writes(templated):
     # The identity writer makes the texts of function, a, b and x once per stretch of records holding the
     # same four objects.  Shuffled, sliced, copied or re-parsed records break those stretches, and after
     # json.loads every record holds its own objects, equal to those of the record before.
     identity = run_verify(SweepConfig.from_dict(dict(_ENDPOINT_SWEEP, variant="both"))).identity_records
     shuffled = list(identity)
     random.Random(0).shuffle(shuffled)
-    for records in (shuffled, identity[1::3], identity[7:], copy.deepcopy(identity), json.loads(json.dumps(identity))):
+    lists = [shuffled, identity[1::3], identity[7:], copy.deepcopy(identity), json.loads(json.dumps(identity))]
+    for records in lists:
         _assert_reference_json(_with_identity_records(records).to_json(), _with_identity_records(records).to_payload())
-    assert encoder_calls() == 0
+    assert templated == lists  # each list took the template whole
 
 
 def test_identity_records_at_lam_minus_zero_write_what_the_encoder_writes():
@@ -989,7 +981,7 @@ def test_identity_records_at_lam_minus_zero_write_what_the_encoder_writes():
     assert '"lam": -0.0,' in text and '"lam": 0.0,' not in text
 
 
-def test_hand_built_identity_records_write_what_the_encoder_writes(encoder_calls):
+def test_hand_built_identity_records_write_what_the_encoder_writes(templated):
     # records with exactly the keys of an identity record take the identity writer, whatever their scalars
     base = {
         "function": "f", "a": 1.0, "b": 2.0, "x": 1.5, "lam": 0.5, "alpha": 1.0,
@@ -1020,37 +1012,48 @@ def test_hand_built_identity_records_write_what_the_encoder_writes(encoder_calls
     text = rep.to_json()
     _assert_reference_json(text, rep.to_payload())
     assert "NaN" in text and "-Infinity" in text and '"a": -0.0,' in text
-    assert encoder_calls() == 0
+    assert templated == [records]
 
 
-def test_records_of_another_shape_take_the_encoder(encoder_calls):
-    # a record with a key more or less than an identity record is laid out by the C encoder, beside
-    # identity records that are not
+def test_a_list_with_a_record_of_another_shape_takes_the_reference_path(templated):
+    # one record with a key more or less than an identity record, or a value that is no exact JSON
+    # scalar, sends its whole list to indent=2; a list of identity records alone takes the template
     ident = {
         "function": "f", "a": 1.0, "b": 2.0, "x": 1.5, "lam": 0.5, "alpha": 1.0,
         "lhs": 0.25, "rhs": 0.25, "residual": 0.0, "residual_scaled": 0.0, "ok": True,
     }
     missing = {key: value for key, value in ident.items() if key != "ok"}
-    records = [ident, dict(ident, extra=math.nan), missing, ident, dict(ident, a=-0.0), {"a": 0.5}]
-    rep = _with_identity_records(records)
-    _assert_reference_json(rep.to_json(), rep.to_payload())
-    assert encoder_calls() == 3
+    others = [dict(ident, extra=math.nan), missing, {"a": 0.5}, dict(ident, x=[1.5]), dict(ident, lam=_Small.ONE)]
+    for other in others:
+        for records in ([ident, other], [other, ident, dict(ident, a=-0.0)], [other]):
+            rep = _with_identity_records(records)
+            _assert_reference_json(rep.to_json(), rep.to_payload())
+    assert templated == []
+    records = [ident, dict(ident, a=-0.0), ident]
+    _assert_reference_json(_with_identity_records(records).to_json(), _with_identity_records(records).to_payload())
+    assert templated == [records]
 
 
 def test_every_reader_of_a_bound_agrees_at_the_slack_tolerance(monkeypatch):
-    # |lhs| = 1 and tol = 2^-30: a bound of 1 - 2^-30 has slack exactly -tol and holds; the float
-    # below it has slack -(2^-30 + 2^-53) and fails.  Records, JSON, CSV, violations, summary and
-    # evaluate_bound all decide through bounds._verdicts, so they agree at the edge.
+    # tol = 2^-30, and a bound holds when slack >= -tol * (1 + bound).  At |lhs| = 1 + 2^-29 a bound of 1
+    # has slack exactly -tol * 2 and holds; the float below it has slack -(2^-29 + 2^-53) and fails.  At
+    # |lhs| = 3 + 2^-28 a bound of 3 has slack exactly -tol * 4 and holds; the float below it fails.
+    # Both edges lie past -tol, so the allowance is the bound's, not a constant.  Records, JSON, CSV,
+    # violations, summary and evaluate_bound all decide through bounds._verdicts, so they agree there.
     tol = 2.0**-30
-    at = 1.0 - tol
-    below = math.nextafter(at, 0.0)
-    assert at - 1.0 == -tol and below - 1.0 < -tol
+    edges = []  # (|lhs|, the bound at the edge, the float below it)
+    for value, lhs_abs in ((1.0, 1.0 + 2.0**-29), (3.0, 3.0 + 2.0**-28)):
+        below = math.nextafter(value, 0.0)
+        assert value - lhs_abs == -tol * (1.0 + value) < -tol
+        assert below - lhs_abs < -tol * (1.0 + below)
+        edges.append((lhs_abs, value, below))
     rows = bounds._rows((1.0,), variants_for("both"))  # T22 and T23, each as_stated then corrected
     assert [row.variant for row in rows] == ["as_stated", "symmetric_corrected"] * 2
     ident = {"function": "f", "a": 1.0, "b": 2.0, "x": 1.5, "lam": 0.5, "alpha": 1.0, "residual_scaled": 0.0}
-    groups = [(ident, 1.0, [at, below, at, at]), (dict(ident, x=2.0), 1.0, [below, at, at, below])]
+    (lhs_1, at_1, below_1), (lhs_3, at_3, below_3) = edges
+    groups = [(ident, lhs_1, [at_1, below_1, at_1, at_1]), (dict(ident, x=2.0), lhs_3, [below_3, at_3, at_3, below_3])]
     want_holds = [True, False, True, True, False, True, True, False]
-    want_slacks = [value - 1.0 for _, _, values in groups for value in values]
+    want_slacks = [value - lhs_abs for _, lhs_abs, values in groups for value in values]
     view = harness._BoundRecords(rows, groups, tol)
     violations, summary = harness._summary(view, [], 0)
     rep = CampaignReport(
@@ -1071,17 +1074,18 @@ def test_every_reader_of_a_bound_agrees_at_the_slack_tolerance(monkeypatch):
     assert violations == parsed["violations"] == [1, 4, 7]
     assert summary["violations"] == 3 and summary["cases"] == 8
     assert summary["violations_by_variant"] == {"as_stated": 1, "symmetric_corrected": 2}
-    assert summary["min_slack_by_variant"] == {"as_stated": below - 1.0, "symmetric_corrected": below - 1.0}
+    assert summary["min_slack_by_variant"] == {"as_stated": below_3 - lhs_3, "symmetric_corrected": below_3 - lhs_3}
 
-    # evaluate_bound on the same numbers: |lhs| = 1 and the same tolerance
+    # evaluate_bound on the same numbers at the same tolerance
     monkeypatch.setattr(bounds, "_SLACK_TOL", tol)
-    monkeypatch.setattr(bounds, "identity_lhs", lambda f, p: -1.0)
     f = corpus()[0]
     p = ParamPoint(1.0, 2.0, 1.5, 0.5, 1.0)
-    for value, ok in ((at, True), (below, False)):
-        monkeypatch.setattr(bounds, "bound", lambda f, p, theorem, variant, value=value: value)
-        report = bounds.evaluate_bound(f, p, Theorem.T22)
-        assert (report.lhs_abs, report.bound, report.slack, report.holds) == (1.0, value, value - 1.0, ok)
+    for lhs_abs, at, below in edges:
+        monkeypatch.setattr(bounds, "identity_lhs", lambda f, p, lhs_abs=lhs_abs: -lhs_abs)
+        for value, ok in ((at, True), (below, False)):
+            monkeypatch.setattr(bounds, "bound", lambda f, p, theorem, variant, value=value: value)
+            report = bounds.evaluate_bound(f, p, Theorem.T22)
+            assert (report.lhs_abs, report.bound, report.slack, report.holds) == (lhs_abs, value, value - lhs_abs, ok)
 
 
 @pytest.mark.parametrize("value", [0, -7, 10**30, True, False, None, 2.5, -0.0, math.nan, -math.inf, "\xe9\n\""])

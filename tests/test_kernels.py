@@ -1,4 +1,5 @@
 """Closed-form kernel moments vs the independent quadrature oracle."""
+import json
 import math
 import random
 import re
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import hqfi.kernels as kernels
 import hqfi.quad as quad
+import hqfi.specialfn as specialfn
 from hqfi.bounds import ParamPoint, Theorem, bound, identity_lhs, identity_rhs
 from hqfi.fracint import rl_left, rl_right
 from hqfi.cli import main
@@ -395,6 +397,18 @@ def test_cli_constants_where_one_minus_r_rounds_to_one_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: hyp2f1 defined for z in [0, 1), got z=1.0\n"
+
+
+def test_cli_constants_at_alpha_40_reaches_the_euler_integral(monkeypatch, capsys):
+    # CI's constants step runs this point so that the Euler-integral route of hyp2f1 is checked
+    # against the c2 oracle: c2's D there is 2F1(3, 40; 41; 0.5^(1/40) * 0.95 = 0.9337...), where
+    # the w-series cancel more than 100-fold and hyp2f1 falls back to the integral
+    seen = []
+    inner = specialfn._hyp2f1_integral
+    monkeypatch.setattr(specialfn, "_hyp2f1_integral", lambda *p: seen.append(p) or inner(*p))
+    assert main(["constants", "--alpha", "40", "--lambda", "0.5", "--q", "2", "--r", "0.05", "--which", "c2"]) == 0
+    assert seen == [(3.0, 40.0, 41.0, 0.5 ** (1.0 / 40.0) * 0.95)]
+    assert json.loads(capsys.readouterr().out)["results"]["c2"]["rel_delta"] <= 1e-12
 
 
 def test_cli_float_overflow_in_a_moment_exits_3_naming_it(capsys):

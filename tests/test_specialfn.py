@@ -243,8 +243,8 @@ def _refuse(*args, **kwargs):
 
 
 def test_moments_near_z_one_run_without_quadrature(monkeypatch):
-    # the constants grid's points with r <= 0.1 put z = 1 - r and the kink's z above 0.9
-    monkeypatch.setattr(specialfn, "integrate", _refuse)
+    # the constants grid's points with r <= 0.1 put z = 1 - r and the kink's z above 0.9;
+    # integrate_singular is the Euler integral's only way into quadrature
     monkeypatch.setattr(specialfn, "integrate_singular", _refuse)
     for alpha in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         for lam in (0.0, 1.0 / 3.0, 0.5, 1.0):
