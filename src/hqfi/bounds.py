@@ -103,14 +103,17 @@ SPECIAL_KINDS = ("simpson", "midpoint", "trapezoid", "ostrowski", "hadamard_weig
 
 
 class ParamPoint(_Record):
-    """Evaluation point (a, b, x, lam, alpha, q) with 0 < a <= x <= b, a < b."""
+    """Evaluation point (a, b, x, lam, alpha, q), checked where each rule lives.
+
+    `IntervalDomain` checks that a and b are finite with 0 < a < b, and its
+    `contains` that x lies in [a, b]; `kernels._check_args` checks alpha > 0,
+    lam in [0, 1] and q >= 1, each finite.
+    """
 
     __slots__ = _fields = ("a", "b", "x", "lam", "alpha", "q")
 
     def __init__(self, a: float, b: float, x: float, lam: float, alpha: float, q: float = 1.0) -> None:
-        if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a < b):
-            raise ValueError(f"require 0 < a < b, got a={a}, b={b}")
-        if not a <= x <= b:
+        if not IntervalDomain(a, b).contains(x):
             raise ValueError(f"require x in [a, b], got x={x} outside [{a}, {b}]")
         _check_args(alpha, lam, q, 1.0)
         self._init(a, b, x, lam, alpha, q)

@@ -57,10 +57,10 @@ The bound records of `run_verify` are a sized iterable over those groups
 (`_BoundRecords`), which builds each record dict as iteration reaches it;
 `CampaignReport.to_payload` gives them as a list.  A record's verdict,
 slack = bound - |lhs| and holds = slack >= -tol_slack*tol_scale*(1 + bound),
-is decided in one place, `bounds._verdicts`, which the view calls once per
-group each time it is read: the record dicts and `_summary` (so the
-violations, the summary and the CLI's exit code) read its `groups`, and the
-JSON writer calls it as it writes each group.
+is decided in one place, `bounds._verdicts`, which the view applies in one
+method, `groups`, once per group each time it is read: the record dicts,
+`_summary` (so the violations, the summary and the CLI's exit code) and the
+JSON writer all read `groups`.
 
 `CampaignReport.to_json` writes the exact bytes of
 `json.dumps(payload, sort_keys=True, indent=2) + "\n"` for every report: it
@@ -249,10 +249,12 @@ class _BoundRecords:
     `bounds._bound_values` gives at that point, in row order), and every
     group has one value per row.  A group's slacks and verdicts are made by
     `bounds._verdicts` at the run's slack tolerance, and never stored:
-    `groups` (which iteration and `_summary` read) and `json_chunks` call it
-    once per group.  The view has `len` and iteration, which yields a fresh
-    dict per record; `CampaignReport.to_payload` gives the records as a
-    list.  Only `json_chunks` writes its text.
+    `groups` alone applies it, once per group each time it is read, and
+    iteration, `_summary` and `json_chunks` read `groups`.  Storing them
+    instead gave no end-to-end gain and a larger peak memory.  The view has
+    `len` and iteration, which yields a fresh dict per record;
+    `CampaignReport.to_payload` gives the records as a list.  Only
+    `json_chunks` writes its text.
     """
 
     __slots__ = ("rows", "_groups", "_slack_tol")
@@ -299,7 +301,7 @@ class _BoundRecords:
         per group, and the stretch from "bound" to "q" (value, holds and the
         group's fields) with the slack once per distinct value of the group,
         keyed as `_cached_text` keys (inlined, as it runs per record); the
-        slacks and verdicts are those of `bounds._verdicts`.  A group with a
+        slacks and verdicts are those `groups` gives.  A group with a
         non-finite value writes its floats as the encoder does.
         """
         if not self._groups:
@@ -313,10 +315,8 @@ class _BoundRecords:
         ]
         texts = {}  # the texts of every lam and alpha, by `_cached_text`
         coords = None  # the function, a, b and x objects whose texts a_text, b_text, mid and ends hold
-        tol = self._slack_tol
         sep = "["
-        for ident, lhs_abs, values in self._groups:
-            slacks, holds = _verdicts(values, lhs_abs, tol)
+        for ident, lhs_abs, values, slacks, holds in self.groups():
             function, a, b, x, alpha, lam, residual = _group_fields(ident)
             if coords is None or function is not coords[0] or a is not coords[1] or b is not coords[2] or x is not coords[3]:
                 coords = function, a, b, x
@@ -390,6 +390,14 @@ class SweepConfig(_Record):
     swept interval).  tol_scale multiplies tol_identity, tol_slack and the
     quadrature's own tolerances (`quad._ABS_TOL`, `quad._REL_TOL`); the CLI
     has no flag for it, so it is set in the config file alone.
+
+    Each input rule is checked by its one home, before any work: every
+    interval builds a `harmonic.IntervalDomain` (a, b finite, 0 < a < b), and
+    every (alpha, lam, q) of the grid goes through `kernels._check_args`
+    (alpha > 0, lam in [0, 1], q >= 1, each finite), after the test that each
+    of those lists is non-empty.  The run tests explicit x values with the
+    interval's domain (`_x_points`).  The checks of the config's own fields,
+    types, modes, tolerances and repeats are written here.
     """
 
     __slots__ = _fields = (
@@ -429,20 +437,18 @@ class SweepConfig(_Record):
         if not self.intervals:
             raise ValueError("need at least one interval")
         for a, b in self.intervals:
-            if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a < b):
-                raise ValueError(f"intervals need 0 < a < b, got ({a}, {b})")
+            IntervalDomain(a, b)
         if self.x_mode not in _X_MODES:
             raise ValueError(f"x_mode must be one of {_X_MODES}, got {self.x_mode!r}")
         if self.x_mode == "grid" and self.x_count < 2:
             raise ValueError(f"grid x_mode needs x_count >= 2, got {self.x_count}")
         if self.x_mode == "explicit" and not self.x_values:
             raise ValueError("explicit x_mode needs a non-empty x_values list")
-        if not self.lambdas or any(not (math.isfinite(v) and 0.0 <= v <= 1.0) for v in self.lambdas):
-            raise ValueError(f"lambdas must be a non-empty list within [0, 1], got {self.lambdas}")
-        if not self.alphas or any(not (math.isfinite(v) and v > 0.0) for v in self.alphas):
-            raise ValueError(f"alphas must be a non-empty list of positive reals, got {self.alphas}")
-        if not self.qs or any(not (math.isfinite(v) and v >= 1.0) for v in self.qs):
-            raise ValueError(f"qs must be a non-empty list of reals >= 1, got {self.qs}")
+        for name in ("lambdas", "alphas", "qs"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be a non-empty list")
+        for alpha, lam, q in itertools.product(self.alphas, self.lambdas, self.qs):
+            _check_args(alpha, lam, q, 1.0)
         if self.functions != "all" and not self.functions:
             raise ValueError("functions selection is empty; use \"all\" or a list of labels")
         if self.variant not in _VARIANT_SELECTORS:
@@ -562,14 +568,15 @@ def _select_functions(cfg: SweepConfig) -> list[ScalarFunction]:
     return [by_label[name] for name in cfg.functions]
 
 
-def _x_points(cfg: SweepConfig, a: float, b: float) -> tuple[float, ...]:
+def _x_points(cfg: SweepConfig, domain: IntervalDomain) -> tuple[float, ...]:
+    a, b = domain.lo, domain.hi
     if cfg.x_mode == "h_point":
         return (2.0 * a * b / (a + b),)
     if cfg.x_mode == "grid":
         step = (b - a) / (cfg.x_count - 1)
         return tuple(a + i * step for i in range(cfg.x_count - 1)) + (b,)
     for x in cfg.x_values:
-        if not a <= x <= b:
+        if not domain.contains(x):
             raise ValueError(f"explicit x={x} lies outside interval [{a}, {b}]")
     return cfg.x_values
 
@@ -705,7 +712,7 @@ def run_verify(cfg: SweepConfig) -> CampaignReport:
         eligible = [f for f in plan.fns if f.domain.encloses(domain)]
         if not eligible:
             raise ValueError(f"no selected function covers interval [{a}, {b}]")
-        xs = _x_points(cfg, a, b)
+        xs = _x_points(cfg, domain)
         gated = []
         for f in eligible:
             holds = _gate(cfg, f, domain)

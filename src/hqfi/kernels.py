@@ -29,7 +29,8 @@ is memoized by exactly the arguments it depends on: `_g(A, b, alpha, z)`,
 each moment needs one memoized value; c2 and c3 call them and are plain
 functions themselves.  Each public function takes plain floats and checks
 them with `_check_args` (alpha > 0, lam in [0, 1], q >= 1, r in (0, 1]),
-the one check that `bounds.ParamPoint` and `harness.run_constants` call too.
+the one check that `bounds.ParamPoint`, `harness.SweepConfig` and
+`harness.run_constants` call too.
 """
 from __future__ import annotations
 
@@ -62,13 +63,14 @@ def c1(alpha: float, lam: float) -> float:
 
 
 def _hyp_a12(a: float, z: float) -> float:
-    """2F1(a, 1; 2; z) = ((1-z)^(1-a) - 1) / ((a-1) z) for a > 1: 1 at z = 0, inf past the double range."""
+    """2F1(a, 1; 2; z) = ((1-z)^(1-a) - 1) / ((a-1) z) for a > 1: 1 at z = 0.
+
+    Past the double range `math.expm1` raises OverflowError, which `c3`'s
+    `_finite` names with the moment and its point.
+    """
     if z == 0.0:
         return 1.0
-    try:
-        return math.expm1((1.0 - a) * math.log1p(-z)) / ((a - 1.0) * z)
-    except OverflowError:
-        return math.inf
+    return math.expm1((1.0 - a) * math.log1p(-z)) / ((a - 1.0) * z)
 
 
 # One entry per distinct argument tuple: the 9-function dense sweep needs 834 over both
@@ -172,7 +174,11 @@ def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> flo
     (v/((u-v)(2q-1)))^(1/k) at s = 0.  A piece with c at least half its
     width needs no grading and is integrated in s, as is every other piece.
     Every piece runs at `integrate`'s default tolerances, and the pieces are
-    summed left to right.
+    summed left to right.  For alpha > 40 the weight cut of `_s_edges` keeps
+    the band next to t = 1 where t^alpha lives in a piece of its own: the c1
+    oracle then holds to 3.3e-16 at lam = 0.5 up to alpha = 1e8.  At lam = 0,
+    c1 = 1/(alpha+1) is small, and from alpha = 1e5 on the oracle is off by
+    4e-12 to 6e-10 relative: `integrate`'s abs_tol, not a false convergence.
     """
     if not (math.isfinite(u) and u > 0.0 and math.isfinite(v) and v > 0.0):
         raise ValueError(f"require positive endpoints, got u={u}, v={v}")
@@ -221,6 +227,9 @@ def kernel_oracle(alpha: float, lam: float, q: float, u: float, v: float) -> flo
 # From k near 1e4 on, every node of the first GK15 panel lies outside that
 # band, the panel reports an error of 0 and the integral comes out as 0.  Both
 # rules for k in `_s_edges` stop here; the smoothness rule needs at most 6.
+# Large alpha packs the factor t^alpha against t = 1 the same way; there
+# `_s_edges` cuts at t = 1 - 40/alpha, below which t^alpha <= e^-40, and so
+# gives that band a piece of its own.
 _MAX_POWER = 64
 # Bounded derivatives of the term k*s^(k(alpha+1)-1) at s = 0 when k*alpha is not an integer.
 # Of 3, 5 and 8, 5 took the fewest GK15 panels (12,716, 11,852, 12,282) over 576 c1/c2/c3
@@ -237,13 +246,17 @@ def _s_edges(alpha: float, lam: float, cuts: tuple[float, ...] = ()) -> tuple[in
     term k*s^(k(alpha+1)-1) at s = 0, and k rises to the least value with
     k(alpha+1) - 1 >= _SMOOTH_ORDER, so that GK15 need not bisect toward 0 to
     resolve it.  Either way k stops at _MAX_POWER.  The edges run from 0 to 1
-    through the cuts and the kink t = lam^(1/alpha), each moved to s = t^(1/k).
+    through the cuts, the kink t = lam^(1/alpha) and, for alpha > 40, the
+    weight cut t = 1 - 40/alpha, each moved to s = t^(1/k): t^alpha is at most
+    e^-40 below that cut and holds its weight above it, where a first GK15
+    panel over all of [0, 1] would have no node.  For alpha <= 40 that cut
+    lies outside (0, 1) and is dropped, so every piece keeps its edges.
     """
     k = math.ceil(1.0 / max(alpha, 1.0 / _MAX_POWER))
     if not float(k * alpha).is_integer():
         k = min(max(k, math.ceil((_SMOOTH_ORDER + 1.0) / (alpha + 1.0))), _MAX_POWER)
     # t in (0, 1) maps into (0, 1]; a cut that rounds onto s = 1 is no cut
-    inner = sorted({t ** (1.0 / k) for t in (*cuts, lam ** (1.0 / alpha)) if 0.0 < t < 1.0} - {1.0})
+    inner = sorted({t ** (1.0 / k) for t in (*cuts, lam ** (1.0 / alpha), 1.0 - 40.0 / alpha) if 0.0 < t < 1.0} - {1.0})
     return k, [0.0, *inner, 1.0]
 
 

@@ -4,6 +4,7 @@ The corollary expressions below are written out independently of bounds.py
 (straight from the specialized formulas, using only the kernel moments), so a
 transcription slip in either place breaks the 1e-12 agreement checks.
 """
+import bisect
 import collections
 import inspect
 import itertools
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import hqfi.bounds
 import hqfi.kernels
 from hqfi.bounds import (
+    _SLACK_TOL,
     ParamPoint,
     Theorem,
     Variant,
@@ -26,8 +28,9 @@ from hqfi.bounds import (
     identity_rhs,
     ostrowski_bound,
     specialize,
+    _verdicts,
 )
-from hqfi.harmonic import IntervalDomain, ScalarFunction, corpus
+from hqfi.harmonic import IntervalDomain, ScalarFunction, abs_derivative_power, check_harmonically_quasiconvex, corpus
 from hqfi.harness import SweepConfig, run_verify
 from hqfi.kernels import c1, c2, c3
 from hqfi.quad import integrate
@@ -385,6 +388,69 @@ def test_corrected_bound_holds_over_the_linear_equality_grid_at_scale(a, b, x, l
     # so corrected T22 at q = 1 and T23 at every q equal |lhs| up to roundoff
     f = ScalarFunction("1e6u", IntervalDomain(a, b), lambda u: 1e6 * u, lambda u: 1e6, True)
     assert evaluate_bound(f, ParamPoint(a, b, x, lam, alpha, q), theorem, Variant.SYMMETRIC_CORRECTED).holds
+
+
+def _valley_in_s(lo, ratio, values, sign):
+    """f on [lo, lo*ratio] whose |f'| is piecewise linear in s = 1/u through `values`, in closed form.
+
+    The knots are equispaced in s over [1/hi, 1/lo], and `values` is valley-shaped, so |f'| is
+    harmonically quasi-convex.  On the piece between two knots |f'| = c0 + c1 s = c0 + c1/u, so
+    f = sign (c0 u + c1 ln u + K), with K making f continuous; the interior knots are f's breaks.
+    """
+    hi = lo * ratio
+    m = len(values) - 1
+    knots = [1.0 / hi + (1.0 / lo - 1.0 / hi) * j / m for j in range(m + 1)]  # in s, increasing
+    pieces = []  # (u at the piece's right end, c0, c1, K), in increasing u
+    at = 0.0  # f / sign at the piece's left end
+    for j in reversed(range(m)):
+        c1 = (values[j + 1] - values[j]) / (knots[j + 1] - knots[j])
+        c0 = values[j] - c1 * knots[j]
+        u_lo = lo if j == m - 1 else 1.0 / knots[j + 1]
+        u_hi = hi if j == 0 else 1.0 / knots[j]
+        k = at - (c0 * u_lo + c1 * math.log(u_lo))
+        pieces.append((u_hi, c0, c1, k))
+        at = c0 * u_hi + c1 * math.log(u_hi) + k
+    ends = [end for end, *_ in pieces]
+
+    def piece(u):
+        return pieces[min(bisect.bisect_left(ends, u), m - 1)]
+
+    def value(u):
+        _, c0, c1, k = piece(u)
+        return sign * (c0 * u + c1 * math.log(u) + k)
+
+    def derivative(u):
+        _, c0, c1, _ = piece(u)
+        return sign * (c0 + c1 / u)
+
+    return ScalarFunction(f"valley{values}", IntervalDomain(lo, hi), value, derivative, True, breaks=tuple(ends[:-1]))
+
+
+_CORRECTED_ROWS = [(q, theorem) for q in (1.0, 2.0, 4.0) for theorem in Theorem if theorem is not Theorem.T24 or q > 1.0]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    lo=st.floats(0.1, 2.0),
+    ratio=st.floats(1.5, 10.0),
+    drawn=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5),
+    split=st.integers(0, 5),
+    sign=st.sampled_from((1.0, -1.0)),
+    step=st.integers(0, 6),
+    lam=st.sampled_from((0.0, 1.0 / 3.0, 0.5, 1.0)),
+    alpha=st.sampled_from((0.1, 0.5, 1.0, 2.0, 5.0)),
+)
+def test_corrected_bounds_hold_on_drawn_valleys_in_s(lo, ratio, drawn, split, sign, step, lam, alpha):
+    # ROADMAP item 11: |f'| drawn as a valley in s = 1/u meets the hypothesis, so every corrected row must hold
+    values = sorted(drawn[:split], reverse=True) + sorted(drawn[split:])  # non-increasing, then non-decreasing
+    f = _valley_in_s(lo, ratio, values, sign)
+    a, b = f.domain.lo, f.domain.hi
+    assert not check_harmonically_quasiconvex(abs_derivative_power(f, 1.0)).violated
+    x = b if step == 6 else a + step * (b - a) / 6.0  # the sweep's 7-point x grid
+    lhs_abs = abs(identity_lhs(f, ParamPoint(a, b, x, lam, alpha)))
+    bounds = [bound(f, ParamPoint(a, b, x, lam, alpha, q), theorem) for q, theorem in _CORRECTED_ROWS]
+    slacks, holds = _verdicts(bounds, lhs_abs, _SLACK_TOL)
+    assert all(holds), [(row, value, slack) for row, value, slack, ok in zip(_CORRECTED_ROWS, bounds, slacks, holds) if not ok]
 
 
 # Equality witnesses at interior lam (ROADMAP item 20).  At x = a only the right brace exists (c3), at

@@ -135,6 +135,15 @@ def test_the_bound_verdict_rule_lives_in_one_function():
     assert not private, private
 
 
+def test_harness_pairs_a_group_with_its_verdicts_in_one_method():
+    # _BoundRecords.groups applies bounds._verdicts; the records, the summary and the JSON writer read groups()
+    readers = {name for name, func in _functions(MODULES["harness"]) if "_verdicts" in _reads(func)}
+    assert readers == {"_BoundRecords.groups"}
+    calls = [node for node in ast.walk(MODULES["harness"]) if isinstance(node, ast.Name) and node.id == "_verdicts"]
+    groups = dict(_functions(MODULES["harness"]))["_BoundRecords.groups"]
+    assert calls and all(groups.lineno <= node.lineno <= groups.end_lineno for node in calls)
+
+
 def test_no_module_reads_the_environment():
     # a run is fixed by its command line and its config file: no os.environ, os.getenv or os.putenv
     found = sorted(

@@ -43,7 +43,7 @@ def test_each_identity_side_meets_its_closed_form(grid, label):
     f, (C, p) = _widened(label), POWERS[label]
     worst = []
     for a, b in cfg.intervals:
-        for x in _x_points(cfg, a, b):
+        for x in _x_points(cfg, IntervalDomain(a, b)):
             # the sweep's own staging and tolerances: these are the bits of the report's identity records
             for lam, alpha, lhs, rhs in _identity_values(f, a, b, x, cfg.alphas, cfg.lambdas, {}):
                 for got, terms, k, name in (

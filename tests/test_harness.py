@@ -177,6 +177,8 @@ def test_config_validation():
         SweepConfig(x_mode="explicit")
     with pytest.raises(ValueError):
         SweepConfig(tol_scale=0.0)
+    with pytest.raises(ValueError, match=re.escape("checker_n must be >= 2, got 1")):
+        SweepConfig(checker_n=1)
     # the run uses each tolerance times tol_scale: a product that overflows to inf would pass
     # every check, and one that underflows to 0 none
     for name in ("tol_identity", "tol_slack"):
@@ -196,6 +198,55 @@ def test_config_validation():
     for bad in ("expx", {"expx": 1}, [5]):
         with pytest.raises(ValueError, match='functions is "all" or a list of labels'):
             SweepConfig.from_dict({"functions": bad})
+
+
+def _rejects(make, *args, **kwargs) -> bool:
+    try:
+        make(*args, **kwargs)
+    except ValueError:
+        return True
+    return False
+
+
+_BAD_AND_GOOD = (math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1e-3, 0.5, 0.9, 1.0, 1.5, 2.0, 40.0)
+
+
+def test_config_and_point_check_an_interval_exactly_as_its_domain_does():
+    # IntervalDomain is the interval rule's one home: a, b finite with 0 < a < b, and x in [a, b]
+    differ = []
+    for a in _BAD_AND_GOOD:
+        for b in _BAD_AND_GOOD:
+            want = _rejects(IntervalDomain, a, b)
+            got = (_rejects(SweepConfig, intervals=((a, b),)), _rejects(ParamPoint, a, b, a, 0.5, 1.0))
+            if got != (want, want):
+                differ.append((a, b, want, got))
+    domain = IntervalDomain(0.5, 1.5)
+    for x in _BAD_AND_GOOD:
+        want = not domain.contains(x)
+        cfg = SweepConfig(x_mode="explicit", x_values=(x,))
+        got = (_rejects(ParamPoint, 0.5, 1.5, x, 0.5, 1.0), _rejects(harness._x_points, cfg, domain))
+        if got != (want, want):
+            differ.append((x, want, got))
+    assert not differ, differ
+
+
+def test_config_and_point_check_moment_parameters_exactly_as_the_kernels_do():
+    # kernels._check_args is the moment rule's one home: alpha > 0, lam in [0, 1], q >= 1, each finite
+    differ = []
+    for alpha in _BAD_AND_GOOD:
+        for lam in _BAD_AND_GOOD:
+            for q in _BAD_AND_GOOD:
+                want = _rejects(kernels._check_args, alpha, lam, q, 1.0)
+                got = (
+                    _rejects(SweepConfig, alphas=(alpha,), lambdas=(lam,), qs=(q,)),
+                    _rejects(ParamPoint, 1.0, 2.0, 1.5, lam, alpha, q),
+                )
+                if got != (want, want):
+                    differ.append((alpha, lam, q, want, got))
+    assert not differ, differ
+    # one bad value anywhere in a list fails the config before any work, and an empty list fails too
+    for bad in ({"lambdas": (0.0, 1.5)}, {"qs": (2.0, 0.9)}, {"alphas": (1.0, math.nan)}, {"qs": ()}, {"lambdas": ()}):
+        assert _rejects(SweepConfig, **bad), bad
 
 
 @pytest.mark.parametrize(
@@ -1300,6 +1351,20 @@ def test_cli_repeated_grid_value_exits_2(tmp_path, capsys):
     assert main(["verify", "--interval", "1:2", "--interval", "1:2", "--out", str(out)]) == 2
     assert "intervals must not repeat a value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--interval", "1-2", "argument --interval: invalid _interval value: '1-2'"),
+        ("--alphas", ",", "argument --alphas: invalid _floats value: ','"),
+    ],
+)
+def test_cli_unparsable_flag_value_exits_2(capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def _tol_scale_config(tmp_path, scale):

@@ -83,21 +83,30 @@ def test_kernel_oracle_golden():
     assert kernel_oracle(1.0, 0.0, 1.0, 1.0, 2.0) == pytest.approx(1.0 - math.log(2.0), rel=1e-11)
 
 
-_LARGE_ALPHA = "kernel_oracle converges falsely at large alpha: the weight of t^alpha lies within about 1/alpha of t = 1"
-
-
 @pytest.mark.parametrize(
     "alpha, lam",
     [
-        (1e3, 0.0),  # 5.4e-15 relative
+        (1e3, 0.0),  # 5.3e-14 relative: c1 = 1/(alpha+1), so integrate's abs_tol 1e-11 is 1e-8 relative
         (1e3, 0.5),
-        pytest.param(1e4, 0.0, marks=pytest.mark.xfail(reason=_LARGE_ALPHA)),  # 2.9e-21 against 1.0e-4
-        pytest.param(1e4, 0.5, marks=pytest.mark.xfail(reason=_LARGE_ALPHA)),  # 1.0e-4 relative
+        (1e4, 0.0),  # 2.0e-13 relative; 2.9e-21 against 1.0e-4 before the cut at t = 1 - 40/alpha
+        (1e4, 0.5),  # exact; 1.0e-4 relative before that cut
     ],
 )
 def test_c1_oracle_at_large_alpha(alpha, lam):
     # u = v = 1 makes the weight 1, so the oracle is the plain |t^alpha - lam| moment c1
     assert kernel_oracle(alpha, lam, 1.0, 1.0, 1.0) == pytest.approx(c1(alpha, lam), rel=1e-12)
+
+
+def test_s_edges_add_the_weight_cut_only_above_alpha_40():
+    # t = 1 - 40/alpha lies outside (0, 1) for alpha <= 40, so those edges keep their bits
+    assert kernels._s_edges(40.0, 0.5) == (1, [0.0, 0.5 ** (1.0 / 40.0), 1.0])
+    assert kernels._s_edges(1e4, 0.0) == (1, [0.0, 1.0 - 40.0 / 1e4, 1.0])
+
+
+def test_hyp_a12_raises_past_the_double_range():
+    # (1 - z)^(1 - a) = 1000^799: c3's _finite names the moment and its point around this error
+    with pytest.raises(OverflowError):
+        kernels._hyp_a12(800.0, 0.999)
 
 
 def test_closed_forms_match_oracle_on_seeded_grid():

@@ -196,17 +196,31 @@ def test_integrate_nonfinite_panel_raises(f):
         integrate(f, 0.0, 1.0)
 
 
-def test_integrate_nonfinite_child_panel_raises(monkeypatch):
-    # sqrt needs bisection; the right half of the first split reads NaN
+@pytest.mark.parametrize("nan_panel, half", [(2, r"\[0.0, 0.5\]"), (3, r"\[0.5, 1.0\]")], ids=["left", "right"])
+def test_integrate_nonfinite_child_panel_raises(monkeypatch, nan_panel, half):
+    # sqrt needs bisection; one half of the first split reads NaN: the left one is evaluated first
     panels = [0]
 
-    def nan_on_third(f, lo, hi):
+    def nan_on_one(f, lo, hi):
         panels[0] += 1
         res, err = gk15(f, lo, hi)
-        return (math.nan, err) if panels[0] == 3 else (res, err)
+        return (math.nan, err) if panels[0] == nan_panel else (res, err)
 
-    monkeypatch.setattr(quad, "gk15", nan_on_third)
-    with pytest.raises(QuadratureError, match=r"on \[0.0, 1.0\]: panel \[0.5, 1.0\] gives nan"):
+    monkeypatch.setattr(quad, "gk15", nan_on_one)
+    with pytest.raises(QuadratureError, match=rf"on \[0.0, 1.0\]: panel {half} gives nan"):
+        integrate(math.sqrt, 0.0, 1.0)
+
+
+def test_integrate_raises_at_the_roundoff_limit_of_bisection():
+    # a pole at the upper end: the panels next to it halve until one has no float between its ends
+    with pytest.raises(QuadratureError, match=r"no convergence on \[0.999, 1.0\]: interval \[.*\] hit the roundoff limit"):
+        integrate(lambda t: 1.0 / (1.0 - t), 0.999, 1.0)
+
+
+def test_integrate_raises_when_the_panel_budget_is_spent(monkeypatch):
+    # sqrt needs more than four panels to meet the default tolerance at t = 0
+    monkeypatch.setattr(quad, "_MAX_PANELS", 4)
+    with pytest.raises(QuadratureError, match=r"no convergence on \[0.0, 1.0\]: panel budget 4 exhausted"):
         integrate(math.sqrt, 0.0, 1.0)
 
 

@@ -35,6 +35,27 @@ def test_gamma_domain():
         gamma(-1.5)
 
 
+def test_beta_domain():
+    with pytest.raises(ValueError, match=re.escape("beta requires x, y > 0, got (0.0, 1.0)")):
+        beta(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "route, args, message",
+    [
+        # z <= 0.9: the power series
+        (hyp2f1_series, (1.0, 1.0, 2.0, 0.5), "2F1 series did not converge within 3 terms for (1.0, 1.0, 2.0, 0.5)"),
+        # z > 0.9 with d = c - a - b = 0.5: the w = 1 - z series, here at w = 0.05
+        (hyp2f1, (1.0, 1.0, 2.5, 0.95), "2F1 w-series did not converge within 3 terms for (1.0, 1.0, 2.5, 0.05"),
+    ],
+    ids=["power-series", "w-series"],
+)
+def test_series_raise_past_their_term_budget(monkeypatch, route, args, message):
+    monkeypatch.setattr(specialfn, "_SERIES_MAX_TERMS", 3)
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        route(*args)
+
+
 @settings(deadline=None, max_examples=50)
 @given(x=st.floats(0.05, 20.0))
 def test_gamma_recurrence(x):
